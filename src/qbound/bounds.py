@@ -22,6 +22,9 @@ the sign conditions on the off-diagonals is
 I1 and I2 being half-window moments of x11.  For the saturating Gaussian
 family C = C_max.
 
+Every integral here is a contraction over the family's `FamilyGrid`, which
+is split at the window center, so I1 and I2 are sums over its two halves.
+
 The audit evaluates each identity of the underlying derivation numerically.
 Its key diagnostic: differentiating the unbiasedness integral with fixed
 limits drops the boundary contribution of the moving window,
@@ -47,11 +50,11 @@ import numpy as np
 from .derivatives import coeff_h3r, deviation_h, new_log_derivative
 from .measurement import (
     EstimationContext,
+    FamilyGrid,
     PovmFamily,
     estimator_moments,
     gaussian_sharp_family,
     outcome_density_values,
-    trace_with_elements,
     validate_povm,
 )
 from .metrics import (
@@ -62,7 +65,7 @@ from .metrics import (
     sld_metric,
 )
 from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
-from .quadrature import QuadSpec, nodes_1d
+from .quadrature import QuadSpec
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -94,27 +97,6 @@ class BoundProblem:
             raise ValueError("Y and Z must not both be zero")
 
 
-def _family_nodes(p: PovmFamily, spec: QuadSpec | None):
-    lo, hi = p.window
-    return nodes_1d(lo, hi, p.quad_spec(spec))
-
-
-def _element_arrays(p: PovmFamily, x: np.ndarray):
-    shape = x.shape
-    x11 = np.broadcast_to(np.asarray(p.x11(x), dtype=float), shape)
-    x12 = np.broadcast_to(np.asarray(p.x12(x), dtype=float), shape)
-    y12 = np.broadcast_to(np.asarray(p.y12(x), dtype=float), shape)
-    return x11, x12, y12
-
-
-def _derivative_arrays(p: PovmFamily, x: np.ndarray):
-    shape = x.shape
-    dx11 = np.broadcast_to(np.asarray(p.d_x11(x), dtype=float), shape)
-    dx12 = np.broadcast_to(np.asarray(p.d_x12(x), dtype=float), shape)
-    dy12 = np.broadcast_to(np.asarray(p.d_y12(x), dtype=float), shape)
-    return dx11, dx12, dy12
-
-
 def ab_coefficients(
     ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None
 ) -> tuple[float, float]:
@@ -124,11 +106,10 @@ def ab_coefficients(
     the window limits are held fixed, so for edge-supported families b picks
     up the edge value of x11 through integration by parts.
     """
-    x, w = _family_nodes(p, spec)
-    rho = density_matrix(ctx.state)
-    tr_dpi = trace_with_elements(rho, *_derivative_arrays(p, x))
-    a = ctx.state.phi * (w @ tr_dpi)
-    b = 1.0 - (w @ (x * tr_dpi))
+    g = p.grid(spec)
+    tr_dpi = g.d_trace(density_matrix(ctx.state))
+    a = ctx.state.phi * g.integrate(tr_dpi)
+    b = 1.0 - g.integrate(g.x * tr_dpi)
     return float(a.real), float(b.real)
 
 
@@ -149,12 +130,14 @@ def gaussian_b_reference(r: float, theta: float, sigma: float = 3.0) -> float:
 def bound_C(ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None) -> float:
     """The squared bracket bounding v * g from below for this family."""
     a, b = ab_coefficients(ctx, p, spec)
-    x, w = _family_nodes(p, spec)
-    _, x12, y12 = _element_arrays(p, x)
+    return _squared_bracket(ctx, p.grid(spec), a, b)
+
+
+def _squared_bracket(ctx: EstimationContext, g: FamilyGrid, a: float, b: float) -> float:
     st = math.sin(ctx.state.theta)
     phi = ctx.state.phi
     h3 = coeff_h3r(ctx.state.r)
-    integral = w @ ((x - phi) * (math.sin(phi) * x12 + math.cos(phi) * y12))
+    integral = g.integrate((g.x - phi) * (math.sin(phi) * g.x12 + math.cos(phi) * g.y12))
     return float((a + b - 2.0 * h3 * st * integral) ** 2)
 
 
@@ -196,19 +179,15 @@ def bound_Cmax(
     """Maximized bound with its half-window moments I1 and I2."""
     a, b = ab_coefficients(ctx, p, spec)
     c = a + b
-    lo, hi = p.window
     mu = p.center
     phi = ctx.state.phi
-    qspec = p.quad_spec(spec)
     cos_c = math.cos(ctx.construct_phi)
 
-    x_lo, w_lo = nodes_1d(lo, mu, qspec)
-    x_hi, w_hi = nodes_1d(mu, hi, qspec)
-    x11_lo = np.broadcast_to(np.asarray(p.x11(x_lo), dtype=float), x_lo.shape)
-    y12_lo = np.broadcast_to(np.asarray(p.y12(x_lo), dtype=float), x_lo.shape)
-    x11_hi = np.broadcast_to(np.asarray(p.x11(x_hi), dtype=float), x_hi.shape)
-    I1 = float(w_lo @ ((x_lo - mu) * x11_lo + ctx.eps * y12_lo / cos_c))
-    I2 = float(w_hi @ ((x_hi - phi) * x11_hi))
+    g = p.grid(spec)
+    below = slice(None, int(np.searchsorted(g.x, mu)))
+    above = slice(below.stop, None)
+    I1 = float(g.w[below] @ ((g.x[below] - mu) * g.x11[below] + ctx.eps * g.y12[below] / cos_c))
+    I2 = float(g.w[above] @ ((g.x[above] - phi) * g.x11[above]))
 
     h3 = coeff_h3r(ctx.state.r)
     st = math.sin(ctx.state.theta)
@@ -221,7 +200,7 @@ def bound_Cmax(
         I1=I1,
         I2=I2,
         h3r=h3,
-        C=bound_C(ctx, p, spec),
+        C=_squared_bracket(ctx, g, a, b),
         C_max=float(c_max),
         sign_conditions_ok=report.sign_conditions_ok,
         c_nonneg=c >= 0.0,
@@ -261,11 +240,10 @@ def theorem_general(problem: BoundProblem, spec: QuadSpec | None = None) -> Theo
     g = new_metric(state, method="closed")
     lhs = (Y[2] ** 2 * variance) * float(Z @ g @ Z)
 
-    x, w = _family_nodes(p, spec)
-    rho = density_matrix(state)
-    tr_dpi = trace_with_elements(rho, *_derivative_arrays(p, x))
-    int_tr = w @ tr_dpi
-    int_x_tr = w @ (x * tr_dpi)
+    grid = p.grid(spec)
+    tr_dpi = grid.d_trace(density_matrix(state))
+    int_tr = grid.integrate(tr_dpi)
+    int_x_tr = grid.integrate(grid.x * tr_dpi)
 
     # With trivial estimators for r and theta, the A and B contributions in
     # the phi column cancel exactly for j != 3, leaving the identity except
@@ -274,9 +252,7 @@ def theorem_general(problem: BoundProblem, spec: QuadSpec | None = None) -> Theo
     ab_matrix[2, 2] = phi * int_tr + 1.0 - int_x_tr
 
     t_h = sum(Z[k] * deviation_h(state, ParamIndex(k + 1)) for k in range(3))
-    elements = _element_arrays(p, x)
-    tr_th_pi = trace_with_elements(t_h, *elements)
-    cross = Y[2] * (w @ ((x - phi) * tr_th_pi))
+    cross = Y[2] * grid.integrate((grid.x - phi) * grid.trace(t_h))
 
     bracket = complex(Y @ ab_matrix @ Z) - complex(cross)
     return TheoremEvaluation(
@@ -327,19 +303,18 @@ def audit_derivation(
     """Evaluate every identity of the 1-D derivation chain numerically."""
     state = ctx.state
     phi = state.phi
-    st = math.sin(state.theta)
     lo, hi = p.window
 
-    x, w = _family_nodes(p, spec)
-    elements = _element_arrays(p, x)
+    g = p.grid(spec)
+    x = g.x
     rho = density_matrix(state)
     drho = d_rho(state, ParamIndex.PHI)
 
-    q = trace_with_elements(rho, *elements).real
+    q = g.trace(rho).real
     a, b = ab_coefficients(ctx, p, spec)
 
     # identity from differentiating unbiasedness with fixed limits
-    lhs_fw = w @ ((x - phi) * trace_with_elements(drho, *elements))
+    lhs_fw = g.integrate((x - phi) * g.trace(drho))
     residual_fw = lhs_fw.real - (a + b)
 
     q_hi = float(outcome_density_values(ctx, p, np.array([hi]))[0])
@@ -347,17 +322,16 @@ def audit_derivation(
     boundary = (hi - phi) * q_hi - (lo - phi) * q_lo
 
     h3 = deviation_h(state, ParamIndex.PHI)
-    tr_h3 = trace_with_elements(h3, *elements)
-    bracket_c = (a + b) - (w @ ((x - phi) * tr_h3))
+    bracket_c = (a + b) - g.integrate((x - phi) * g.trace(h3))
     bracket = float(bracket_c.real)
     imag_residual = float(abs(bracket_c.imag))
 
     l3 = new_log_derivative(state, ParamIndex.PHI)
-    cross = w @ ((x - phi) * trace_with_elements(rho @ l3, *elements))
+    cross = g.integrate((x - phi) * g.trace(rho @ l3))
     cross_real = float(cross.real)
 
-    variance = float(w @ ((x - phi) ** 2 * q))
-    quad_tl = float((w @ trace_with_elements(l3 @ rho @ l3, *elements)).real)
+    variance = float(g.integrate((x - phi) ** 2 * q))
+    quad_tl = float(g.integrate(g.trace(l3 @ rho @ l3)).real)
     g_phiphi = float(new_metric(state, method="closed")[2, 2])
 
     schwarz_lhs = variance * quad_tl

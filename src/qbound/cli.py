@@ -241,18 +241,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FLOATS = {"r", "theta", "phi", "eps", "sigma", "r_min", "r_max"}
-_CONFIG_INTS = {"steps", "panels", "order", "samples", "seed"}
-_CONFIG_BOOLS = {"log_y"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
+    """The (sub)parser of the command that `args` selected."""
+    while True:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return parser
+        parser = subs[0].choices[getattr(args, subs[0].dest)]
+
+
+def _config_value(action: argparse.Action, text: str):
+    """Convert and check one config value the way its flag would be."""
+    if action.nargs == 0:  # store_true flag
+        if text.lower() not in _BOOL_WORDS:
+            raise ValueError(f"expected one of {', '.join(_BOOL_WORDS)}, got {text!r}")
+        return _BOOL_WORDS[text.lower()]
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(action.choices)})")
+    return value
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; values from a --config file become the defaults of the
+    selected command, so any flag spelling argparse accepts wins over them."""
     args = parser.parse_args(argv)
     path = getattr(args, "config", None)
     if not path:
         return args
-    explicit = _explicit_dests(argv)
-    known = vars(args)
+    leaf = _leaf_parser(parser, args)
+    actions = {a.dest: a for a in leaf._actions if a.dest in vars(args)}
+    defaults = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -262,27 +284,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in known:
+            if key not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in explicit:
-                continue  # command-line flags win over the file
-            if key in _CONFIG_FLOATS:
-                known[key] = float(value)
-            elif key in _CONFIG_INTS:
-                known[key] = int(value)
-            elif key in _CONFIG_BOOLS:
-                known[key] = value.lower() in ("1", "true", "yes")
-            else:
-                known[key] = value
-    return args
-
-
-def _explicit_dests(argv: list[str]) -> set[str]:
-    dests = set()
-    for token in argv:
-        if token.startswith("--"):
-            dests.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return dests
+            try:
+                defaults[key] = _config_value(actions[key], value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    leaf.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _require_r(args) -> float:

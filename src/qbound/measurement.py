@@ -28,6 +28,10 @@ The saturating Gaussian family takes
 with sgn(0) = 0.  Its small eigenvalue vanishes identically away from the
 center ("sharp" measurement) and the off-diagonal sign pattern makes the
 maximized bound an equality.
+
+Every window integral of a family is a contraction over the `FamilyGrid`
+that `PovmFamily.grid(spec)` builds once per effective spec and keeps on the
+family; the window is always split at its center.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import QuadSpec, integrate_1d, nodes_1d
+from .quadrature import QuadSpec, _check_finite, integrate_1d, nodes_1d
 from .qubit import DomainError, QubitState, density_matrix
 
 COMPLETENESS_TOL = 1e-9
@@ -82,6 +86,35 @@ class EstimationContext:
         return self.construct_phi + self.eps
 
 
+@dataclass(frozen=True, eq=False)
+class FamilyGrid:
+    """A family's quadrature nodes and weights on its window, with its
+    element arrays and their parameter derivatives at every node."""
+
+    x: np.ndarray
+    w: np.ndarray
+    x11: np.ndarray
+    x12: np.ndarray
+    y12: np.ndarray
+    d_x11: np.ndarray
+    d_x12: np.ndarray
+    d_y12: np.ndarray
+
+    def trace(self, m: np.ndarray) -> np.ndarray:
+        """tr(M Pi) at every node."""
+        return trace_with_elements(m, self.x11, self.x12, self.y12)
+
+    def d_trace(self, m: np.ndarray) -> np.ndarray:
+        """tr(M dPi) at every node, dPi the total parameter derivative."""
+        return trace_with_elements(m, self.d_x11, self.d_x12, self.d_y12)
+
+    def integrate(self, values):
+        """Window integral of per-node values; non-finite values raise
+        QuadratureError naming their abscissa."""
+        _check_finite(values[:, None], self.x)
+        return self.w @ values
+
+
 @dataclass(frozen=True)
 class PovmFamily:
     """Matrix-element functions of one POVM family, plus window metadata.
@@ -104,6 +137,8 @@ class PovmFamily:
     # quadrature sizing hint; tabulated families override it
     panels_hint: int = 64
     order_hint: int = 16
+    # FamilyGrid per effective QuadSpec; lives and dies with the family
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -111,10 +146,31 @@ class PovmFamily:
 
     def quad_spec(self, spec: QuadSpec | None = None) -> QuadSpec:
         """Spec for integrals over this family's window, split at its
-        discontinuities.  An explicit spec keeps its panel/order sizing."""
+        discontinuities and its center.  An explicit spec keeps its
+        panel/order sizing."""
         if spec is None:
             spec = QuadSpec(self.panels_hint, self.order_hint)
-        return spec.with_splits(self.discontinuities)
+        splits = self.discontinuities
+        if self.center not in splits:
+            splits = (*splits, self.center)
+        return spec.with_splits(splits)
+
+    def grid(self, spec: QuadSpec | None = None) -> FamilyGrid:
+        """Nodes, weights and element arrays for window integrals, built
+        once per effective spec.  Non-finite element values raise
+        QuadratureError naming their abscissa."""
+        qspec = self.quad_spec(spec)
+        grid = self._grids.get(qspec)
+        if grid is None:
+            x, w = nodes_1d(*self.window, qspec)
+            x.flags.writeable = w.flags.writeable = False
+            arrays = {}
+            for name in ("x11", "x12", "y12", "d_x11", "d_x12", "d_y12"):
+                vals = np.broadcast_to(np.asarray(getattr(self, name)(x), dtype=float), x.shape)
+                _check_finite(vals[:, None], x)
+                arrays[name] = vals
+            grid = self._grids[qspec] = FamilyGrid(x, w, **arrays)
+        return grid
 
     def matrix(self, phi_hat) -> np.ndarray:
         """Element matrix Pi(phi_hat); (..., 2, 2) for array input."""
@@ -140,38 +196,28 @@ def _zero(phi_hat):
     return np.zeros_like(np.asarray(phi_hat, dtype=float))
 
 
-def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFamily:
-    """The saturating Gaussian family (default sigma = 3)."""
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+def _sharp_family(ctx: EstimationContext, x11, d_x11, scale: float, label: str) -> PovmFamily:
+    """Sharp construction on the diagonal profile x11: the off-diagonals are
+    scale * (sin, cos)(phi_c) * x11 * sgn(mu - phi_hat), and d_x11 is the
+    profile's total parameter derivative."""
     mu = ctx.center
     phi_c = ctx.construct_phi
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * math.erf(math.pi / (sigma * math.sqrt(2.0))))
     sin_c, cos_c = math.sin(phi_c), math.cos(phi_c)
-    inv_s2 = 1.0 / (sigma * sigma)
-
-    def x11(u):
-        u = np.asarray(u, dtype=float)
-        return norm * np.exp(-0.5 * (u - mu) ** 2 * inv_s2)
 
     def sgn(u):
         return np.sign(mu - np.asarray(u, dtype=float))
 
     def x12(u):
-        return sin_c * x11(u) * sgn(u)
+        return scale * sin_c * x11(u) * sgn(u)
 
     def y12(u):
-        return cos_c * x11(u) * sgn(u)
-
-    def d_x11(u):
-        u = np.asarray(u, dtype=float)
-        return x11(u) * (u - mu) * inv_s2
+        return scale * cos_c * x11(u) * sgn(u)
 
     def d_x12(u):
-        return (cos_c * x11(u) + sin_c * d_x11(u)) * sgn(u)
+        return scale * (cos_c * x11(u) + sin_c * d_x11(u)) * sgn(u)
 
     def d_y12(u):
-        return (-sin_c * x11(u) + cos_c * d_x11(u)) * sgn(u)
+        return scale * (-sin_c * x11(u) + cos_c * d_x11(u)) * sgn(u)
 
     return PovmFamily(
         center=mu,
@@ -182,8 +228,27 @@ def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFam
         d_x12=d_x12,
         d_y12=d_y12,
         discontinuities=(mu,),
-        label=f"gaussian-sharp(sigma={sigma:g})",
+        label=label,
     )
+
+
+def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFamily:
+    """The saturating Gaussian family (default sigma = 3)."""
+    if sigma <= 0:
+        raise DomainError("sigma must be positive")
+    mu = ctx.center
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * math.erf(math.pi / (sigma * math.sqrt(2.0))))
+    inv_s2 = 1.0 / (sigma * sigma)
+
+    def x11(u):
+        u = np.asarray(u, dtype=float)
+        return norm * np.exp(-0.5 * (u - mu) ** 2 * inv_s2)
+
+    def d_x11(u):
+        u = np.asarray(u, dtype=float)
+        return x11(u) * (u - mu) * inv_s2
+
+    return _sharp_family(ctx, x11, d_x11, 1.0, f"gaussian-sharp(sigma={sigma:g})")
 
 
 def tapered_sharp_family(
@@ -207,8 +272,6 @@ def tapered_sharp_family(
     if abs(offdiag_scale) > 1.0:
         raise DomainError("|offdiag_scale| must be <= 1 to keep the POVM positive")
     mu = ctx.center
-    phi_c = ctx.construct_phi
-    sin_c, cos_c = math.sin(phi_c), math.cos(phi_c)
     inv_s2 = 1.0 / (sigma * sigma)
     k = int(taper_power)
 
@@ -228,34 +291,12 @@ def tapered_sharp_family(
     def x11(u):
         return norm * shape(np.asarray(u, dtype=float) - mu)
 
-    def sgn(u):
-        return np.sign(mu - np.asarray(u, dtype=float))
-
-    def x12(u):
-        return offdiag_scale * sin_c * x11(u) * sgn(u)
-
-    def y12(u):
-        return offdiag_scale * cos_c * x11(u) * sgn(u)
-
     def d_x11(u):
         return -norm * shape_prime(np.asarray(u, dtype=float) - mu)
 
-    def d_x12(u):
-        return offdiag_scale * (cos_c * x11(u) + sin_c * d_x11(u)) * sgn(u)
-
-    def d_y12(u):
-        return offdiag_scale * (-sin_c * x11(u) + cos_c * d_x11(u)) * sgn(u)
-
-    return PovmFamily(
-        center=mu,
-        x11=x11,
-        x12=x12,
-        y12=y12,
-        d_x11=d_x11,
-        d_x12=d_x12,
-        d_y12=d_y12,
-        discontinuities=(mu,),
-        label=f"tapered-sharp(sigma={sigma:g},k={k},scale={offdiag_scale:g})",
+    return _sharp_family(
+        ctx, x11, d_x11, offdiag_scale,
+        f"tapered-sharp(sigma={sigma:g},k={k},scale={offdiag_scale:g})",
     )
 
 
@@ -265,16 +306,17 @@ def tabulated_family(phi_hat, x11, x12, y12, label: str = "tabulated") -> PovmFa
     The samples are interpreted as a parameter-independent POVM (its total
     parameter derivative is zero), the window is inferred from the abscissa
     extremes, and interpolation kinks are registered as split points so
-    low-order panels integrate the elements exactly.
+    low-order panels integrate the elements exactly.  The columns are
+    copied, so later changes to the caller's arrays do not reach the family.
     """
-    phi_hat = np.asarray(phi_hat, dtype=float)
+    phi_hat = np.array(phi_hat, dtype=float)
     if phi_hat.ndim != 1 or phi_hat.size < 2:
         raise ValueError("need at least two tabulation nodes")
     if not np.all(np.diff(phi_hat) > 0):
         raise ValueError("phi_hat column must be strictly increasing")
     cols = []
     for name, col in (("x11", x11), ("x12", x12), ("y12", y12)):
-        col = np.asarray(col, dtype=float)
+        col = np.array(col, dtype=float)
         if col.shape != phi_hat.shape:
             raise ValueError(f"column {name} has shape {col.shape}, expected {phi_hat.shape}")
         if not np.all(np.isfinite(col)):
@@ -398,13 +440,13 @@ def validate_povm(
     """Check completeness, positivity, the symmetry and zero-mean element
     conditions, the shifted unbiasedness integral, and the off-diagonal sign
     pattern.  Purely diagnostic: nothing raises."""
-    qspec = p.quad_spec(spec)
+    g = p.grid(spec)
     lo, hi = p.window
     mu = p.center
 
-    comp_diag = integrate_1d(p.x11, lo, hi, qspec) - 1.0
-    comp_x = integrate_1d(p.x12, lo, hi, qspec)
-    comp_y = integrate_1d(p.y12, lo, hi, qspec)
+    comp_diag = float(g.integrate(g.x11)) - 1.0
+    comp_x = float(g.integrate(g.x12))
+    comp_y = float(g.integrate(g.y12))
     completeness = max(abs(comp_diag), math.hypot(comp_x, comp_y))
 
     # interior grid, avoiding the exact center and edges
@@ -415,10 +457,7 @@ def validate_povm(
     half = np.linspace(0.0, p.half_width, grid_points // 2)[1:-1]
     sym = float(np.max(np.abs(np.asarray(p.x11(mu + half)) - np.asarray(p.x11(mu - half)))))
 
-    def unbias_integrand(x):
-        return (x - mu) * outcome_density_values(ctx, p, x)
-
-    unbias = integrate_1d(unbias_integrand, lo, hi, qspec)
+    unbias = g.integrate((g.x - mu) * g.trace(density_matrix(ctx.state)).real)
 
     cos_c = math.cos(ctx.construct_phi)
     ratio = np.asarray(p.y12(u)) / cos_c
@@ -482,18 +521,10 @@ def estimator_moments(
     azimuth, i.e. deviation from the true value rather than from the sample
     mean; the two coincide when eps = 0.
     """
-    qspec = p.quad_spec(spec)
-    lo, hi = p.window
-    phi = ctx.state.phi
-
-    def mean_integrand(x):
-        return x * outcome_density_values(ctx, p, x)
-
-    def var_integrand(x):
-        return (x - phi) ** 2 * outcome_density_values(ctx, p, x)
-
-    mean = integrate_1d(mean_integrand, lo, hi, qspec)
-    var = integrate_1d(var_integrand, lo, hi, qspec)
+    g = p.grid(spec)
+    q = g.trace(density_matrix(ctx.state)).real
+    mean = g.integrate(g.x * q)
+    var = g.integrate((g.x - ctx.state.phi) ** 2 * q)
     return float(mean), float(var)
 
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .derivatives import (
     R_MAX,
+    _rho_inverse,
     coeff_k,
     coeff_k_tilde,
     new_log_derivative,
@@ -42,7 +43,7 @@ from .derivatives import (
 )
 from .measurement import EstimationContext, PovmFamily, gaussian_sharp_family
 from .phasespace import husimi, husimi_partial
-from .quadrature import QuadSpec, integrate_1d, sphere_integrate
+from .quadrature import QuadSpec, sphere_integrate
 from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 _PARAMS = (ParamIndex.R, ParamIndex.THETA, ParamIndex.PHI)
@@ -57,6 +58,16 @@ def _angular_block(r: float, theta: float, radial: float, angular: float) -> np.
     return g
 
 
+def _gram(rho: np.ndarray, ls) -> np.ndarray:
+    """g_ij = tr(rho (L_i L_j + L_j L_i)/2) for three operators L_i."""
+    g = np.empty((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            sym = ls[i] @ ls[j] + ls[j] @ ls[i]
+            g[i, j] = g[j, i] = 0.5 * np.trace(rho @ sym).real
+    return g
+
+
 def new_metric(state: QubitState, method: str = "closed", spec: QuadSpec | None = None) -> np.ndarray:
     """Metric built from the phase-space logarithmic derivatives.
 
@@ -68,14 +79,8 @@ def new_metric(state: QubitState, method: str = "closed", spec: QuadSpec | None 
     require_working_r(state.r, "new_metric")
     r, th = state.r, state.theta
     if method == "trace":
-        rho = density_matrix(state)
         ls = [new_log_derivative(state, k, method="closed") for k in _PARAMS]
-        g = np.empty((3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                sym = ls[i] @ ls[j] + ls[j] @ ls[i]
-                g[i, j] = g[j, i] = 0.5 * np.trace(rho @ sym).real
-        return g
+        return _gram(density_matrix(state), ls)
     kt2 = coeff_k_tilde(r) ** 2
     radial = (9.0 - 5.0 * r * r) * kt2 / (4.0 * r ** 6)
     angular = 9.0 * coeff_k(r) ** 2 / (16.0 * r ** 6)
@@ -93,22 +98,14 @@ def sld_metric(state: QubitState) -> np.ndarray:
 
 def sld_metric_trace(state: QubitState) -> np.ndarray:
     """sld_metric assembled from the operator solution (cross-check path)."""
-    rho = density_matrix(state)
-    ls = [sld(state, k) for k in _PARAMS]
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            g[i, j] = g[j, i] = 0.5 * np.trace(rho @ (ls[i] @ ls[j] + ls[j] @ ls[i])).real
-    return g
+    return _gram(density_matrix(state), [sld(state, k) for k in _PARAMS])
 
 
 def rld_metric(state: QubitState) -> np.ndarray:
     """Real part of tr(d_i rho rho^{-1} d_j rho), assembled entrywise."""
     if state.r > R_MAX:
         raise DomainError(f"rld_metric requires r <= {R_MAX:g}")
-    rho = density_matrix(state)
-    det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
-    inv = np.array([[rho[1, 1], -rho[0, 1]], [-rho[1, 0], rho[0, 0]]], dtype=complex) / det
+    inv = _rho_inverse(density_matrix(state))
     dr = [d_rho(state, k) for k in _PARAMS]
     g = np.empty((3, 3))
     for i in range(3):
@@ -192,38 +189,21 @@ def measurement_fisher(state: QubitState, povm: PovmFamily, spec: QuadSpec | Non
     """Classical Fisher information of the frozen measurement for phi.
 
     The element functions are held at the family's construction point; the
-    phi-derivative acts through the state only.  The integrand is split at
-    the family's discontinuities.
+    phi-derivative acts through the state only.  The integral runs over the
+    family's grid, split at its discontinuities.
     """
-    qspec = povm.quad_spec(spec)
-    lo, hi = povm.window
-    rho = density_matrix(state)
-    drho = d_rho(state, ParamIndex.PHI)
-
-    def integrand(x):
-        x11 = np.asarray(povm.x11(x))
-        x12 = np.asarray(povm.x12(x))
-        y12 = np.asarray(povm.y12(x))
-        p = (
-            (rho[0, 0] + rho[1, 1]) * x11
-            + rho[0, 1] * (x12 - 1j * y12)
-            + rho[1, 0] * (x12 + 1j * y12)
-        ).real
-        dp = (
-            (drho[0, 0] + drho[1, 1]) * x11
-            + drho[0, 1] * (x12 - 1j * y12)
-            + drho[1, 0] * (x12 + 1j * y12)
-        ).real
-        bad = p <= 0
-        if np.any(bad & (np.abs(dp) > 0)):
-            where = float(np.asarray(x)[np.argmax(bad & (np.abs(dp) > 0))])
-            raise DomainError(f"outcome density vanishes at phi_hat = {where!r}")
-        out = np.zeros_like(p)
-        ok = ~bad
-        out[ok] = dp[ok] ** 2 / p[ok]
-        return out
-
-    return integrate_1d(integrand, lo, hi, qspec)
+    g = povm.grid(spec)
+    p = g.trace(density_matrix(state)).real
+    dp = g.trace(d_rho(state, ParamIndex.PHI)).real
+    bad = p <= 0
+    vanishing = bad & (np.abs(dp) > 0)
+    if np.any(vanishing):
+        where = float(g.x[np.argmax(vanishing)])
+        raise DomainError(f"outcome density vanishes at phi_hat = {where!r}")
+    out = np.zeros_like(p)
+    ok = ~bad
+    out[ok] = dp[ok] ** 2 / p[ok]
+    return float(g.integrate(out))
 
 
 @dataclass(frozen=True)

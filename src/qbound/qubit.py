@@ -42,10 +42,6 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
-    return hermiticity_defect(m) <= atol
-
-
 def require_hermitian(m, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):

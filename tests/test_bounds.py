@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qbound import bounds, measurement, metrics, quadrature
 from qbound.bounds import (
     BoundProblem,
     ab_coefficients,
@@ -22,6 +25,7 @@ from qbound.measurement import (
     validate_povm,
 )
 from qbound.metrics import new_metric
+from qbound.quadrature import QuadratureError, nodes_1d
 from qbound.qubit import DomainError, QubitState
 
 from conftest import (
@@ -54,6 +58,20 @@ def test_ab_sharp_family():
     a, b = ab_coefficients(ctx, fam)
     assert abs(a) <= 1e-10
     assert abs(b - ORACLE.b(0.5, PI / 2)) <= 1e-10
+
+
+def test_ab_names_abscissa_of_non_finite_element_derivative():
+    ctx = standard_ctx()
+    base = gaussian_sharp_family(ctx)
+    x, _ = nodes_1d(*base.window, base.quad_spec())
+    bad = float(x[100])
+
+    def d_x11(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u == bad, np.nan, base.d_x11(u))
+
+    with pytest.raises(QuadratureError, match=re.escape(repr(bad))):
+        ab_coefficients(ctx, dataclasses.replace(base, d_x11=d_x11))
 
 
 def test_b_matches_closed_form_reference():
@@ -267,6 +285,22 @@ def test_sweep_marks_failed_rows_and_continues():
     assert rows[1].error is not None
     assert math.isnan(rows[1].B_max)
     assert rows[2].error is None
+
+
+def test_sweep_builds_one_grid_per_row(monkeypatch):
+    calls = []
+    original = quadrature.nodes_1d
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (quadrature, measurement, metrics, bounds):
+        if getattr(module, "nodes_1d", None) is original:
+            monkeypatch.setattr(module, "nodes_1d", counted)
+    rows = bounds_sweep(np.linspace(0.05, 0.95, 16))
+    assert all(row.error is None for row in rows)
+    assert len(calls) == 16
 
 
 def test_sweep_row_dict_columns():

@@ -170,6 +170,30 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg.write_text("r=0.3\nbogus=1\n", encoding="utf-8")
     assert run(["metrics", "--config", str(cfg)]) == EXIT_DOMAIN
     assert "unknown config key" in capsys.readouterr().err
+    # the subcommand is chosen on the command line, not by the file
+    cfg.write_text("r=0.3\ncommand=audit\n", encoding="utf-8")
+    assert run(["metrics", "--config", str(cfg)]) == EXIT_DOMAIN
+    assert f"{cfg}:2: unknown config key" in capsys.readouterr().err
+
+
+def test_config_file_loses_to_abbreviated_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 3\n", encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    code = run(["bounds", "sweep", "--ste", "2", "--config", str(cfg), "--format", "csv",
+                "--out", str(out)])
+    assert code == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 2
+
+
+def test_config_file_value_is_checked_like_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for text, argv in (("format = xml\n", ["metrics", "--r", "0.5"]),
+                       ("log_y = maybe\n", ["bounds", "sweep", "--steps", "2"]),
+                       ("steps = 2.5\n", ["bounds", "sweep"])):
+        cfg.write_text(text, encoding="utf-8")
+        assert run(argv + ["--config", str(cfg)]) == EXIT_DOMAIN, text
+        assert f"{cfg}:1" in capsys.readouterr().err, text
 
 
 def test_io_error_exit_code(tmp_path):

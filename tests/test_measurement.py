@@ -207,6 +207,17 @@ def test_outcome_distribution_rejects_negative_density():
         outcome_distribution(ctx, bogus)
 
 
+# ----------------------------------------------------------------- family grid
+def test_family_grid_is_built_once_per_spec():
+    fam = gaussian_sharp_family(standard_ctx())
+    spec = fam.quad_spec()
+    assert fam.grid(spec) is fam.grid(spec)
+    assert fam.grid() is fam.grid(spec)
+    doubled = fam.grid(spec.doubled())
+    assert doubled is not fam.grid(spec)
+    assert doubled.x.size == 2 * fam.grid(spec).x.size
+
+
 # --------------------------------------------------------------------- moments
 def test_moments_mean_is_phi():
     ctx = standard_ctx()
@@ -298,6 +309,19 @@ def test_tabulated_family_validation_errors():
         tabulated_family(grid, zeros[:-1], zeros, zeros)
     with pytest.raises(ValueError, match="two"):
         tabulated_family(grid[:1], zeros[:1], zeros[:1], zeros[:1])
+
+
+def test_tabulated_family_copies_its_columns():
+    ctx = standard_ctx()
+    base = gaussian_sharp_family(ctx)
+    grid = np.linspace(ctx.center - PI, ctx.center + PI, 41)
+    cols = [np.asarray(f(grid), dtype=float) for f in (base.x11, base.x12, base.y12)]
+    fam = tabulated_family(grid, *cols)
+    before = validate_povm(fam, ctx).as_dict()
+    grid += 0.5
+    for col in cols:
+        col *= 3.0
+    assert validate_povm(fam, ctx).as_dict() == before
 
 
 def test_uniform_family_is_complete():
