@@ -52,10 +52,10 @@ from .measurement import (
     EstimationContext,
     FamilyGrid,
     PovmFamily,
+    _sign_conditions_ok,
     estimator_moments,
     gaussian_sharp_family,
     outcome_density_values,
-    validate_povm,
 )
 from .metrics import (
     husimi_classical_metric,
@@ -192,7 +192,6 @@ def bound_Cmax(
     h3 = coeff_h3r(ctx.state.r)
     st = math.sin(ctx.state.theta)
     c_max = (c - 2.0 * h3 * st * (I1 - I2)) ** 2
-    report = validate_povm(p, ctx, spec)
     return CmaxBreakdown(
         a=a,
         b=b,
@@ -202,7 +201,7 @@ def bound_Cmax(
         h3r=h3,
         C=_squared_bracket(ctx, g, a, b),
         C_max=float(c_max),
-        sign_conditions_ok=report.sign_conditions_ok,
+        sign_conditions_ok=_sign_conditions_ok(p, ctx),
         c_nonneg=c >= 0.0,
     )
 

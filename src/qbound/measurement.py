@@ -459,11 +459,6 @@ def validate_povm(
 
     unbias = g.integrate((g.x - mu) * g.trace(density_matrix(ctx.state)).real)
 
-    cos_c = math.cos(ctx.construct_phi)
-    ratio = np.asarray(p.y12(u)) / cos_c
-    pattern = ratio * np.sign(mu - u)
-    sign_ok = bool(np.all(pattern >= -EIGENVALUE_TOL)) and abs(float(p.y12(mu))) <= EIGENVALUE_TOL
-
     return ValidationReport(
         completeness_residual=float(completeness),
         min_eigenvalue=min_eig,
@@ -471,8 +466,19 @@ def validate_povm(
         x12_mean_residual=float(abs(comp_x)),
         y12_mean_residual=float(abs(comp_y)),
         unbiasedness_residual=float(unbias),
-        sign_conditions_ok=sign_ok,
+        sign_conditions_ok=_sign_conditions_ok(p, ctx, grid_points),
     )
+
+
+def _sign_conditions_ok(p: PovmFamily, ctx: EstimationContext, grid_points: int = 2001) -> bool:
+    """The off-diagonal sign pattern: y12 / cos(phi_c) has the sign of
+    mu - phi_hat on validate_povm's interior grid, and y12(mu) vanishes."""
+    lo, hi = p.window
+    mu = p.center
+    u = np.linspace(lo, hi, grid_points)[1:-1]
+    ratio = np.asarray(p.y12(u)) / math.cos(ctx.construct_phi)
+    pattern = ratio * np.sign(mu - u)
+    return bool(np.all(pattern >= -EIGENVALUE_TOL)) and abs(float(p.y12(mu))) <= EIGENVALUE_TOL
 
 
 @dataclass(frozen=True)
@@ -537,8 +543,9 @@ def sample_outcomes(
     """Draw n outcomes by inverse-CDF on a tabulated cumulative grid.
 
     The CDF is a trapezoid accumulation on `grid_size` nodes (plus the split
-    points), inverted by linear interpolation.  Identical (seed, n,
-    grid_size) give identical output.
+    points), inverted by linear interpolation through a guide table: the
+    draws are identical, bit for bit, to np.interp(u, cdf, grid) on the
+    same uniforms.  Identical (seed, n, grid_size) give identical output.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -556,4 +563,47 @@ def sample_outcomes(
         return np.empty(0, dtype=float)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    return np.interp(u, cdf, grid)
+    return _invert_cdf(u, cdf, grid)
+
+
+# draws per pass of the guide-table search; keeps its temporaries in cache
+_CHUNK = 1 << 15
+
+
+def _invert_cdf(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """np.interp(u, cdf, grid), bit for bit, for u in [0, 1) and a
+    nondecreasing cdf from cdf[0] = 0 to cdf[-1] = 1.
+
+    A guide table (Chen & Asau 1974) of G = 2 len(cdf) equal u-buckets gives
+    each draw a start node at or below the last node j with cdf[j] <= u,
+    which is the index np.interp's binary search returns.  Fixed halving
+    steps, as many as the widest bucket needs, reach that j; on smooth
+    densities that is one step, and a flat stretch costs log2 of its length
+    rather than its length.  The value is then np.interp's: grid[j] where
+    u == cdf[j], else slope[j] * (u - cdf[j]) + grid[j] (j is never the last
+    node, as u < cdf[-1]).
+    """
+    n_buckets = 2 * cdf.size
+    # A node whose bucket, rounded like the draws', precedes a draw's bucket
+    # lies strictly below that draw: the start is never past the answer, and
+    # the answer is at most the bucket's last node.
+    node_bucket = (cdf * n_buckets).astype(np.intp)
+    buckets = np.arange(n_buckets)
+    start = np.maximum(np.searchsorted(node_bucket, buckets, side="left") - 1, 0)
+    span = int((np.searchsorted(node_bucket, buckets, side="right") - 1 - start).max())
+    steps = [1 << k for k in reversed(range(span.bit_length()))]
+    cdf_ext = np.concatenate([cdf, np.full(span, np.inf)])
+    out = np.empty_like(u)
+    # np.interp raises no floating-point warnings.  Slopes over flat
+    # stretches (inf or nan) are never read; an inf slope times u - cdf[j] = 0
+    # is replaced by the u == cdf[j] branch; an overflow is np.interp's inf.
+    with np.errstate(all="ignore"):
+        slope = (grid[1:] - grid[:-1]) / (cdf[1:] - cdf[:-1])
+        for s in range(0, u.size, _CHUNK):
+            uc = u[s : s + _CHUNK]
+            j = start[(uc * n_buckets).astype(np.intp)]
+            for step in steps:
+                j += step * (cdf_ext[j + step] <= uc)
+            c, g = cdf[j], grid[j]
+            out[s : s + _CHUNK] = np.where(uc == c, g, slope[j] * (uc - c) + g)
+    return out

@@ -66,17 +66,24 @@ def nodes_1d(a: float, b: float, spec: QuadSpec) -> tuple[np.ndarray, np.ndarray
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    splits = sorted(s for s in spec.split_points if a < s < b)
-    breaks = [a, *splits, b]
+    splits = np.asarray(spec.split_points, dtype=float)
+    # stable, like sorted(): 0.0 and -0.0 keep their order, and so their sign
+    # in the zero-width pieces between them
+    splits = np.sort(splits[(a < splits) & (splits < b)], kind="stable")
+    breaks = np.concatenate([[a], splits, [b]])
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    # np.linspace(lo, hi, panels + 1) per piece, with linspace's own
+    # arithmetic (and its fallback for a step that underflows to zero)
+    n = spec.panels
+    t = np.arange(n + 1.0)
+    step = (hi - lo) / n
+    edges = np.where(step == 0, t / n * (hi - lo), t * step) + lo
+    edges[:, -1] = hi[:, 0]
+    pa, pb = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    half = 0.5 * (pb - pa)
+    mid = 0.5 * (pa + pb)
     x0, w0 = _gauss(spec.order)
-    xs, ws = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        edges = np.linspace(lo, hi, spec.panels + 1)
-        for pa, pb in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (pb - pa)
-            xs.append(0.5 * (pa + pb) + half * x0)
-            ws.append(half * w0)
-    return np.concatenate(xs), np.concatenate(ws)
+    return (mid[:, None] + half[:, None] * x0).ravel(), (half[:, None] * w0).ravel()
 
 
 def _check_finite(values: np.ndarray, x: np.ndarray) -> None:

@@ -146,6 +146,23 @@ def test_cmax_flags_sign_violation():
     assert not breakdown.sign_conditions_ok
 
 
+@pytest.mark.parametrize("r", [0.3, 0.8])
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (gaussian_sharp_family, True),
+        (lambda ctx: tapered_sharp_family(ctx, offdiag_scale=-0.5), False),
+        (lambda ctx: tapered_sharp_family(ctx, offdiag_scale=0.5), True),
+    ],
+)
+def test_cmax_sign_conditions_match_validate_povm(build, expected, r):
+    ctx = standard_ctx(r=r, eps=0.1)
+    fam = build(ctx)
+    expected_ok = validate_povm(fam, ctx).sign_conditions_ok
+    assert expected_ok is expected
+    assert bound_Cmax(ctx, fam).sign_conditions_ok is expected_ok
+
+
 def test_cmax_breakdown_serializes():
     ctx = standard_ctx()
     data = bound_Cmax(ctx, gaussian_sharp_family(ctx)).as_dict()

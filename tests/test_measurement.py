@@ -7,6 +7,7 @@ import pytest
 from qbound.measurement import (
     EstimationContext,
     PovmFamily,
+    _invert_cdf,
     estimator_moments,
     gaussian_sharp_family,
     load_tabulated_csv,
@@ -262,6 +263,66 @@ def test_sampling_empty_and_validation():
         sample_outcomes(dist, 10, seed=1, grid_size=100)
     with pytest.raises(ValueError):
         sample_outcomes(dist, -1, seed=1)
+
+
+def interp_sampler(dist, n, seed, grid_size=8192):
+    """Reference sampler: the trapezoid CDF inverted by np.interp."""
+    grid = dist.grid(grid_size)
+    dens = np.maximum(np.asarray(dist.pdf(grid), dtype=float), 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    cdf /= cdf[-1]
+    return np.interp(np.random.default_rng(seed).random(n), cdf, grid)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "r, theta, phi, eps, seed",
+    [
+        (0.5, PI / 2, 3 * PI / 4, 0.0, 1),
+        (0.95, PI / 3, 0.3, 0.5, 2),
+        (0.95, 2.5, -2.0, -0.5, 3),
+        (0.1, 0.2, 1.0, 0.25, 4),
+        (0.8, PI / 2, -0.5, -0.5, 5),
+    ],
+)
+def test_sampling_equals_interp_inversion_bit_for_bit(r, theta, phi, eps, seed):
+    ctx = EstimationContext(QubitState(r, theta, phi), eps=eps)
+    dist = outcome_distribution(ctx, gaussian_sharp_family(ctx))
+    n = 100_003
+    assert same_bits(sample_outcomes(dist, n, seed), interp_sampler(dist, n, seed))
+
+
+def crafted_cdf():
+    """A CDF with a leading zero stretch, subnormal increments (slopes that
+    overflow), a long flat middle, a spike and a flat top."""
+    dens = np.concatenate([
+        np.zeros(40),
+        np.full(20, 1e-310),
+        np.linspace(0.0, 3.0, 300),
+        np.zeros(2500),
+        np.full(5, 1e3),
+        np.linspace(1.0, 0.0, 400),
+        np.zeros(60),
+    ])
+    grid = np.linspace(-1.0, 2.0, dens.size)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    cdf /= cdf[-1]
+    return cdf, grid
+
+
+@pytest.mark.parametrize("n", [1, 2**15 - 1, 2**15 + 1, 100_000])
+def test_invert_cdf_equals_interp_on_crafted_cdf(n):
+    cdf, grid = crafted_cdf()
+    steps = np.diff(cdf)
+    assert np.any(steps == 0.0)
+    assert np.any((steps > 0.0) & (steps < (grid[1] - grid[0]) / np.finfo(float).max))
+    u = np.random.default_rng(n).random(n)
+    special = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0]])
+    u[: special.size] = special[:n]
+    assert same_bits(_invert_cdf(u, cdf, grid), np.interp(u, cdf, grid))
 
 
 def test_sampling_clt_agreement():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from qbound.phasespace import husimi, sw_kernel
 from qbound.quadrature import (
@@ -10,6 +12,7 @@ from qbound.quadrature import (
     doubling_residual_1d,
     doubling_residual_sphere,
     integrate_1d,
+    nodes_1d,
     sphere_integrate,
 )
 from qbound.qubit import QubitState
@@ -62,8 +65,67 @@ def test_constant_integrand_broadcasts():
 
 
 def test_non_finite_sample_reports_abscissa():
-    with pytest.raises(QuadratureError, match="abscissa"):
+    with pytest.raises(QuadratureError, match="abscissa"), np.errstate(divide="ignore"):
         integrate_1d(lambda x: 1.0 / (x - x), 0.0, 1.0, QuadSpec(2, 4))
+
+
+def nodes_1d_loop(a, b, spec):
+    """Reference: nodes_1d as a loop over pieces and panels."""
+    splits = sorted(s for s in spec.split_points if a < s < b)
+    breaks = [a, *splits, b]
+    x0, w0 = leggauss(spec.order)
+    xs, ws = [], []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        edges = np.linspace(lo, hi, spec.panels + 1)
+        for pa, pb in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (pb - pa)
+            xs.append(0.5 * (pa + pb) + half * x0)
+            ws.append(half * w0)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def assert_nodes_match_loop(a, b, spec):
+    x, w = nodes_1d(a, b, spec)
+    x_ref, w_ref = nodes_1d_loop(a, b, spec)
+    assert x.tobytes() == x_ref.tobytes()
+    assert w.tobytes() == w_ref.tobytes()
+
+
+@st.composite
+def windows_and_specs(draw):
+    a = draw(st.floats(-10.0, 10.0))
+    b = a + draw(st.floats(1e-6, 20.0))
+    inside = draw(st.lists(st.floats(a, b), max_size=30))
+    outside = draw(st.lists(st.floats(a - 5.0, a) | st.floats(b, b + 5.0), max_size=5))
+    repeats = draw(st.lists(st.sampled_from(inside), max_size=10)) if inside else []
+    splits = draw(st.permutations(inside + outside + repeats))
+    return a, b, QuadSpec(draw(st.integers(1, 70)), draw(st.integers(2, 20)), tuple(splits))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(windows_and_specs())
+# pieces so narrow that np.linspace's step underflows to zero
+@example((0.0, 1.0, QuadSpec(64, 4, (5e-324, 1e-323))))
+@example((0.0, 1.0, QuadSpec(5, 4, (1e-323,))))
+# signed zeros that an unstable sort reorders
+@example((-1.0, 1.0, QuadSpec(2, 4, (-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0, -0.0))))
+def test_nodes_1d_matches_loop_bit_for_bit(case):
+    assert_nodes_match_loop(*case)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1000, 4000))
+def test_nodes_1d_one_panel_thousands_of_splits_matches_loop(seed, count):
+    rng = np.random.default_rng(seed)
+    splits = rng.uniform(-3.5, 3.5, count)
+    splits = rng.permutation(np.concatenate([splits, splits[: count // 10]]))
+    assert_nodes_match_loop(-PI, PI, QuadSpec(1, 4, tuple(splits)))
+
+
+def test_nodes_1d_rejects_empty_window():
+    for a, b in ((1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="need a < b"):
+            nodes_1d(a, b, QuadSpec())
 
 
 def test_doubling_residuals_are_tiny():
