@@ -38,6 +38,9 @@ unconditional Cauchy-Schwarz chain, whose outer inequality must hold for
 every positive family regardless of boundary effects.  The inequality
 v * g >= C is deliberately NOT asserted anywhere; the sweep reports its
 signed slack per row.
+
+`metric_report` gathers every metric at one state point, with the
+measurement-Fisher entry of the Gaussian family the sweep uses.
 """
 
 from __future__ import annotations
@@ -58,8 +61,10 @@ from .measurement import (
     outcome_density_values,
 )
 from .metrics import (
+    MONOTONE_SPECS,
     husimi_classical_metric,
     measurement_fisher,
+    monotone_metric,
     new_metric,
     rld_metric,
     sld_metric,
@@ -113,20 +118,6 @@ def ab_coefficients(
     return float(a.real), float(b.real)
 
 
-def gaussian_b_reference(r: float, theta: float, sigma: float = 3.0) -> float:
-    """Closed form of b for the Gaussian sharp family (erf expression).
-
-    b = 2 pi x11(edge) + r sin(theta) m1, with m1 the first absolute moment
-    of the truncated Gaussian profile.
-    """
-    edge_exp = math.exp(-math.pi ** 2 / (2.0 * sigma * sigma))
-    erf_term = math.erf(math.pi / (sigma * math.sqrt(2.0)))
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * erf_term)
-    edge = 2.0 * math.pi * norm * edge_exp
-    m1 = 2.0 * sigma * sigma * norm * (1.0 - edge_exp)
-    return edge + r * math.sin(theta) * m1
-
-
 def bound_C(ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None) -> float:
     """The squared bracket bounding v * g from below for this family."""
     a, b = ab_coefficients(ctx, p, spec)
@@ -159,18 +150,7 @@ class CmaxBreakdown:
     c_nonneg: bool
 
     def as_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "I1": self.I1,
-            "I2": self.I2,
-            "h3r": self.h3r,
-            "C": self.C,
-            "C_max": self.C_max,
-            "sign_conditions_ok": self.sign_conditions_ok,
-            "c_nonneg": self.c_nonneg,
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def bound_Cmax(
@@ -181,7 +161,7 @@ def bound_Cmax(
     c = a + b
     mu = p.center
     phi = ctx.state.phi
-    cos_c = math.cos(ctx.construct_phi)
+    cos_c = math.cos(phi)
 
     g = p.grid(spec)
     below = slice(None, int(np.searchsorted(g.x, mu)))
@@ -373,17 +353,7 @@ class SweepRow:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "B_max": self.B_max,
-            "B_SLD": self.B_SLD,
-            "B_RLD": self.B_RLD,
-            "B_Fisher": self.B_Fisher,
-            "B_Husimi": self.B_Husimi,
-            "v": self.v,
-            "vg_minus_C": self.vg_minus_C,
-            "error": self.error,
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def bounds_sweep(
@@ -427,3 +397,63 @@ def bounds_sweep(
         except (DomainError, ValueError) as exc:
             rows.append(SweepRow(r=r, error=str(exc)))
     return rows
+
+
+@dataclass(frozen=True)
+class MetricReport:
+    """All metric components at one state point."""
+
+    r: float
+    theta: float
+    phi: float
+    new_metric: np.ndarray
+    sld_metric: np.ndarray
+    rld_metric: np.ndarray
+    husimi_classical: np.ndarray
+    monotone: dict[str, tuple[float, float]]
+    measurement_fisher_phiphi: float | None = None
+
+    def as_dict(self) -> dict:
+        out = {
+            "r": self.r,
+            "theta": self.theta,
+            "phi": self.phi,
+            "new_metric": self.new_metric.tolist(),
+            "sld_metric": self.sld_metric.tolist(),
+            "rld_metric": self.rld_metric.tolist(),
+            "husimi_classical": self.husimi_classical.tolist(),
+        }
+        for name, (radial, angular) in self.monotone.items():
+            out[f"monotone_{name}"] = [radial, angular]
+        out["measurement_fisher_phiphi"] = self.measurement_fisher_phiphi
+        return out
+
+
+def metric_report(
+    state: QubitState,
+    eps: float = 0.0,
+    sigma: float = 3.0,
+    spec: QuadSpec | None = None,
+) -> MetricReport:
+    """Assemble every metric at one point.
+
+    The measurement-Fisher entry uses the Gaussian sharp family at the
+    state's azimuth, integrated with `spec`; it is omitted (None) when
+    cos(phi) ~ 0, where that construction is undefined.
+    """
+    try:
+        ctx = EstimationContext(state, eps=eps)
+        fisher = measurement_fisher(state, gaussian_sharp_family(ctx, sigma=sigma), spec)
+    except DomainError:
+        fisher = None
+    return MetricReport(
+        r=state.r,
+        theta=state.theta,
+        phi=state.phi,
+        new_metric=new_metric(state),
+        sld_metric=sld_metric(state),
+        rld_metric=rld_metric(state),
+        husimi_classical=husimi_classical_metric(state),
+        monotone={name: monotone_metric(ms, state.r) for name, ms in MONOTONE_SPECS.items()},
+        measurement_fisher_phiphi=fisher,
+    )

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bounds import audit_derivation, bounds_sweep
+from .bounds import audit_derivation, bounds_sweep, metric_report
 from .measurement import (
     EstimationContext,
     estimator_moments,
@@ -29,7 +29,6 @@ from .measurement import (
     sample_outcomes,
     validate_povm,
 )
-from .metrics import metric_report
 from .quadrature import QuadSpec
 from .qubit import DomainError, QubitState
 from .selftest import run_selftest
@@ -210,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = povm_sub.add_parser("validate", help="validation report for a family")
     _add_state_args(v)
     _add_common_args(v)
-    v.add_argument("--family", default="gaussian-sharp", choices=("gaussian-sharp",),
-                   help="built-in family name")
     v.add_argument("--csv", default=None, help="tabulated family CSV (phi_hat,x11,x12,y12)")
 
     p = sub.add_parser("bounds", help="estimation bound tools")
@@ -315,7 +312,7 @@ def _emit(args, data: dict | None = None, csv_text: str | None = None) -> None:
 
 def _cmd_metrics(args) -> int:
     state = QubitState(_require_r(args), args.theta, args.phi)
-    report = metric_report(state, eps=args.eps, sigma=args.sigma)
+    report = metric_report(state, eps=args.eps, sigma=args.sigma, spec=_quad_spec(args))
     _emit(args, report.as_dict())
     return EXIT_OK
 

@@ -4,7 +4,8 @@ The phase-space-derived logarithmic derivative for parameter xi^k is
 
     L_k = integral d/dxi^k [log Q(Omega)] Delta(Omega; +1) dmu(Omega),
 
-i.e. the log-derivative of the Husimi function mapped back to an operator.
+i.e. the log-derivative of the Husimi function (the s = -1 symbol of rho)
+mapped back to an operator by the inverse map `phasespace.inverse_weyl`.
 Closed forms exist for all three parameters and are the default evaluation
 path; `method="quadrature"` evaluates the integral directly so the two
 routes can be cross-checked.
@@ -28,8 +29,8 @@ import math
 
 import numpy as np
 
-from .phasespace import husimi, husimi_partial, sw_kernel
-from .quadrature import QuadSpec, sphere_integrate
+from .phasespace import husimi, husimi_partial, inverse_weyl
+from .quadrature import QuadSpec
 from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix, eig2
 
 R_MIN = 1e-6
@@ -87,12 +88,7 @@ def new_log_derivative(
     if method == "quadrature":
         q = husimi(state)
         dq = husimi_partial(state, k)
-
-        def integrand(t1, p1):
-            dlog = dq(t1, p1) / q(t1, p1)
-            return dlog[..., None, None] * sw_kernel(t1, p1, +1.0)
-
-        return sphere_integrate(integrand, spec)
+        return inverse_weyl(lambda t1, p1: dq(t1, p1) / q(t1, p1), -1.0, spec)
 
     r, th, ph = state.r, state.theta, state.phi
     st, ct = math.sin(th), math.cos(th)

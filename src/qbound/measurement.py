@@ -6,9 +6,9 @@ A family here is a continuous-outcome POVM on the window
     Pi(phi_hat) = [[x11, x12 + i y12], [x12 - i y12, x11]],
 
 with equal diagonal entries (x22 = x11 throughout).  `center` is the
-construction point mu = construct_phi + eps: the window moves with the
-parameter, which is the source of the boundary terms surfaced by the audit
-module.
+construction point mu = phi + eps, phi the state's azimuth: the window moves
+with the parameter, which is the source of the boundary terms surfaced by the
+audit module.
 
 Element derivative callables (`d_x11`, ...) hold the total derivative with
 respect to the construction parameter, including the dependence through the
@@ -16,14 +16,14 @@ trigonometric construction coefficients, not just through the window center.
 They carry the piecewise-smooth part only: the distributional contribution
 from differentiating a jump (the sign factor at the center) is not
 represented.  In every combination the package integrates, that contribution
-cancels identically when the evaluation angle equals the construction angle,
-which is how the families are exercised here.
+cancels identically because the families are constructed at the state's own
+azimuth, the angle at which they are evaluated.
 
 The saturating Gaussian family takes
 
     x11 = exp(-(phi_hat - mu)^2 / (2 sigma^2)) / (sigma sqrt(2 pi) erf(pi / (sigma sqrt 2)))
-    y12 = cos(phi_c) * x11 * sgn(mu - phi_hat)
-    x12 = sin(phi_c) * x11 * sgn(mu - phi_hat)
+    y12 = cos(phi) * x11 * sgn(mu - phi_hat)
+    x12 = sin(phi) * x11 * sgn(mu - phi_hat)
 
 with sgn(0) = 0.  Its small eigenvalue vanishes identically away from the
 center ("sharp" measurement) and the off-diagonal sign pattern makes the
@@ -51,30 +51,32 @@ EIGENVALUE_TOL = 1e-12
 UNBIASEDNESS_TOL = 1e-8
 DENSITY_NEG_TOL = 1e-12
 
+# interior scan of validate_povm's eigenvalue and sign-pattern checks
+VALIDATION_SCAN = 2001
+# scan of outcome_distribution's negativity check
+DENSITY_SCAN = 4097
+# nodes of the tabulated CDF that sample_outcomes inverts
+SAMPLING_NODES = 8192
+
 _COS_MIN = 1e-12
 
 
 @dataclass(frozen=True)
 class EstimationContext:
-    """State plus the measurement construction data (window offset eps and
-    the angle used by the trigonometric construction).
+    """State plus the window offset eps of the measurement construction.
 
-    construct_phi defaults to the state's phi.  Its cosine must be nonzero
-    because the construction divides by it.
+    Families are constructed at the state's azimuth phi, with their window
+    centred at mu = phi + eps.  cos(phi) must be nonzero because the
+    construction divides by it.
     """
 
     state: QubitState
     eps: float = 0.0
-    construct_phi: float | None = None
 
     def __post_init__(self):
-        if self.construct_phi is None:
-            object.__setattr__(self, "construct_phi", self.state.phi)
-        else:
-            object.__setattr__(self, "construct_phi", float(self.construct_phi))
         if not math.isfinite(self.eps):
             raise DomainError("eps must be finite")
-        if abs(math.cos(self.construct_phi)) < _COS_MIN:
+        if abs(math.cos(self.state.phi)) < _COS_MIN:
             raise DomainError(
                 "construction angle has cos(phi) ~ 0; the off-diagonal "
                 "construction divides by it"
@@ -82,8 +84,8 @@ class EstimationContext:
 
     @property
     def center(self) -> float:
-        """Window center mu = construct_phi + eps."""
-        return self.construct_phi + self.eps
+        """Window center mu = phi + eps."""
+        return self.state.phi + self.eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +200,10 @@ def _zero(phi_hat):
 
 def _sharp_family(ctx: EstimationContext, x11, d_x11, scale: float, label: str) -> PovmFamily:
     """Sharp construction on the diagonal profile x11: the off-diagonals are
-    scale * (sin, cos)(phi_c) * x11 * sgn(mu - phi_hat), and d_x11 is the
+    scale * (sin, cos)(phi) * x11 * sgn(mu - phi_hat), and d_x11 is the
     profile's total parameter derivative."""
     mu = ctx.center
-    phi_c = ctx.construct_phi
-    sin_c, cos_c = math.sin(phi_c), math.cos(phi_c)
+    sin_c, cos_c = math.sin(ctx.state.phi), math.cos(ctx.state.phi)
 
     def sgn(u):
         return np.sign(mu - np.asarray(u, dtype=float))
@@ -416,26 +417,14 @@ class ValidationReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "completeness_residual": self.completeness_residual,
-            "min_eigenvalue": self.min_eigenvalue,
-            "x11_symmetry_residual": self.x11_symmetry_residual,
-            "x12_mean_residual": self.x12_mean_residual,
-            "y12_mean_residual": self.y12_mean_residual,
-            "unbiasedness_residual": self.unbiasedness_residual,
-            "sign_conditions_ok": self.sign_conditions_ok,
-            "completeness_ok": self.completeness_ok,
-            "positivity_ok": self.positivity_ok,
-            "unbiasedness_ok": self.unbiasedness_ok,
-            "all_ok": self.all_ok,
-        }
+        fields = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return {**fields, "all_ok": self.all_ok}
 
 
 def validate_povm(
     p: PovmFamily,
     ctx: EstimationContext,
     spec: QuadSpec | None = None,
-    grid_points: int = 2001,
 ) -> ValidationReport:
     """Check completeness, positivity, the symmetry and zero-mean element
     conditions, the shifted unbiasedness integral, and the off-diagonal sign
@@ -450,11 +439,11 @@ def validate_povm(
     completeness = max(abs(comp_diag), math.hypot(comp_x, comp_y))
 
     # interior grid, avoiding the exact center and edges
-    u = np.linspace(lo, hi, grid_points)[1:-1]
+    u = np.linspace(lo, hi, VALIDATION_SCAN)[1:-1]
     lam1, _ = p.eigenvalues(u)
     min_eig = float(np.min(lam1))
 
-    half = np.linspace(0.0, p.half_width, grid_points // 2)[1:-1]
+    half = np.linspace(0.0, p.half_width, VALIDATION_SCAN // 2)[1:-1]
     sym = float(np.max(np.abs(np.asarray(p.x11(mu + half)) - np.asarray(p.x11(mu - half)))))
 
     unbias = g.integrate((g.x - mu) * g.trace(density_matrix(ctx.state)).real)
@@ -466,17 +455,17 @@ def validate_povm(
         x12_mean_residual=float(abs(comp_x)),
         y12_mean_residual=float(abs(comp_y)),
         unbiasedness_residual=float(unbias),
-        sign_conditions_ok=_sign_conditions_ok(p, ctx, grid_points),
+        sign_conditions_ok=_sign_conditions_ok(p, ctx),
     )
 
 
-def _sign_conditions_ok(p: PovmFamily, ctx: EstimationContext, grid_points: int = 2001) -> bool:
-    """The off-diagonal sign pattern: y12 / cos(phi_c) has the sign of
+def _sign_conditions_ok(p: PovmFamily, ctx: EstimationContext) -> bool:
+    """The off-diagonal sign pattern: y12 / cos(phi) has the sign of
     mu - phi_hat on validate_povm's interior grid, and y12(mu) vanishes."""
     lo, hi = p.window
     mu = p.center
-    u = np.linspace(lo, hi, grid_points)[1:-1]
-    ratio = np.asarray(p.y12(u)) / math.cos(ctx.construct_phi)
+    u = np.linspace(lo, hi, VALIDATION_SCAN)[1:-1]
+    ratio = np.asarray(p.y12(u)) / math.cos(ctx.state.phi)
     pattern = ratio * np.sign(mu - u)
     return bool(np.all(pattern >= -EIGENVALUE_TOL)) and abs(float(p.y12(mu))) <= EIGENVALUE_TOL
 
@@ -489,24 +478,21 @@ class OutcomeDistribution:
     window: tuple[float, float]
     split_points: tuple[float, ...]
 
-    def grid(self, size: int = 8192) -> np.ndarray:
+    def grid(self) -> np.ndarray:
+        """SAMPLING_NODES equispaced window nodes plus the split points."""
         lo, hi = self.window
-        pts = np.linspace(lo, hi, size)
+        pts = np.linspace(lo, hi, SAMPLING_NODES)
         return np.unique(np.concatenate([pts, np.asarray(self.split_points)]))
 
 
-def outcome_distribution(
-    ctx: EstimationContext,
-    p: PovmFamily,
-    scan_points: int = 4097,
-) -> OutcomeDistribution:
+def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistribution:
     """Build the outcome density, rejecting families that go genuinely negative."""
     lo, hi = p.window
 
     def pdf(phi_hat):
         return outcome_density_values(ctx, p, phi_hat)
 
-    scan = np.linspace(lo, hi, scan_points)
+    scan = np.linspace(lo, hi, DENSITY_SCAN)
     vals = pdf(scan)
     worst = int(np.argmin(vals))
     if vals[worst] < -DENSITY_NEG_TOL:
@@ -534,24 +520,17 @@ def estimator_moments(
     return float(mean), float(var)
 
 
-def sample_outcomes(
-    dist: OutcomeDistribution,
-    n: int,
-    seed: int,
-    grid_size: int = 8192,
-) -> np.ndarray:
+def sample_outcomes(dist: OutcomeDistribution, n: int, seed: int) -> np.ndarray:
     """Draw n outcomes by inverse-CDF on a tabulated cumulative grid.
 
-    The CDF is a trapezoid accumulation on `grid_size` nodes (plus the split
-    points), inverted by linear interpolation through a guide table: the
-    draws are identical, bit for bit, to np.interp(u, cdf, grid) on the
-    same uniforms.  Identical (seed, n, grid_size) give identical output.
+    The CDF is a trapezoid accumulation on `dist.grid()`, inverted by linear
+    interpolation through a guide table: the draws are identical, bit for
+    bit, to np.interp(u, cdf, grid) on the same uniforms.  Identical
+    (seed, n) give identical output.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if grid_size < 4096:
-        raise ValueError("grid_size must be >= 4096")
-    grid = dist.grid(grid_size)
+    grid = dist.grid()
     dens = np.maximum(np.asarray(dist.pdf(grid), dtype=float), 0.0)
     steps = np.diff(grid)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * steps)])

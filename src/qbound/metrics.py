@@ -38,10 +38,8 @@ from .derivatives import (
     coeff_k_tilde,
     new_log_derivative,
     require_working_r,
-    rld,
     sld,
 )
-from .measurement import EstimationContext, PovmFamily, gaussian_sharp_family
 from .phasespace import husimi, husimi_partial
 from .quadrature import QuadSpec, sphere_integrate
 from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
@@ -68,7 +66,7 @@ def _gram(rho: np.ndarray, ls) -> np.ndarray:
     return g
 
 
-def new_metric(state: QubitState, method: str = "closed", spec: QuadSpec | None = None) -> np.ndarray:
+def new_metric(state: QubitState, method: str = "closed") -> np.ndarray:
     """Metric built from the phase-space logarithmic derivatives.
 
     `method="trace"` assembles g_ij = tr(rho (L_i L_j + L_j L_i)/2); the
@@ -185,12 +183,13 @@ def husimi_classical_metric(
     return _angular_block(r, th, radial, angular)
 
 
-def measurement_fisher(state: QubitState, povm: PovmFamily, spec: QuadSpec | None = None) -> float:
+def measurement_fisher(state: QubitState, povm, spec: QuadSpec | None = None) -> float:
     """Classical Fisher information of the frozen measurement for phi.
 
-    The element functions are held at the family's construction point; the
-    phi-derivative acts through the state only.  The integral runs over the
-    family's grid, split at its discontinuities.
+    `povm` is a `measurement.PovmFamily`.  Its element functions are held at
+    the family's construction point; the phi-derivative acts through the
+    state only.  The integral runs over the family's grid, split at its
+    discontinuities.
     """
     g = povm.grid(spec)
     p = g.trace(density_matrix(state)).real
@@ -205,64 +204,3 @@ def measurement_fisher(state: QubitState, povm: PovmFamily, spec: QuadSpec | Non
     out[ok] = dp[ok] ** 2 / p[ok]
     return float(g.integrate(out))
 
-
-@dataclass(frozen=True)
-class MetricReport:
-    """All metric components at one state point."""
-
-    r: float
-    theta: float
-    phi: float
-    new_metric: np.ndarray
-    sld_metric: np.ndarray
-    rld_metric: np.ndarray
-    husimi_classical: np.ndarray
-    monotone: dict[str, tuple[float, float]]
-    measurement_fisher_phiphi: float | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "r": self.r,
-            "theta": self.theta,
-            "phi": self.phi,
-            "new_metric": self.new_metric.tolist(),
-            "sld_metric": self.sld_metric.tolist(),
-            "rld_metric": self.rld_metric.tolist(),
-            "husimi_classical": self.husimi_classical.tolist(),
-        }
-        for name, (radial, angular) in self.monotone.items():
-            out[f"monotone_{name}"] = [radial, angular]
-        out["measurement_fisher_phiphi"] = self.measurement_fisher_phiphi
-        return out
-
-
-def metric_report(
-    state: QubitState,
-    eps: float = 0.0,
-    sigma: float = 3.0,
-    include_fisher: bool = True,
-) -> MetricReport:
-    """Assemble every metric at one point.
-
-    The measurement-Fisher entry uses the default Gaussian sharp family at
-    the state's azimuth; it is omitted (None) when cos(phi) ~ 0, where that
-    construction is undefined.
-    """
-    fisher = None
-    if include_fisher:
-        try:
-            ctx = EstimationContext(state, eps=eps)
-            fisher = measurement_fisher(state, gaussian_sharp_family(ctx, sigma=sigma))
-        except DomainError:
-            fisher = None
-    return MetricReport(
-        r=state.r,
-        theta=state.theta,
-        phi=state.phi,
-        new_metric=new_metric(state),
-        sld_metric=sld_metric(state),
-        rld_metric=rld_metric(state),
-        husimi_classical=husimi_classical_metric(state),
-        monotone={name: monotone_metric(ms, state.r) for name, ms in MONOTONE_SPECS.items()},
-        measurement_fisher_phiphi=fisher,
-    )

@@ -13,7 +13,6 @@ from qbound.bounds import (
     bound_C,
     bound_Cmax,
     bounds_sweep,
-    gaussian_b_reference,
     theorem_general,
 )
 from qbound.measurement import (
@@ -79,8 +78,7 @@ def test_b_matches_closed_form_reference():
         for th in (PI / 6, PI / 2):
             ctx = standard_ctx(r=r, theta=th)
             _, b = ab_coefficients(ctx, gaussian_sharp_family(ctx))
-            assert abs(b - gaussian_b_reference(r, th)) <= 1e-7
-            assert abs(gaussian_b_reference(r, th) - ORACLE.b(r, th)) <= 1e-14
+            assert abs(b - ORACLE.b(r, th)) <= 1e-7
 
 
 def test_ab_corollary_family():

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from qbound.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, fmt, main
+from qbound.measurement import EstimationContext, gaussian_sharp_family
+from qbound.metrics import measurement_fisher
+from qbound.quadrature import QuadSpec
+from qbound.qubit import QubitState
 
 PI = math.pi
 
@@ -31,6 +35,18 @@ def test_metrics_json(tmp_path, capsys):
     assert abs(data["sld_metric"][2][2] - 0.25) <= 1e-12
     assert abs(data["monotone_RLD"][1] - 4.0 / 3.0) <= 1e-12
     assert abs(data["measurement_fisher_phiphi"] - 0.25) <= 1e-10
+
+
+def test_metrics_quadrature_flags_reach_fisher(tmp_path):
+    state = QubitState(0.5, PI / 2, 3 * PI / 4)
+    family = gaussian_sharp_family(EstimationContext(state))
+    values = []
+    for flags in ([], ["--panels", "2", "--order", "2"]):
+        out = tmp_path / "metrics.json"
+        assert run(["metrics", "--r", "0.5", *flags, "--out", str(out)]) == EXIT_OK
+        values.append(json.loads(out.read_text())["measurement_fisher_phiphi"])
+    assert values[1] == measurement_fisher(state, family, QuadSpec(2, 2))
+    assert values[1] != values[0]
 
 
 def test_metrics_csv_cells_are_formatted(tmp_path):

@@ -1,0 +1,45 @@
+"""The package's modules import one way: each only from lower layers."""
+
+import ast
+from pathlib import Path
+
+import qbound
+
+RANK = {
+    "qubit": 0,
+    "quadrature": 1,
+    "phasespace": 2,
+    "derivatives": 3,
+    "metrics": 4,
+    "measurement": 4,
+    "bounds": 5,
+    "selftest": 6,
+    "cli": 7,
+}
+
+# __init__ re-exports the public names of every layer; it is no layer itself
+MODULES = sorted(p for p in Path(qbound.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+def package_imports(path):
+    """Names of the sibling modules a module imports, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import a, b
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[0]
+
+
+def test_every_module_has_a_rank():
+    assert sorted(p.stem for p in MODULES) == sorted(RANK)
+
+
+def test_imports_point_to_lower_layers():
+    upward = [
+        f"{path.stem} -> {target}"
+        for path in MODULES
+        for target in package_imports(path)
+        if RANK[target] >= RANK[path.stem]
+    ]
+    assert upward == []

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbound.bounds import metric_report
 from qbound.measurement import EstimationContext, gaussian_sharp_family
 from qbound.metrics import (
     MONOTONE_SPECS,
     husimi_classical_metric,
     measurement_fisher,
-    metric_report,
     monotone_metric,
     new_metric,
     rld_metric,
