@@ -55,6 +55,7 @@ from .measurement import (
     EstimationContext,
     FamilyGrid,
     PovmFamily,
+    _COS_MIN,
     _sign_conditions_ok,
     estimator_moments,
     gaussian_sharp_family,
@@ -118,13 +119,8 @@ def ab_coefficients(
     return float(a.real), float(b.real)
 
 
-def bound_C(ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None) -> float:
-    """The squared bracket bounding v * g from below for this family."""
-    a, b = ab_coefficients(ctx, p, spec)
-    return _squared_bracket(ctx, p.grid(spec), a, b)
-
-
 def _squared_bracket(ctx: EstimationContext, g: FamilyGrid, a: float, b: float) -> float:
+    """The squared bracket C bounding v * g from below for this family."""
     st = math.sin(ctx.state.theta)
     phi = ctx.state.phi
     h3 = coeff_h3r(ctx.state.r)
@@ -439,13 +435,13 @@ def metric_report(
 
     The measurement-Fisher entry uses the Gaussian sharp family at the
     state's azimuth, integrated with `spec`; it is omitted (None) when
-    cos(phi) ~ 0, where that construction is undefined.
+    cos(phi) ~ 0, where that construction is undefined.  Any other error of
+    the family or the integral raises.
     """
-    try:
+    fisher = None
+    if abs(math.cos(state.phi)) >= _COS_MIN:
         ctx = EstimationContext(state, eps=eps)
         fisher = measurement_fisher(state, gaussian_sharp_family(ctx, sigma=sigma), spec)
-    except DomainError:
-        fisher = None
     return MetricReport(
         r=state.r,
         theta=state.theta,

@@ -210,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(v)
     _add_common_args(v)
     v.add_argument("--csv", default=None, help="tabulated family CSV (phi_hat,x11,x12,y12)")
+    # None marks "not given", which --csv requires: a table carries its own window
+    v.set_defaults(eps=None, sigma=None)
 
     p = sub.add_parser("bounds", help="estimation bound tools")
     bounds_sub = p.add_subparsers(dest="bounds_command", required=True)
@@ -319,11 +321,16 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_povm_validate(args) -> int:
     state = QubitState(_require_r(args), args.theta, args.phi)
-    ctx = EstimationContext(state, eps=args.eps)
+    given = {k: v for k, v in (("eps", args.eps), ("sigma", args.sigma)) if v is not None}
+    if args.csv and given:
+        raise DomainError(
+            f"--csv takes its window from the table; --{' and --'.join(given)} cannot be used with it"
+        )
+    ctx = EstimationContext(state, eps=given.get("eps", 0.0))
     if args.csv:
         family = load_tabulated_csv(args.csv)
     else:
-        family = gaussian_sharp_family(ctx, sigma=args.sigma)
+        family = gaussian_sharp_family(ctx, sigma=given.get("sigma", 3.0))
     report = validate_povm(family, ctx, _quad_spec(args))
     data = {"family": family.label, **report.as_dict()}
     _emit(args, data)

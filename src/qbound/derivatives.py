@@ -8,7 +8,13 @@ i.e. the log-derivative of the Husimi function (the s = -1 symbol of rho)
 mapped back to an operator by the inverse map `phasespace.inverse_weyl`.
 Closed forms exist for all three parameters and are the default evaluation
 path; `method="quadrature"` evaluates the integral directly so the two
-routes can be cross-checked.
+routes can be cross-checked.  The closed forms, like those of h_k, are
+built from `qubit.d_rho` (with K = coeff_k, Kt = coeff_k_tilde):
+
+    L_r = Kt / (2 r^3) (r I - 6 d_r rho),
+    L_k = 3 K / (2 r^3) d_k rho    for k = theta, phi,
+
+so the angular L_k are the SLDs 2 d_k rho rescaled by 3 K / (4 r^3).
 
 Two scalar coefficients recur throughout and get package-internal names:
 
@@ -90,22 +96,11 @@ def new_log_derivative(
         dq = husimi_partial(state, k)
         return inverse_weyl(lambda t1, p1: dq(t1, p1) / q(t1, p1), -1.0, spec)
 
-    r, th, ph = state.r, state.theta, state.phi
-    st, ct = math.sin(th), math.cos(th)
-    phase = np.exp(1j * ph)
+    r = state.r
+    drho = d_rho(state, k)
     if k is ParamIndex.R:
-        pre = coeff_k_tilde(r) / (2.0 * r ** 3)
-        m = np.array(
-            [[r - 3.0 * ct, -3.0 * st / phase], [-3.0 * st * phase, r + 3.0 * ct]],
-            dtype=complex,
-        )
-    elif k is ParamIndex.THETA:
-        pre = 3.0 * coeff_k(r) / (4.0 * r * r)
-        m = np.array([[-st, ct / phase], [ct * phase, st]], dtype=complex)
-    else:
-        pre = 3.0 * coeff_k(r) / (4.0 * r * r)
-        m = np.array([[0.0, -1j * st / phase], [1j * st * phase, 0.0]], dtype=complex)
-    return pre * m
+        return coeff_k_tilde(r) / (2.0 * r ** 3) * (r * np.eye(2) - 6.0 * drho)
+    return 3.0 * coeff_k(r) / (2.0 * r ** 3) * drho
 
 
 def sld(state: QubitState, k: ParamIndex) -> np.ndarray:
@@ -143,8 +138,10 @@ def deviation_h(state: QubitState, k: ParamIndex, method: str = "closed") -> np.
     phase-space L_k.
 
     `method="definitional"` evaluates that expression with the closed-form
-    L_k; `method="closed"` returns the explicit matrices, whose scalar
-    amplitude for k = theta, phi is coeff_h3r(r).
+    L_k; `method="closed"` returns the multiples of d_rho
+
+        h_r = c_iso I + 2 c_dir d_r rho,
+        h_k = -(2 coeff_h3r(r) / r) d_k rho    for k = theta, phi.
     """
     _check_method(method, ("closed", "definitional"))
     require_working_r(state.r, "deviation_h")
@@ -154,9 +151,8 @@ def deviation_h(state: QubitState, k: ParamIndex, method: str = "closed") -> np.
         L = new_log_derivative(state, k, method="closed")
         return d_rho(state, k) - 0.5 * (rho @ L + L @ rho)
 
-    r, th, ph = state.r, state.theta, state.phi
-    st, ct = math.sin(th), math.cos(th)
-    phase = np.exp(1j * ph)
+    r = state.r
+    drho = d_rho(state, k)
     if k is ParamIndex.R:
         # 4r^2 + 2r log(...) = 2r * coeff_k_tilde(r)
         c_iso = coeff_k_tilde(r) / (2.0 * r * r)
@@ -166,15 +162,5 @@ def deviation_h(state: QubitState, k: ParamIndex, method: str = "closed") -> np.
         else:
             lg = math.log((1.0 - r) / (1.0 + r))
             c_dir = (6.0 * r + (3.0 - r * r) * lg) / (4.0 * r ** 3)
-        direction = np.array(
-            [[ct, st / phase], [st * phase, -ct]], dtype=complex
-        )
-        return c_iso * np.eye(2, dtype=complex) + c_dir * direction
-    c = coeff_h3r(r)
-    if k is ParamIndex.THETA:
-        return c * np.array(
-            [[st, -ct / phase], [-ct * phase, -st]], dtype=complex
-        )
-    return c * np.array(
-        [[0.0, 1j * st / phase], [-1j * st * phase, 0.0]], dtype=complex
-    )
+        return c_iso * np.eye(2) + 2.0 * c_dir * drho
+    return -(2.0 * coeff_h3r(r) / r) * drho

@@ -13,6 +13,10 @@ Delta(Omega; -s) dmu(Omega) with dmu = sin t1 dt1 dp1 / (2 pi).  This sign
 pairing is adopted literally and is pinned down by round-trip tests rather
 than by convention.
 
+The Husimi function and its partials are built from rho and d_rho through
+the forward map, so `qubit` is the only place the Bloch angles become
+matrix entries.
+
 Only s = -1 (whose state symbol is the Husimi function, a genuine probability
 density) and s = +1 are exercised by the rest of the package; other real s
 values are accepted but untested territory.
@@ -25,7 +29,14 @@ import math
 import numpy as np
 
 from .quadrature import QuadSpec, sphere_integrate
-from .qubit import ParamIndex, QubitState, require_hermitian
+from .qubit import (
+    ParamIndex,
+    QubitState,
+    d_rho,
+    density_matrix,
+    pauli_decomposition,
+    require_hermitian,
+)
 
 
 def sw_kernel(theta1, phi1, s: float) -> np.ndarray:
@@ -48,12 +59,21 @@ def sw_kernel(theta1, phi1, s: float) -> np.ndarray:
 
 
 def weyl_map(a, s: float):
-    """Symbol of a Hermitian operator: the real function tr[a Delta(.; s)]."""
-    a = require_hermitian(a, name="weyl_map input")
+    """Symbol of a Hermitian operator: the real function tr[a Delta(.; s)].
+
+    With a = a0 I + a.sigma and Delta = (I + c_s Omega.sigma)/2 this is
+    a0 + c_s a.Omega, evaluated as
+    a0 + c_s (|a_xy| sin t1 cos(p1 - beta) + a_z cos t1), beta the azimuth of a.
+    """
+    a0, vec = pauli_decomposition(require_hermitian(a, name="weyl_map input"))
+    c = 3.0 ** ((1.0 + s) / 2.0)
+    c_xy = c * math.hypot(vec[0], vec[1])
+    beta = math.atan2(vec[1], vec[0])
+    c_z = c * vec[2]
 
     def symbol(theta1, phi1):
-        kern = sw_kernel(theta1, phi1, s)
-        return np.einsum("jk,...kj->...", a, kern).real
+        theta1 = np.asarray(theta1, dtype=float)
+        return a0 + c_xy * np.sin(theta1) * np.cos(np.asarray(phi1) - beta) + c_z * np.cos(theta1)
 
     return symbol
 
@@ -71,46 +91,19 @@ def inverse_weyl(f, s: float, spec: QuadSpec | None = None) -> np.ndarray:
 
 
 def husimi(state: QubitState):
-    """Husimi function of the state as a callable Q(theta1, phi1).
+    """Husimi function of the state as a callable Q(theta1, phi1): the
+    s = -1 symbol of the density matrix,
 
-    Q = (1 + r cos t1 cos theta + r cos(p1 - phi) sin t1 sin theta) / 2,
-    which is the s = -1 symbol of the density matrix.  It is nonnegative,
-    bounded by (1 +/- r)/2, and integrates to 1 against dmu.
+    Q = (1 + r cos t1 cos theta + r cos(p1 - phi) sin t1 sin theta) / 2.
+
+    It is nonnegative, bounded by (1 +/- r)/2, and integrates to 1 against dmu.
     """
-    r, th, ph = state.r, state.theta, state.phi
-    ct, st = math.cos(th), math.sin(th)
-
-    def q(theta1, phi1):
-        theta1 = np.asarray(theta1, dtype=float)
-        phi1 = np.asarray(phi1, dtype=float)
-        return 0.5 * (1.0 + r * np.cos(theta1) * ct + r * np.cos(phi1 - ph) * np.sin(theta1) * st)
-
-    return q
+    return weyl_map(density_matrix(state), -1.0)
 
 
 def husimi_partial(state: QubitState, k: ParamIndex):
-    """Partial derivative of the Husimi function w.r.t. xi^k, as a callable."""
-    r, th, ph = state.r, state.theta, state.phi
-    ct, st = math.cos(th), math.sin(th)
-    k = ParamIndex(k)
+    """Partial derivative of the Husimi function w.r.t. xi^k, as a callable.
 
-    if k is ParamIndex.R:
-
-        def dq(theta1, phi1):
-            return 0.5 * (
-                np.cos(theta1) * ct + np.cos(np.asarray(phi1) - ph) * np.sin(theta1) * st
-            )
-
-    elif k is ParamIndex.THETA:
-
-        def dq(theta1, phi1):
-            return (0.5 * r) * (
-                -np.cos(theta1) * st + np.cos(np.asarray(phi1) - ph) * np.sin(theta1) * ct
-            )
-
-    else:
-
-        def dq(theta1, phi1):
-            return (0.5 * r) * np.sin(np.asarray(phi1) - ph) * np.sin(theta1) * st
-
-    return dq
+    The symbol map is linear, so this is the s = -1 symbol of d_rho.
+    """
+    return weyl_map(d_rho(state, k), -1.0)

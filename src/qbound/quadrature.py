@@ -115,7 +115,7 @@ def sphere_integrate(F, spec: QuadSpec | None = None):
     t, wt = nodes_1d(0.0, np.pi, plain)
     p, wp = nodes_1d(0.0, 2.0 * np.pi, plain)
     T, P = np.meshgrid(t, p, indexing="ij")
-    W = (np.outer(wt, wp) * np.sin(T) / (2.0 * np.pi)).ravel()
+    W = np.outer(wt * np.sin(t), wp / (2.0 * np.pi)).ravel()
     T, P = T.ravel(), P.ravel()
 
     raw = np.asarray(F(T, P))
@@ -137,12 +137,6 @@ def sphere_integrate(F, spec: QuadSpec | None = None):
         res = W @ vals
         return complex(res) if np.iscomplexobj(vals) else float(res)
     return np.einsum("i,ijk->jk", W, vals)
-
-
-def doubling_residual_1d(f, a: float, b: float, spec: QuadSpec | None = None) -> float:
-    """|I(panels) - I(2*panels)| convergence probe used by the self-test."""
-    spec = spec or DEFAULT_SPEC
-    return abs(integrate_1d(f, a, b, spec) - integrate_1d(f, a, b, spec.doubled()))
 
 
 def doubling_residual_sphere(F, spec: QuadSpec | None = None) -> float:

@@ -10,7 +10,6 @@ from qbound.bounds import (
     BoundProblem,
     ab_coefficients,
     audit_derivation,
-    bound_C,
     bound_Cmax,
     bounds_sweep,
     theorem_general,
@@ -94,21 +93,21 @@ def test_ab_corollary_family():
 def test_bound_C_reference_point():
     ctx = standard_ctx()
     fam = gaussian_sharp_family(ctx)
-    got = bound_C(ctx, fam)
+    got = bound_Cmax(ctx, fam).C
     assert abs(got - ORACLE.bound_C(0.5, PI / 2)) <= 1e-9
     assert abs(got - 2.0787342709) <= 1e-3
 
 
 def test_bound_C_corollary_is_one():
     ctx = standard_ctx()
-    assert abs(bound_C(ctx, uniform_diagonal_family(ctx.center)) - 1.0) <= 1e-12
+    assert abs(bound_Cmax(ctx, uniform_diagonal_family(ctx.center)).C - 1.0) <= 1e-12
 
 
 def test_bound_C_small_r_approaches_ab_square():
     ctx = standard_ctx(r=1e-3)
     fam = gaussian_sharp_family(ctx)
     a, b = ab_coefficients(ctx, fam)
-    assert abs(bound_C(ctx, fam) - (a + b) ** 2) <= 1e-8
+    assert abs(bound_Cmax(ctx, fam).C - (a + b) ** 2) <= 1e-8
 
 
 # --------------------------------------------------------------- bound Cmax
@@ -173,7 +172,7 @@ def test_theorem_reduces_to_scalar_bound():
     ctx = standard_ctx()
     fam = gaussian_sharp_family(ctx)
     te = theorem_general(BoundProblem(ctx, fam))
-    assert abs(te.rhs - bound_C(ctx, fam)) <= 1e-10
+    assert abs(te.rhs - bound_Cmax(ctx, fam).C) <= 1e-10
     assert te.bracket_imag <= 1e-10
 
 

@@ -68,6 +68,16 @@ def test_metrics_domain_error_exit_code(capsys):
     assert "requires r in" in capsys.readouterr().err
 
 
+def test_metrics_reports_family_errors(capsys):
+    # only cos(phi) ~ 0 omits the Fisher entry; a bad family exits like audit
+    for flags, message in ((["--sigma", "-1"], "sigma must be positive"),
+                           (["--eps", "nan"], "eps must be finite")):
+        assert run(["metrics", "--r", "0.5", *flags]) == EXIT_DOMAIN, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def test_metrics_missing_r(capsys):
     code = run(["metrics"])
     assert code == EXIT_DOMAIN
@@ -99,6 +109,27 @@ def test_povm_validate_tabulated_csv(tmp_path):
     assert data["all_ok"] is True
 
 
+def test_povm_validate_csv_refuses_family_options(tmp_path, capsys):
+    # a table carries its own window, so --eps and --sigma would be ignored
+    table = tmp_path / "fam.csv"
+    grid = np.linspace(-PI, PI, 41)
+    rows = [f"{float(g)!r},{1.0 / (2 * PI)!r},0.0,0.0" for g in grid]
+    table.write_text("\n".join(["phi_hat,x11,x12,y12", *rows]) + "\n", encoding="utf-8")
+    argv = ["povm", "validate", "--r", "0.4", "--csv", str(table)]
+    cfg = tmp_path / "run.cfg"
+    for extra, config in ((["--eps", "0.7"], None), (["--sigma", "3"], None),
+                          ([], "eps = 0.7\n"), ([], "sigma = 3\n")):
+        if config is not None:
+            cfg.write_text(config, encoding="utf-8")
+            extra = ["--config", str(cfg)]
+        assert run(argv + extra) == EXIT_DOMAIN, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot be used with it" in captured.err, extra
+    assert run(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["all_ok"] is True
+
+
 def test_bounds_sweep_csv_and_determinism(tmp_path):
     args = ["bounds", "sweep", "--r-min", "0.1", "--r-max", "0.9", "--steps", "9",
             "--theta", "1.5707963", "--phi", "2.3561945", "--eps", "0",
@@ -115,6 +146,19 @@ def test_bounds_sweep_csv_and_determinism(tmp_path):
     for line in lines[1:]:
         for cell in line.split(","):
             assert TWELVE_DIGIT.match(cell), line
+
+
+def test_bounds_sweep_reports_failed_row(capsys):
+    code = run(["bounds", "sweep", "--r-min", "0", "--r-max", "0.5", "--steps", "3",
+                "--format", "json"])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert "row r=0 failed: new_metric requires r in" in captured.err
+    rows = json.loads(captured.out)["rows"]
+    assert "new_metric requires r in" in rows[0]["error"]
+    for row in rows[1:]:
+        assert row["error"] is None
+        assert all(math.isfinite(row[c]) for c in row if c != "error")
 
 
 def test_bounds_sweep_svg(tmp_path):

@@ -198,6 +198,17 @@ def test_deviation_h_closed_vs_definitional():
             assert np.max(np.abs(diff)) <= 1e-8
 
 
+def test_deviation_h_series_branch_matches_definitional():
+    # below the switch, h_r's coefficients come from their series
+    for r in (1e-6, 1e-4, 1e-3, 0.005, 0.0099):
+        assert r < SERIES_SWITCH_R
+        for th, ph in ((0.0, 0.4), (PI / 3, 2.0), (PI / 2, 3 * PI / 4)):
+            s = QubitState(r, th, ph)
+            for k in ParamIndex:
+                diff = deviation_h(s, k, "definitional") - deviation_h(s, k, "closed")
+                assert np.max(np.abs(diff)) <= 1e-12, (r, th, k)
+
+
 def test_deviation_h_traceless_components():
     for r, th, ph in grid_36():
         s = QubitState(r, th, ph)

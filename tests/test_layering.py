@@ -43,3 +43,21 @@ def test_imports_point_to_lower_layers():
         if RANK[target] >= RANK[path.stem]
     ]
     assert upward == []
+
+
+def angle_reads(path):
+    """Lines where a module reads a `.theta` or `.phi` attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("theta", "phi")
+    ]
+
+
+def test_only_qubit_spells_out_the_bloch_angles():
+    # phasespace and derivatives build everything from rho and d_rho
+    reads = {
+        stem: angle_reads(Path(qbound.__file__).parent / f"{stem}.py")
+        for stem in ("phasespace", "derivatives")
+    }
+    assert reads == {"phasespace": [], "derivatives": []}

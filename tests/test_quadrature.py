@@ -9,7 +9,6 @@ from qbound.phasespace import husimi, sw_kernel
 from qbound.quadrature import (
     QuadSpec,
     QuadratureError,
-    doubling_residual_1d,
     doubling_residual_sphere,
     integrate_1d,
     nodes_1d,
@@ -129,8 +128,6 @@ def test_nodes_1d_rejects_empty_window():
 
 
 def test_doubling_residuals_are_tiny():
-    f = lambda u: np.exp(-u * u / 18.0) * np.cos(u)
-    assert doubling_residual_1d(f, -PI, PI) <= 1e-10
     q = husimi(QubitState(0.9, PI / 3, 1.0))
     assert doubling_residual_sphere(q) <= 1e-10
 
