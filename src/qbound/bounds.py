@@ -435,9 +435,15 @@ def metric_report(
 
     The measurement-Fisher entry uses the Gaussian sharp family at the
     state's azimuth, integrated with `spec`; it is omitted (None) when
-    cos(phi) ~ 0, where that construction is undefined.  Any other error of
-    the family or the integral raises.
+    cos(phi) ~ 0, where that construction is undefined.  A bad sigma or eps
+    raises at every phi, and so does any other error of the family or the
+    integral.
     """
+    # in the order the family itself checks them
+    if not math.isfinite(eps):
+        raise DomainError("eps must be finite")
+    if not sigma > 0:
+        raise DomainError("sigma must be positive")
     fisher = None
     if abs(math.cos(state.phi)) >= _COS_MIN:
         ctx = EstimationContext(state, eps=eps)

@@ -94,7 +94,7 @@ def new_log_derivative(
     if method == "quadrature":
         q = husimi(state)
         dq = husimi_partial(state, k)
-        return inverse_weyl(lambda t1, p1: dq(t1, p1) / q(t1, p1), -1.0, spec)
+        return inverse_weyl(lambda t1, p1: dq(t1, p1) / q(t1, p1), -1.0, spec, state.bloch)
 
     r = state.r
     drho = d_rho(state, k)

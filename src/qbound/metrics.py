@@ -176,7 +176,7 @@ def husimi_classical_metric(
                 def integrand(t1, p1, i=i, j=j):
                     return dq[i](t1, p1) * dq[j](t1, p1) / q(t1, p1)
 
-                g[i, j] = g[j, i] = sphere_integrate(integrand, spec)
+                g[i, j] = g[j, i] = sphere_integrate(integrand, spec, state.bloch)
         return g
     radial = -coeff_k_tilde(r) / (2.0 * r ** 3)
     angular = coeff_k(r) / (4.0 * r ** 3)

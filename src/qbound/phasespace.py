@@ -6,20 +6,22 @@ the kernel family
     Delta(theta1, phi1; s) = 1/2 [[1 + c_s cos t1,  c_s e^{-i p1} sin t1],
                                   [c_s e^{+i p1} sin t1,  1 - c_s cos t1]],
 
-with c_s = 3^{(1+s)/2}.  The forward map sends an operator A to the symbol
+with c_s = 3^{(1+s)/2} for the two indices in use: c_{-1} = 1 and c_{+1} = 3.
+Any other s raises ValueError.  The forward map sends an operator A to the symbol
 F_A(Omega; s) = tr[A Delta(Omega; s)]; the inverse map integrates the symbol
 against the kernel of *opposite* index, A = integral F_A(Omega; s)
 Delta(Omega; -s) dmu(Omega) with dmu = sin t1 dt1 dp1 / (2 pi).  This sign
 pairing is adopted literally and is pinned down by round-trip tests rather
 than by convention.
 
-The Husimi function and its partials are built from rho and d_rho through
-the forward map, so `qubit` is the only place the Bloch angles become
-matrix entries.
-
-Only s = -1 (whose state symbol is the Husimi function, a genuine probability
-density) and s = +1 are exercised by the rest of the package; other real s
-values are accepted but untested territory.
+The s = -1 symbol of a state is its Husimi function, a genuine probability
+density; it and its partials are built from rho and d_rho through the
+forward map, so `qubit` is the only place the Bloch angles become matrix
+entries.  Symbols that divide by the Husimi function Q have a pole just
+beyond the antipode of the state as r -> 1, so `inverse_weyl` takes the
+state's Bloch vector as the `pole` of the sphere rule, which then
+integrates in the state's own frame on a mesh graded toward that antipode
+(see `quadrature`).
 """
 
 from __future__ import annotations
@@ -39,14 +41,23 @@ from .qubit import (
 )
 
 
+def _c(s: float) -> float:
+    """c_s = 3^{(1+s)/2} for s = -1 or +1."""
+    if s == -1.0:
+        return 1.0
+    if s == 1.0:
+        return 3.0
+    raise ValueError(f"s must be -1.0 or +1.0, got s = {s!r}")
+
+
 def sw_kernel(theta1, phi1, s: float) -> np.ndarray:
     """Kernel matrix at one sphere point, or a (..., 2, 2) field for array input.
 
     Every value is Hermitian with unit trace.
     """
+    c = _c(s)
     theta1 = np.asarray(theta1, dtype=float)
     phi1 = np.asarray(phi1, dtype=float)
-    c = 3.0 ** ((1.0 + s) / 2.0)
     shape = np.broadcast(theta1, phi1).shape
     out = np.empty(shape + (2, 2), dtype=complex)
     ct, st = np.cos(theta1), np.sin(theta1)
@@ -65,8 +76,8 @@ def weyl_map(a, s: float):
     a0 + c_s a.Omega, evaluated as
     a0 + c_s (|a_xy| sin t1 cos(p1 - beta) + a_z cos t1), beta the azimuth of a.
     """
+    c = _c(s)
     a0, vec = pauli_decomposition(require_hermitian(a, name="weyl_map input"))
-    c = 3.0 ** ((1.0 + s) / 2.0)
     c_xy = c * math.hypot(vec[0], vec[1])
     beta = math.atan2(vec[1], vec[0])
     c_z = c * vec[2]
@@ -78,8 +89,13 @@ def weyl_map(a, s: float):
     return symbol
 
 
-def inverse_weyl(f, s: float, spec: QuadSpec | None = None) -> np.ndarray:
-    """Operator whose s-symbol is f: integral of f(Omega) Delta(Omega; -s) dmu."""
+def inverse_weyl(f, s: float, spec: QuadSpec | None = None, pole=None) -> np.ndarray:
+    """Operator whose s-symbol is f: integral of f(Omega) Delta(Omega; -s) dmu.
+
+    `pole` is the Bloch vector of the state whose Husimi function f divides
+    by, passed on to `sphere_integrate`.
+    """
+    _c(s)
 
     def integrand(theta1, phi1):
         vals = np.broadcast_to(
@@ -87,7 +103,7 @@ def inverse_weyl(f, s: float, spec: QuadSpec | None = None) -> np.ndarray:
         )
         return vals[..., None, None] * sw_kernel(theta1, phi1, -s)
 
-    return sphere_integrate(integrand, spec)
+    return sphere_integrate(integrand, spec, pole)
 
 
 def husimi(state: QubitState):

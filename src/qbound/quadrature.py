@@ -9,10 +9,34 @@ integrated independently and partial sums are accumulated in a fixed order.
 Integrand callables must broadcast over numpy arrays of abscissae.  Scalar
 constants and constant 2x2 matrices are also accepted and broadcast
 internally.
+
+On the sphere, with dmu = du dpsi / (2 pi) for u = n.Omega and psi the
+azimuth about an axis n, one rule serves two cases:
+
+* No pole (state-free integrands): n = e3, Gauss-Legendre in u = cos(theta1)
+  on panels x order nodes times a trapezoid of 2 x panels x order nodes
+  in phi1.  This is exact for every spherical harmonic of degree below
+  2 x panels x order.
+* A pole p, the Bloch vector of a state with r = |p| in (0, 1): n = p / r.
+  The state integrands are polynomials in Omega over powers of
+  Q = (1 + r u) / 2.  In psi they are trigonometric polynomials of degree
+  <= 2, on which the periodic trapezoid rule is exact from 3 nodes
+  (Trefethen & Weideman, SIAM Review 56, 2014); it uses 8 x panels nodes.
+  In u they are analytic but for the pole of 1/(1 + r u) at u = -1/r, and
+  a Gauss rule on [-1, 1] converges like rho^(-2n) with rho the Bernstein
+  ellipse through that pole, rho = 1/r + sqrt(1/r^2 - 1).  As r -> 1,
+  rho -> 1 and a uniform rule needs O(1/sqrt(1 - r)) nodes.  Split at the
+  geometric mesh -1 + 2 * 0.2^k, down to below 0.2 (1 - r), every panel
+  sees the pole at least half its half-width beyond its near end
+  (rho >= 2.6), so O(log 1/(1 - r)) panels of `order` nodes suffice.
+
+Both map their nodes back to the lab angles (theta1, phi1), so integrands
+are written once, in the lab frame, and the rule never looks inside them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,8 +72,11 @@ class QuadSpec:
 
 
 DEFAULT_SPEC = QuadSpec()
-# Sphere integrands here are smooth, so fewer panels suffice per axis.
-SPHERE_SPEC = QuadSpec(panels=12, order=16)
+# one 16-point panel in u per grading level; exact to degree 31 without a pole
+SPHERE_SPEC = QuadSpec(panels=1, order=16)
+# ratio of the sphere rule's geometric mesh toward u = -1; the mesh stops
+# below GRADING * (1 - r), where the pole at u = -1/r is 5 panel widths away
+GRADING = 0.2
 
 
 @lru_cache(maxsize=None)
@@ -102,45 +129,77 @@ def integrate_1d(f, a: float, b: float, spec: QuadSpec | None = None) -> float:
     return float(w @ y)
 
 
-def sphere_integrate(F, spec: QuadSpec | None = None):
-    """Integral of F(theta1, phi1) over the sphere with measure
-    sin(theta1) d theta1 d phi1 / (2 pi), so the total measure is 2.
+def _sphere_nodes(spec: QuadSpec, pole, extra_levels: int = 0):
+    """Lab angles and weights of the sphere rule, u-major."""
+    if pole is None:
+        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(spec.panels, spec.order))
+        m = 2 * spec.panels * spec.order
+        e1, e2, n = np.eye(3)
+    else:
+        pole = np.asarray(pole, dtype=float)
+        r = float(np.linalg.norm(pole))
+        if pole.shape != (3,) or not 0.0 < r < 1.0:
+            raise ValueError(f"pole must be a 3-vector of length in (0, 1), got {pole!r}")
+        levels = 1
+        while 2.0 * GRADING ** levels >= GRADING * (1.0 - r):
+            levels += 1
+        splits = [-1.0 + 2.0 * GRADING ** k for k in range(1, levels + extra_levels + 1)]
+        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(spec.panels, spec.order, splits))
+        m = 8 * spec.panels
+        # spherical frame of n: e1 toward increasing polar angle, e2 azimuthal
+        n = pole / r
+        rho = math.hypot(n[0], n[1])
+        cp, sp = (n[0] / rho, n[1] / rho) if rho > 0.0 else (1.0, 0.0)
+        e1 = np.array([n[2] * cp, n[2] * sp, -rho])
+        e2 = np.array([-sp, cp, 0.0])
+    psi = np.arange(m) * (2.0 * np.pi / m)
+    s = np.sqrt((1.0 - u) * (1.0 + u))
+    a, b = s[:, None] * np.cos(psi), s[:, None] * np.sin(psi)
+    x, y, z = (a * e1[i] + b * e2[i] + u[:, None] * n[i] for i in range(3))
+    theta1 = np.arctan2(np.hypot(x, y), z).ravel()
+    phi1 = np.arctan2(y, x).ravel()
+    return theta1, phi1, np.repeat(wu / m, m)
 
-    F may return a scalar field or a field of 2x2 matrices (shape
-    (..., 2, 2)); matrix fields are integrated entrywise.  Split points in
-    the spec are not used on the sphere.
-    """
-    spec = spec or SPHERE_SPEC
-    plain = QuadSpec(spec.panels, spec.order)
-    t, wt = nodes_1d(0.0, np.pi, plain)
-    p, wp = nodes_1d(0.0, 2.0 * np.pi, plain)
-    T, P = np.meshgrid(t, p, indexing="ij")
-    W = np.outer(wt * np.sin(t), wp / (2.0 * np.pi)).ravel()
-    T, P = T.ravel(), P.ravel()
 
-    raw = np.asarray(F(T, P))
+def _integrate_nodes(F, theta1, phi1, w):
+    raw = np.asarray(F(theta1, phi1))
     if raw.ndim == 0:
-        vals = np.broadcast_to(raw, T.shape)
-    elif raw.shape == T.shape:
+        vals = np.broadcast_to(raw, theta1.shape)
+    elif raw.shape == theta1.shape:
         vals = raw
     elif raw.shape == (2, 2):
-        vals = np.broadcast_to(raw, T.shape + (2, 2))
-    elif raw.shape == T.shape + (2, 2):
+        vals = np.broadcast_to(raw, theta1.shape + (2, 2))
+    elif raw.shape == theta1.shape + (2, 2):
         vals = raw
     else:
         raise TypeError(
             "sphere integrand must broadcast to a scalar field or a field of "
-            f"2x2 matrices; got shape {raw.shape} for {T.shape[0]} nodes"
+            f"2x2 matrices; got shape {raw.shape} for {theta1.shape[0]} nodes"
         )
-    _check_finite(vals, T)
+    _check_finite(vals, theta1)
     if vals.ndim == 1:
-        res = W @ vals
+        res = w @ vals
         return complex(res) if np.iscomplexobj(vals) else float(res)
-    return np.einsum("i,ijk->jk", W, vals)
+    return np.einsum("i,ijk->jk", w, vals)
 
 
-def doubling_residual_sphere(F, spec: QuadSpec | None = None) -> float:
+def sphere_integrate(F, spec: QuadSpec | None = None, pole=None):
+    """Integral of F(theta1, phi1) over the sphere with measure
+    sin(theta1) d theta1 d phi1 / (2 pi), so the total measure is 2.
+
+    F may return a scalar field or a field of 2x2 matrices (shape
+    (..., 2, 2)); matrix fields are integrated entrywise.  `pole` is the
+    Bloch vector of the state whose Husimi function F divides by (None for
+    state-free integrands); see the module docstring.  Split points in the
+    spec are not used on the sphere.
+    """
+    return _integrate_nodes(F, *_sphere_nodes(spec or SPHERE_SPEC, pole))
+
+
+def doubling_residual_sphere(F, spec: QuadSpec | None = None, pole=None) -> float:
+    """Max-abs change of the integral when every axis is refined: twice the
+    panels per grading level, twice the azimuth nodes, one more level."""
     spec = spec or SPHERE_SPEC
-    lo = np.asarray(sphere_integrate(F, spec))
-    hi = np.asarray(sphere_integrate(F, spec.doubled()))
+    lo = np.asarray(sphere_integrate(F, spec, pole))
+    hi = np.asarray(_integrate_nodes(F, *_sphere_nodes(spec.doubled(), pole, extra_levels=1)))
     return float(np.max(np.abs(lo - hi)))

@@ -95,7 +95,7 @@ def _check_quadrature_doubling() -> CheckResult:
         vals.append((breakdown.b, breakdown.C, v))
     worst = max(abs(p - q) for p, q in zip(vals[0], vals[1]))
     q_state = phasespace.husimi(ctx.state)
-    worst = max(worst, quadrature.doubling_residual_sphere(q_state))
+    worst = max(worst, quadrature.doubling_residual_sphere(q_state, pole=ctx.state.bloch))
     return CheckResult("panel-doubling stability of reported integrals", worst <= 1e-10,
                        f"worst change {worst:.2e}")
 
@@ -108,8 +108,8 @@ def _check_phasespace() -> CheckResult:
     for st in (_state_grid()[3], _state_grid()[8]):
         rho = qubit.density_matrix(st)
         q = phasespace.husimi(st)
-        worst = max(worst, abs(quadrature.sphere_integrate(q) - 1.0))
-        back = phasespace.inverse_weyl(phasespace.weyl_map(rho, -1.0), -1.0)
+        worst = max(worst, abs(quadrature.sphere_integrate(q, pole=st.bloch) - 1.0))
+        back = phasespace.inverse_weyl(phasespace.weyl_map(rho, -1.0), -1.0, pole=st.bloch)
         worst = max(worst, float(np.max(np.abs(back - rho))))
     return CheckResult("kernel average, Husimi normalization, symbol roundtrip",
                        worst <= 1e-10, f"worst residual {worst:.2e}")

@@ -78,6 +78,18 @@ def test_metrics_reports_family_errors(capsys):
         assert message in captured.err
 
 
+def test_metrics_reports_family_errors_at_cos_zero(capsys):
+    # the Fisher entry is omitted at cos(phi) ~ 0, but bad flags still fail
+    for flags, message in ((["--sigma", "-1"], "sigma must be positive"),
+                           (["--eps", "nan"], "eps must be finite"),
+                           (["--sigma", "-1", "--eps", "nan"], "eps must be finite")):
+        code = run(["metrics", "--r", "0.5", "--phi", "1.5707963267948966", *flags])
+        assert code == EXIT_DOMAIN, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def test_metrics_missing_r(capsys):
     code = run(["metrics"])
     assert code == EXIT_DOMAIN

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbound.bounds import metric_report
+from qbound.derivatives import R_MAX, R_MIN, new_log_derivative
 from qbound.measurement import EstimationContext, gaussian_sharp_family
 from qbound.metrics import (
     MONOTONE_SPECS,
@@ -155,6 +156,23 @@ def test_husimi_metric_quadrature_vs_closed():
         s = QubitState(r, PI / 6, 0.3)
         diff = husimi_classical_metric(s, "quadrature") - husimi_classical_metric(s, "closed")
         assert np.max(np.abs(diff)) <= 1e-8
+
+
+WORKING_R = sorted({R_MIN, R_MAX, *np.geomspace(1e-6, 0.5, 8), *(1.0 - np.geomspace(1e-6, 0.5, 8))})
+
+
+@pytest.mark.parametrize("r", WORKING_R, ids=lambda r: f"{r:.9g}")
+def test_closed_forms_match_quadrature_across_working_domain(r):
+    # the sphere rule is the independent oracle for L_k and the Husimi metric,
+    # right up to both edges of the working domain
+    for th in (0.0, 0.3, PI / 2, 2.9, PI):
+        for ph in (0.7, 4.0):
+            s = QubitState(r, th, ph)
+            pairs = [(new_log_derivative(s, k), new_log_derivative(s, k, "quadrature"))
+                     for k in ParamIndex]
+            pairs.append((husimi_classical_metric(s), husimi_classical_metric(s, "quadrature")))
+            for closed, quad in pairs:
+                assert np.max(np.abs(quad - closed)) <= 1e-9 * np.max(np.abs(closed)), (th, ph)
 
 
 def test_husimi_metric_small_r_limits():

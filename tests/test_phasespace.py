@@ -33,6 +33,14 @@ def test_kernel_broadcasts():
     assert kern.shape == (7, 2, 2)
 
 
+def test_kernel_index_other_than_plus_minus_one_is_rejected():
+    for call in (lambda: sw_kernel(0.1, 0.2, 0.5),
+                 lambda: weyl_map(IDENTITY2, 0.5),
+                 lambda: inverse_weyl(lambda t, p: 1.0, 0.5)):
+        with pytest.raises(ValueError, match="s = 0.5"):
+            call()
+
+
 def test_weyl_map_identity_is_one():
     for s in (-1.0, 1.0):
         f = weyl_map(IDENTITY2, s)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from qbound.derivatives import R_MAX
 from qbound.phasespace import husimi, sw_kernel
 from qbound.quadrature import (
     QuadSpec,
@@ -130,6 +131,67 @@ def test_nodes_1d_rejects_empty_window():
 def test_doubling_residuals_are_tiny():
     q = husimi(QubitState(0.9, PI / 3, 1.0))
     assert doubling_residual_sphere(q) <= 1e-10
+    # the Husimi metric's g_rr integrand, refined about its own pole at R_MAX
+    state = QubitState(R_MAX, 2.0, 4.0)
+    q = husimi(state)
+    g_rr = lambda t, p: (q(t, p) - 0.5) ** 2 / (R_MAX**2 * q(t, p))
+    assert doubling_residual_sphere(g_rr, pole=state.bloch) <= 1e-10
+
+
+def sphere_monomial(a, b, c):
+    """Integral of x^a y^b z^c against dmu = dA / (2 pi), from the Gamma-function
+    formula for the unit sphere."""
+    if a % 2 or b % 2 or c % 2:
+        return 0.0
+    g = math.lgamma((a + 1) / 2) + math.lgamma((b + 1) / 2) + math.lgamma((c + 1) / 2)
+    return 2.0 * math.exp(g - math.lgamma((a + b + c + 3) / 2)) / (2.0 * PI)
+
+
+def cartesian(t, p):
+    return np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)
+
+
+def test_sphere_rule_without_pole_is_exact_to_degree_31():
+    worst = 0.0
+    for deg in range(32):
+        for a in range(deg + 1):
+            for b in range(deg - a + 1):
+                c = deg - a - b
+
+                def mono(t, p, a=a, b=b, c=c):
+                    x, y, z = cartesian(t, p)
+                    return x**a * y**b * z**c
+
+                worst = max(worst, abs(sphere_integrate(mono) - sphere_monomial(a, b, c)))
+    assert worst <= 1e-14
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    pole=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: 1e-3 < np.linalg.norm(v) < 1),
+    coef=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
+)
+def test_sphere_pole_keeps_quadratics(pole, coef):
+    # any axis and grading integrates polynomials of degree <= 2 in Omega exactly
+    def quad(t, p):
+        x, y, z = cartesian(t, p)
+        terms = (1.0, x, y, z, x * x, y * y, z * z, x * y, y * z, z * x)
+        return sum(k * term for k, term in zip(coef, terms))
+
+    assert abs(sphere_integrate(quad, pole=pole) - sphere_integrate(quad)) <= 1e-14
+
+
+def test_sphere_pole_node_count_at_r_max():
+    seen = []
+    pole = QubitState(R_MAX, 1.0, 2.0).bloch
+    sphere_integrate(lambda t, p: seen.append(t.size) or 1.0, pole=pole)
+    assert seen[0] <= 2000
+
+
+def test_sphere_rejects_pole_off_the_open_ball():
+    for pole in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (np.nan, 0.0, 0.5), (0.5, 0.0)):
+        with pytest.raises(ValueError, match="pole"):
+            sphere_integrate(lambda t, p: 1.0, pole=pole)
 
 
 def test_sphere_total_measure():
