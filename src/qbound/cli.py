@@ -83,15 +83,20 @@ def rows_to_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dict_to_json(data: dict) -> str:
-    def convert(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        raise TypeError(f"not JSON-serializable: {type(obj)}")
+def _json_value(obj):
+    """obj with numpy values made plain and non-finite floats as None (null)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
-    return json.dumps(data, indent=2, default=convert) + "\n"
+
+def dict_to_json(data: dict) -> str:
+    """RFC 8259 JSON: a non-finite float is written as null."""
+    return json.dumps(_json_value(data), indent=2, allow_nan=False) + "\n"
 
 
 def write_output(text: str, path: str | None) -> None:
@@ -340,6 +345,8 @@ def _cmd_povm_validate(args) -> int:
 def _cmd_bounds_sweep(args) -> int:
     if args.steps < 1:
         raise DomainError("steps must be >= 1")
+    if args.log_y and not args.svg:
+        raise DomainError("--log-y scales the --svg chart only; give --svg with it")
     grid = np.linspace(args.r_min, args.r_max, args.steps)
     rows = bounds_sweep(grid, theta=args.theta, phi=args.phi, eps=args.eps,
                         sigma=args.sigma, spec=_quad_spec(args))

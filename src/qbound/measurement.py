@@ -235,7 +235,7 @@ def _sharp_family(ctx: EstimationContext, x11, d_x11, scale: float, label: str) 
 
 def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFamily:
     """The saturating Gaussian family (default sigma = 3)."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError("sigma must be positive")
     mu = ctx.center
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * math.erf(math.pi / (sigma * math.sqrt(2.0))))
@@ -266,11 +266,11 @@ def tapered_sharp_family(
     Because the elements vanish at the edges, the moving-window boundary term
     vanishes for this family.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError("sigma must be positive")
     if taper_power < 1:
         raise DomainError("taper_power must be >= 1")
-    if abs(offdiag_scale) > 1.0:
+    if not abs(offdiag_scale) <= 1.0:
         raise DomainError("|offdiag_scale| must be <= 1 to keep the POVM positive")
     mu = ctx.center
     inv_s2 = 1.0 / (sigma * sigma)

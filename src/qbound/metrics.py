@@ -169,15 +169,12 @@ def husimi_classical_metric(
     if method == "quadrature":
         q = husimi(state)
         dq = [husimi_partial(state, k) for k in _PARAMS]
-        g = np.empty((3, 3))
-        for i in range(3):
-            for j in range(i, 3):
 
-                def integrand(t1, p1, i=i, j=j):
-                    return dq[i](t1, p1) * dq[j](t1, p1) / q(t1, p1)
+        def integrand(t1, p1):
+            d = np.stack([f(t1, p1) for f in dq], axis=-1)
+            return d[..., :, None] * d[..., None, :] / q(t1, p1)[..., None, None]
 
-                g[i, j] = g[j, i] = sphere_integrate(integrand, spec, state.bloch)
-        return g
+        return sphere_integrate(integrand, spec, state.bloch)
     radial = -coeff_k_tilde(r) / (2.0 * r ** 3)
     angular = coeff_k(r) / (4.0 * r ** 3)
     return _angular_block(r, th, radial, angular)

@@ -1,10 +1,10 @@
 """Phase-space correspondence for one qubit: kernel, symbol maps, Husimi function.
 
 The operator <-> function correspondence on the sphere is implemented through
-the kernel family
+the kernel family, in Pauli form,
 
-    Delta(theta1, phi1; s) = 1/2 [[1 + c_s cos t1,  c_s e^{-i p1} sin t1],
-                                  [c_s e^{+i p1} sin t1,  1 - c_s cos t1]],
+    Delta(Omega; s) = (I + c_s Omega.sigma) / 2,
+    Omega = (sin t1 cos p1, sin t1 sin p1, cos t1),
 
 with c_s = 3^{(1+s)/2} for the two indices in use: c_{-1} = 1 and c_{+1} = 3.
 Any other s raises ValueError.  The forward map sends an operator A to the symbol
@@ -12,7 +12,9 @@ F_A(Omega; s) = tr[A Delta(Omega; s)]; the inverse map integrates the symbol
 against the kernel of *opposite* index, A = integral F_A(Omega; s)
 Delta(Omega; -s) dmu(Omega) with dmu = sin t1 dt1 dp1 / (2 pi).  This sign
 pairing is adopted literally and is pinned down by round-trip tests rather
-than by convention.
+than by convention.  Delta is linear in (1, Omega), so the inverse map
+integrates the real field f (1, Omega) to Pauli coefficients (a0, a) and
+returns (a0 I + c_{-s} a.sigma) / 2.
 
 The s = -1 symbol of a state is its Husimi function, a genuine probability
 density; it and its partials are built from rho and d_rho through the
@@ -32,6 +34,8 @@ import numpy as np
 
 from .quadrature import QuadSpec, sphere_integrate
 from .qubit import (
+    IDENTITY2,
+    PAULIS,
     ParamIndex,
     QubitState,
     d_rho,
@@ -50,23 +54,18 @@ def _c(s: float) -> float:
     raise ValueError(f"s must be -1.0 or +1.0, got s = {s!r}")
 
 
+def _omega(theta1, phi1) -> np.ndarray:
+    """Unit vectors Omega(theta1, phi1), shape (..., 3)."""
+    st = np.sin(theta1)
+    return np.stack(np.broadcast_arrays(st * np.cos(phi1), st * np.sin(phi1), np.cos(theta1)), -1)
+
+
 def sw_kernel(theta1, phi1, s: float) -> np.ndarray:
-    """Kernel matrix at one sphere point, or a (..., 2, 2) field for array input.
+    """(I + c_s Omega.sigma)/2 at one sphere point, or a (..., 2, 2) field for array input.
 
     Every value is Hermitian with unit trace.
     """
-    c = _c(s)
-    theta1 = np.asarray(theta1, dtype=float)
-    phi1 = np.asarray(phi1, dtype=float)
-    shape = np.broadcast(theta1, phi1).shape
-    out = np.empty(shape + (2, 2), dtype=complex)
-    ct, st = np.cos(theta1), np.sin(theta1)
-    phase = np.exp(1j * phi1)
-    out[..., 0, 0] = 1.0 + c * ct
-    out[..., 0, 1] = c * st / phase
-    out[..., 1, 0] = c * st * phase
-    out[..., 1, 1] = 1.0 - c * ct
-    return 0.5 * out
+    return 0.5 * (IDENTITY2 + _c(s) * np.tensordot(_omega(theta1, phi1), PAULIS, axes=1))
 
 
 def weyl_map(a, s: float):
@@ -98,12 +97,12 @@ def inverse_weyl(f, s: float, spec: QuadSpec | None = None, pole=None) -> np.nda
     _c(s)
 
     def integrand(theta1, phi1):
-        vals = np.broadcast_to(
-            np.asarray(f(theta1, phi1), dtype=float), np.shape(theta1)
-        )
-        return vals[..., None, None] * sw_kernel(theta1, phi1, -s)
+        vals = np.asarray(f(theta1, phi1), dtype=float)
+        vals = np.broadcast_to(vals, np.shape(theta1))[..., None]
+        return np.concatenate([vals, vals * _omega(theta1, phi1)], axis=-1)
 
-    return sphere_integrate(integrand, spec, pole)
+    a = sphere_integrate(integrand, spec, pole)
+    return 0.5 * (a[0] * IDENTITY2 + _c(-s) * np.tensordot(a[1:], PAULIS, axes=1))
 
 
 def husimi(state: QubitState):

@@ -6,9 +6,9 @@ and JSON outputs are bit-reproducible.  Integrands with jump discontinuities
 split points, never by smoothing: the interval between consecutive splits is
 integrated independently and partial sums are accumulated in a fixed order.
 
-Integrand callables must broadcast over numpy arrays of abscissae.  Scalar
-constants and constant 2x2 matrices are also accepted and broadcast
-internally.
+Integrand callables must broadcast over numpy arrays of abscissae.  A sphere
+integrand returns a field whose first axis has the node count, of any trailing
+shape, integrated entrywise; a scalar or a 2x2 constant broadcasts.
 
 On the sphere, with dmu = du dpsi / (2 pi) for u = n.Omega and psi the
 azimuth about an axis n, one rule serves two cases:
@@ -162,33 +162,25 @@ def _sphere_nodes(spec: QuadSpec, pole, extra_levels: int = 0):
 
 
 def _integrate_nodes(F, theta1, phi1, w):
-    raw = np.asarray(F(theta1, phi1))
-    if raw.ndim == 0:
-        vals = np.broadcast_to(raw, theta1.shape)
-    elif raw.shape == theta1.shape:
-        vals = raw
-    elif raw.shape == (2, 2):
-        vals = np.broadcast_to(raw, theta1.shape + (2, 2))
-    elif raw.shape == theta1.shape + (2, 2):
-        vals = raw
-    else:
-        raise TypeError(
-            "sphere integrand must broadcast to a scalar field or a field of "
-            f"2x2 matrices; got shape {raw.shape} for {theta1.shape[0]} nodes"
-        )
+    vals = np.asarray(F(theta1, phi1))
+    if vals.shape[:1] != theta1.shape:
+        if vals.shape not in ((), (2, 2)):
+            raise TypeError(
+                "sphere integrand must broadcast to a field with one value per node; "
+                f"got shape {vals.shape} for {theta1.shape[0]} nodes"
+            )
+        vals = np.broadcast_to(vals, theta1.shape + vals.shape)
     _check_finite(vals, theta1)
-    if vals.ndim == 1:
-        res = w @ vals
-        return complex(res) if np.iscomplexobj(vals) else float(res)
-    return np.einsum("i,ijk->jk", w, vals)
+    res = np.tensordot(w, vals, axes=1)
+    return res.item() if res.ndim == 0 else res
 
 
 def sphere_integrate(F, spec: QuadSpec | None = None, pole=None):
     """Integral of F(theta1, phi1) over the sphere with measure
     sin(theta1) d theta1 d phi1 / (2 pi), so the total measure is 2.
 
-    F may return a scalar field or a field of 2x2 matrices (shape
-    (..., 2, 2)); matrix fields are integrated entrywise.  `pole` is the
+    F returns a field of shape (nodes, ...), integrated entrywise, or a
+    scalar or 2x2 constant.  A scalar field gives a scalar.  `pole` is the
     Bloch vector of the state whose Husimi function F divides by (None for
     state-free integrands); see the module docstring.  Split points in the
     spec are not used on the sphere.

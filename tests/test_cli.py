@@ -90,6 +90,15 @@ def test_metrics_reports_family_errors_at_cos_zero(capsys):
         assert message in captured.err
 
 
+def test_nan_sigma_is_reported_as_such(capsys):
+    for argv in (["audit", "--r", "0.5"],
+                 ["povm", "validate", "--r", "0.5"],
+                 ["simulate", "--r", "0.5", "--samples", "10"],
+                 ["bounds", "sweep", "--steps", "2"]):
+        assert run(argv + ["--sigma", "nan"]) == EXIT_DOMAIN, argv
+        assert "sigma must be positive" in capsys.readouterr().err, argv
+
+
 def test_metrics_missing_r(capsys):
     code = run(["metrics"])
     assert code == EXIT_DOMAIN
@@ -171,6 +180,33 @@ def test_bounds_sweep_reports_failed_row(capsys):
     for row in rows[1:]:
         assert row["error"] is None
         assert all(math.isfinite(row[c]) for c in row if c != "error")
+
+
+def _no_constant(token):
+    raise ValueError(f"non-RFC 8259 token {token}")
+
+
+def test_json_writes_non_finite_as_null(capsys):
+    for argv in (["bounds", "sweep", "--r-min", "0", "--r-max", "0.5", "--steps", "3"],
+                 ["simulate", "--r", "0.5", "--samples", "1", "--seed", "1"]):
+        run(argv + ["--format", "json"])
+        data = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        if "rows" in data:
+            assert data["rows"][0]["B_max"] is None
+        else:
+            assert data["mean_standard_error"] is None
+            assert data["variance_standard_error"] is None
+
+
+def test_log_y_without_svg_is_refused(tmp_path, capsys):
+    assert run(["bounds", "sweep", "--steps", "2", "--log-y"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--svg" in captured.err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("log_y = true\n", encoding="utf-8")
+    assert run(["bounds", "sweep", "--steps", "2", "--config", str(cfg)]) == EXIT_DOMAIN
+    assert "--svg" in capsys.readouterr().err
 
 
 def test_bounds_sweep_svg(tmp_path):

@@ -98,6 +98,14 @@ def test_new_log_derivative_hermitian():
             assert np.max(np.abs(L - L.conj().T)) <= 1e-12
 
 
+def test_new_log_derivative_quadrature_is_exactly_hermitian():
+    for r, th, ph in ((0.3, PI / 6, 0.3), (0.8, PI / 2, 3 * PI / 4), (0.99, 2.9, 4.0)):
+        s = QubitState(r, th, ph)
+        for k in ParamIndex:
+            L = new_log_derivative(s, k, "quadrature")
+            assert np.array_equal(L, L.conj().T), (r, k)
+
+
 def test_new_log_derivative_phi_approaches_sld_form():
     # relative difference of the phi-phi quadratic forms at r = 1e-2
     s = QubitState(1e-2, PI / 2, 1.0)

@@ -88,6 +88,15 @@ def test_sharp_family_rejects_bad_sigma():
         gaussian_sharp_family(standard_ctx(), sigma=0.0)
 
 
+def test_families_reject_nan_parameters():
+    ctx = standard_ctx()
+    for build in (gaussian_sharp_family, tapered_sharp_family):
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            build(ctx, sigma=math.nan)
+    with pytest.raises(DomainError, match="offdiag_scale"):
+        tapered_sharp_family(ctx, offdiag_scale=math.nan)
+
+
 def test_sharp_family_derivatives_match_finite_differences():
     # total parameter derivative: compare against families rebuilt at mu +/- h
     h = 1e-6

@@ -17,6 +17,7 @@ from qbound.metrics import (
     sld_metric,
     sld_metric_trace,
 )
+from qbound.quadrature import sphere_integrate
 from qbound.qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 from conftest import PI, grid_36, k_coeff, k_tilde_coeff, new_metric_phiphi_oracle
@@ -156,6 +157,23 @@ def test_husimi_metric_quadrature_vs_closed():
         s = QubitState(r, PI / 6, 0.3)
         diff = husimi_classical_metric(s, "quadrature") - husimi_classical_metric(s, "closed")
         assert np.max(np.abs(diff)) <= 1e-8
+
+
+def test_husimi_metric_quadrature_is_one_sphere_integral(monkeypatch):
+    import qbound.metrics as metrics
+
+    calls = []
+
+    def counted(F, *args, **kwargs):
+        calls.append(F)
+        return sphere_integrate(F, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "sphere_integrate", counted)
+    s = QubitState(0.6, 1.1, 0.4)
+    g = husimi_classical_metric(s, "quadrature")
+    assert len(calls) == 1
+    assert np.array_equal(g, g.T)
+    assert np.max(np.abs(g - husimi_classical_metric(s))) <= 1e-12
 
 
 WORKING_R = sorted({R_MIN, R_MAX, *np.geomspace(1e-6, 0.5, 8), *(1.0 - np.geomspace(1e-6, 0.5, 8))})

@@ -219,6 +219,17 @@ def test_sphere_matrix_constant_broadcasts():
     assert np.max(np.abs(got - 2.0 * const)) <= 1e-12
 
 
+def test_sphere_integrates_a_matrix_field_in_one_call():
+    # <Omega_i Omega_j> = delta_ij / 3 over a total measure of 2
+    def outer(t, p):
+        omega = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+        return omega[:, :, None] * omega[:, None, :]
+
+    got = sphere_integrate(outer)
+    assert got.shape == (3, 3)
+    assert np.max(np.abs(got - 2.0 / 3.0 * np.eye(3))) <= 1e-15
+
+
 def test_sphere_rejects_bad_shapes():
     with pytest.raises(TypeError, match="broadcast"):
         sphere_integrate(lambda t, p: np.zeros(3))
