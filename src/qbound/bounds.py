@@ -24,6 +24,8 @@ family C = C_max.
 
 Every integral here is a contraction over the family's `FamilyGrid`, which
 is split at the window center, so I1 and I2 are sums over its two halves.
+I1, I2 and C's off-diagonal integral are free of r: `bounds_sweep` builds
+them, the family and its grid once per sweep, and the rest per row.
 
 The audit evaluates each identity of the underlying derivation numerically.
 Its key diagnostic: differentiating the unbiasedness integral with fixed
@@ -50,12 +52,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import coeff_h3r, deviation_h, new_log_derivative
+from .derivatives import _rho_inverse, coeff_h3r, deviation_h, new_log_derivative
 from .measurement import (
     EstimationContext,
     FamilyGrid,
     PovmFamily,
     _COS_MIN,
+    _second_moment,
     _sign_conditions_ok,
     estimator_moments,
     gaussian_sharp_family,
@@ -63,6 +66,8 @@ from .measurement import (
 )
 from .metrics import (
     MONOTONE_SPECS,
+    _fisher_integral,
+    _rld_entry,
     husimi_classical_metric,
     measurement_fisher,
     monotone_metric,
@@ -112,20 +117,33 @@ def ab_coefficients(
     the window limits are held fixed, so for edge-supported families b picks
     up the edge value of x11 through integration by parts.
     """
-    g = p.grid(spec)
-    tr_dpi = g.d_trace(density_matrix(ctx.state))
-    a = ctx.state.phi * g.integrate(tr_dpi)
+    return _ab(p.grid(spec), density_matrix(ctx.state), ctx.state.phi)
+
+
+def _ab(g: FamilyGrid, rho: np.ndarray, phi: float) -> tuple[float, float]:
+    """(a, b) from the family grid and the state's rho and azimuth."""
+    tr_dpi = g.d_trace(rho)
+    a = phi * g.integrate(tr_dpi)
     b = 1.0 - g.integrate(g.x * tr_dpi)
     return float(a.real), float(b.real)
 
 
-def _squared_bracket(ctx: EstimationContext, g: FamilyGrid, a: float, b: float) -> float:
-    """The squared bracket C bounding v * g from below for this family."""
-    st = math.sin(ctx.state.theta)
+def _r_free_integrals(ctx: EstimationContext, p: PovmFamily, g: FamilyGrid):
+    """I1, I2 and C's off-diagonal integral, all free of r."""
+    mu = p.center
     phi = ctx.state.phi
-    h3 = coeff_h3r(ctx.state.r)
-    integral = g.integrate((g.x - phi) * (math.sin(phi) * g.x12 + math.cos(phi) * g.y12))
-    return float((a + b - 2.0 * h3 * st * integral) ** 2)
+    cos_c = math.cos(phi)
+    below = slice(None, int(np.searchsorted(g.x, mu)))
+    above = slice(below.stop, None)
+    I1 = float(g.w[below] @ ((g.x[below] - mu) * g.x11[below] + ctx.eps * g.y12[below] / cos_c))
+    I2 = float(g.w[above] @ ((g.x[above] - phi) * g.x11[above]))
+    offdiag = g.integrate((g.x - phi) * (math.sin(phi) * g.x12 + cos_c * g.y12))
+    return I1, I2, offdiag
+
+
+def _squared_bracket(c: float, h3: float, st: float, integral) -> float:
+    """(c - 2 h3 sin(theta) integral)^2: C, or C_max with I1 - I2 as integral."""
+    return float((c - 2.0 * h3 * st * integral) ** 2)
 
 
 @dataclass(frozen=True)
@@ -155,19 +173,9 @@ def bound_Cmax(
     """Maximized bound with its half-window moments I1 and I2."""
     a, b = ab_coefficients(ctx, p, spec)
     c = a + b
-    mu = p.center
-    phi = ctx.state.phi
-    cos_c = math.cos(phi)
-
-    g = p.grid(spec)
-    below = slice(None, int(np.searchsorted(g.x, mu)))
-    above = slice(below.stop, None)
-    I1 = float(g.w[below] @ ((g.x[below] - mu) * g.x11[below] + ctx.eps * g.y12[below] / cos_c))
-    I2 = float(g.w[above] @ ((g.x[above] - phi) * g.x11[above]))
-
+    I1, I2, offdiag = _r_free_integrals(ctx, p, p.grid(spec))
     h3 = coeff_h3r(ctx.state.r)
     st = math.sin(ctx.state.theta)
-    c_max = (c - 2.0 * h3 * st * (I1 - I2)) ** 2
     return CmaxBreakdown(
         a=a,
         b=b,
@@ -175,8 +183,8 @@ def bound_Cmax(
         I1=I1,
         I2=I2,
         h3r=h3,
-        C=_squared_bracket(ctx, g, a, b),
-        C_max=float(c_max),
+        C=_squared_bracket(c, h3, st, offdiag),
+        C_max=_squared_bracket(c, h3, st, I1 - I2),
         sign_conditions_ok=_sign_conditions_ok(p, ctx),
         c_nonneg=c >= 0.0,
     )
@@ -305,7 +313,7 @@ def audit_derivation(
     cross = g.integrate((x - phi) * g.trace(rho @ l3))
     cross_real = float(cross.real)
 
-    variance = float(g.integrate((x - phi) ** 2 * q))
+    variance = _second_moment(g, q, phi)
     quad_tl = float(g.integrate(g.trace(l3 @ rho @ l3)).real)
     g_phiphi = float(new_metric(state, method="closed")[2, 2])
 
@@ -366,28 +374,45 @@ def bounds_sweep(
     phase-space metric, the inverse phi-phi components of the SLD, RLD,
     measurement-Fisher and Husimi metrics, the estimator variance, and the
     signed slack v*g - C.  Failed rows are marked and the sweep continues.
+
+    Once per sweep, at the first valid state: the family (it reads only
+    phi, eps and sigma), its grid, I1, I2 and C's off-diagonal integral; a
+    failed build is retried, and so reported, on every valid row.  Per row:
+    the closed-form metrics (phase-space first, so r = 1 names its range),
+    a, b, one tr(rho Pi) for both v and Fisher, tr(d_phi rho Pi) and the RLD
+    (phi, phi) entry, each bit for bit what the single-state functions give.
     """
     rows = []
+    grid = None
     for r in r_values:
         r = float(r)
         try:
             state = QubitState(r, theta, phi)
             ctx = EstimationContext(state, eps=eps)
-            family = gaussian_sharp_family(ctx, sigma=sigma)
-            breakdown = bound_Cmax(ctx, family, spec)
+            if grid is None:
+                family = gaussian_sharp_family(ctx, sigma=sigma)
+                family_grid = family.grid(spec)
+                I1, I2, offdiag = _r_free_integrals(ctx, family, family_grid)
+                grid = family_grid
             g = float(new_metric(state)[2, 2])
-            _, variance = estimator_moments(ctx, family, spec)
-            fisher = measurement_fisher(state, family, spec)
+            rho = density_matrix(state)
+            drho = d_rho(state, ParamIndex.PHI)
+            a, b = _ab(grid, rho, state.phi)
+            h3 = coeff_h3r(r)
+            st = math.sin(state.theta)
+            q = grid.trace(rho).real
+            variance = _second_moment(grid, q, state.phi)
+            fisher = _fisher_integral(grid, q, grid.trace(drho).real)
             rows.append(
                 SweepRow(
                     r=r,
-                    B_max=breakdown.C_max / g,
+                    B_max=_squared_bracket(a + b, h3, st, I1 - I2) / g,
                     B_SLD=1.0 / float(sld_metric(state)[2, 2]),
-                    B_RLD=1.0 / float(rld_metric(state)[2, 2]),
+                    B_RLD=1.0 / float(_rld_entry(_rho_inverse(rho), drho, drho)),
                     B_Fisher=1.0 / fisher,
                     B_Husimi=1.0 / float(husimi_classical_metric(state)[2, 2]),
                     v=variance,
-                    vg_minus_C=variance * g - breakdown.C,
+                    vg_minus_C=variance * g - _squared_bracket(a + b, h3, st, offdiag),
                 )
             )
         except (DomainError, ValueError) as exc:

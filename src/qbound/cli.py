@@ -307,7 +307,8 @@ def _require_r(args) -> float:
 def _quad_spec(args) -> QuadSpec | None:
     if args.panels is None and args.order is None:
         return None
-    return QuadSpec(args.panels or 64, args.order or 16)
+    return QuadSpec(64 if args.panels is None else args.panels,
+                    16 if args.order is None else args.order)
 
 
 def _emit(args, data: dict | None = None, csv_text: str | None = None) -> None:

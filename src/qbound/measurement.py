@@ -268,8 +268,8 @@ def tapered_sharp_family(
     """
     if not sigma > 0:
         raise DomainError("sigma must be positive")
-    if taper_power < 1:
-        raise DomainError("taper_power must be >= 1")
+    if not (math.isfinite(taper_power) and taper_power >= 1 and taper_power == int(taper_power)):
+        raise DomainError("taper_power must be an integer >= 1")
     if not abs(offdiag_scale) <= 1.0:
         raise DomainError("|offdiag_scale| must be <= 1 to keep the POVM positive")
     mu = ctx.center
@@ -515,9 +515,12 @@ def estimator_moments(
     """
     g = p.grid(spec)
     q = g.trace(density_matrix(ctx.state)).real
-    mean = g.integrate(g.x * q)
-    var = g.integrate((g.x - ctx.state.phi) ** 2 * q)
-    return float(mean), float(var)
+    return float(g.integrate(g.x * q)), _second_moment(g, q, ctx.state.phi)
+
+
+def _second_moment(g: FamilyGrid, q: np.ndarray, phi: float) -> float:
+    """E[(phi_hat - phi)^2] for the outcome density q at the nodes of g."""
+    return float(g.integrate((g.x - phi) ** 2 * q))
 
 
 def sample_outcomes(dist: OutcomeDistribution, n: int, seed: int) -> np.ndarray:

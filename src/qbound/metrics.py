@@ -108,8 +108,13 @@ def rld_metric(state: QubitState) -> np.ndarray:
     g = np.empty((3, 3))
     for i in range(3):
         for j in range(i, 3):
-            g[i, j] = g[j, i] = np.trace(dr[i] @ inv @ dr[j]).real
+            g[i, j] = g[j, i] = _rld_entry(inv, dr[i], dr[j])
     return g
+
+
+def _rld_entry(rho_inv: np.ndarray, dri: np.ndarray, drj: np.ndarray) -> float:
+    """One RLD metric entry, Re tr(d_i rho rho^{-1} d_j rho)."""
+    return np.trace(dri @ rho_inv @ drj).real
 
 
 @dataclass(frozen=True)
@@ -189,8 +194,13 @@ def measurement_fisher(state: QubitState, povm, spec: QuadSpec | None = None) ->
     discontinuities.
     """
     g = povm.grid(spec)
-    p = g.trace(density_matrix(state)).real
-    dp = g.trace(d_rho(state, ParamIndex.PHI)).real
+    return _fisher_integral(g, g.trace(density_matrix(state)).real,
+                            g.trace(d_rho(state, ParamIndex.PHI)).real)
+
+
+def _fisher_integral(g, p: np.ndarray, dp: np.ndarray) -> float:
+    """Integral of dp^2 / p over grid g's nodes, p the outcome density and dp
+    its phi-derivative; p = 0 with dp != 0 raises, naming the abscissa."""
     bad = p <= 0
     vanishing = bad & (np.abs(dp) > 0)
     if np.any(vanishing):

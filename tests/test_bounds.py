@@ -8,6 +8,7 @@ import pytest
 from qbound import bounds, measurement, metrics, quadrature
 from qbound.bounds import (
     BoundProblem,
+    SweepRow,
     ab_coefficients,
     audit_derivation,
     bound_Cmax,
@@ -22,8 +23,15 @@ from qbound.measurement import (
     tapered_sharp_family,
     validate_povm,
 )
-from qbound.metrics import new_metric
-from qbound.quadrature import QuadratureError, nodes_1d
+from qbound.derivatives import R_MAX, R_MIN
+from qbound.metrics import (
+    husimi_classical_metric,
+    measurement_fisher,
+    new_metric,
+    rld_metric,
+    sld_metric,
+)
+from qbound.quadrature import QuadSpec, QuadratureError, nodes_1d
 from qbound.qubit import DomainError, QubitState
 
 from conftest import (
@@ -301,7 +309,7 @@ def test_sweep_marks_failed_rows_and_continues():
     assert rows[2].error is None
 
 
-def test_sweep_builds_one_grid_per_row(monkeypatch):
+def test_sweep_builds_one_grid_per_sweep(monkeypatch):
     calls = []
     original = quadrature.nodes_1d
 
@@ -314,7 +322,88 @@ def test_sweep_builds_one_grid_per_row(monkeypatch):
             monkeypatch.setattr(module, "nodes_1d", counted)
     rows = bounds_sweep(np.linspace(0.05, 0.95, 16))
     assert all(row.error is None for row in rows)
-    assert len(calls) == 16
+    assert len(calls) == 1
+
+
+def _sweep_row_by_row(r_values, theta, phi, eps, sigma, spec):
+    """bounds_sweep as one call of each public function per row, with the
+    family rebuilt on every row.  The phase-space metric's range check runs
+    right after the grid, ahead of coeff_h3r, so r = 1 names it too."""
+    rows = []
+    for r in r_values:
+        r = float(r)
+        try:
+            state = QubitState(r, theta, phi)
+            ctx = EstimationContext(state, eps=eps)
+            family = gaussian_sharp_family(ctx, sigma=sigma)
+            family.grid(spec)
+            g = float(new_metric(state)[2, 2])
+            breakdown = bound_Cmax(ctx, family, spec)
+            _, variance = estimator_moments(ctx, family, spec)
+            fisher = measurement_fisher(state, family, spec)
+            rows.append(
+                SweepRow(
+                    r=r,
+                    B_max=breakdown.C_max / g,
+                    B_SLD=1.0 / float(sld_metric(state)[2, 2]),
+                    B_RLD=1.0 / float(rld_metric(state)[2, 2]),
+                    B_Fisher=1.0 / fisher,
+                    B_Husimi=1.0 / float(husimi_classical_metric(state)[2, 2]),
+                    v=variance,
+                    vg_minus_C=variance * g - breakdown.C,
+                )
+            )
+        except (DomainError, ValueError) as exc:
+            rows.append(SweepRow(r=r, error=str(exc)))
+    return rows
+
+
+SWEEP_EDGES = [0.0, 1e-7, R_MIN, 0.5, R_MAX, 0.9999999, 1.0, 1.5, -0.1, math.nan]
+
+
+def test_sweep_matches_row_by_row_oracle():
+    rng = np.random.default_rng(20261018)
+    grids = (np.linspace(0.02, 0.98, 16), np.array([*SWEEP_EDGES, 0.05, 0.3, 0.95]))
+    for case in range(42):
+        theta = float(rng.uniform(0.05, PI - 0.05))
+        phi = float(rng.uniform(-7.0, 7.0))
+        eps = float(rng.uniform(-0.5, 0.5))
+        sigma = float(rng.uniform(0.5, 5.0))
+        spec = QuadSpec(8, 6) if case % 4 == 0 else None
+        for r_values in grids:
+            args = (r_values, theta, phi, eps, sigma, spec)
+            assert repr(bounds_sweep(*args)) == repr(_sweep_row_by_row(*args)), args
+
+
+def test_sweep_rows_outside_the_working_range_name_it():
+    rows = bounds_sweep([0.0, 1e-7, 0.9999999, 1.0, 1.5, math.nan])
+    working = "new_metric requires r in [1e-06, 0.999999], got r = "
+    assert [row.error for row in rows] == [
+        working + "0.0",
+        working + "1e-07",
+        working + "0.9999999",
+        working + "1.0",
+        "r must lie in [0, 1], got 1.5",
+        "state parameters must be finite",
+    ]
+
+
+def test_sweep_family_error_reaches_every_valid_row():
+    # invalid states keep their own errors; every valid row, r = 0 included,
+    # carries the family's
+    r_values = [1.5, 0.5, math.nan, 0.0, 0.7, -0.1]
+    state_errors = {
+        0: "r must lie in [0, 1], got 1.5",
+        2: "state parameters must be finite",
+        5: "r must lie in [0, 1], got -0.1",
+    }
+    for sigma, message in ((-1.0, "sigma must be positive"),
+                           (math.inf, "integrand is not finite at abscissa")):
+        rows = bounds_sweep(r_values, sigma=sigma)
+        assert all(math.isnan(row.B_max) for row in rows)
+        for i, row in enumerate(rows):
+            assert row.error == state_errors.get(i, rows[1].error), (sigma, i)
+        assert rows[1].error.startswith(message)
 
 
 def test_sweep_row_dict_columns():

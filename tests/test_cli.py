@@ -182,6 +182,16 @@ def test_bounds_sweep_reports_failed_row(capsys):
         assert all(math.isfinite(row[c]) for c in row if c != "error")
 
 
+def test_zero_quadrature_flags_are_refused(capsys):
+    for flags, message in ((["--panels", "0"], "panels must be >= 1"),
+                           (["--order", "0"], "order must be >= 2")):
+        code = run(["povm", "validate", "--r", "0.5", "--format", "csv", *flags])
+        assert code == EXIT_DOMAIN, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err, flags
+
+
 def _no_constant(token):
     raise ValueError(f"non-RFC 8259 token {token}")
 

@@ -97,6 +97,15 @@ def test_families_reject_nan_parameters():
         tapered_sharp_family(ctx, offdiag_scale=math.nan)
 
 
+def test_tapered_family_takes_integral_powers_only():
+    ctx = standard_ctx()
+    for power in (1.5, 0, 0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="taper_power must be an integer >= 1"):
+            tapered_sharp_family(ctx, taper_power=power)
+    assert tapered_sharp_family(ctx, taper_power=2.0).label == tapered_sharp_family(
+        ctx, taper_power=2).label == "tapered-sharp(sigma=3,k=2,scale=1)"
+
+
 def test_sharp_family_derivatives_match_finite_differences():
     # total parameter derivative: compare against families rebuilt at mu +/- h
     h = 1e-6

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbound.bounds import metric_report
-from qbound.derivatives import R_MAX, R_MIN, new_log_derivative
+from qbound import metrics
+from qbound.derivatives import R_MAX, R_MIN, _rho_inverse, new_log_derivative
 from qbound.measurement import EstimationContext, gaussian_sharp_family
 from qbound.metrics import (
     MONOTONE_SPECS,
@@ -87,6 +88,15 @@ def test_rld_metric_closed_form():
         for i, k in enumerate(ParamIndex):
             di = d_rho(s, k)
             assert abs(g[i, i] - np.trace(di @ rho_inv @ di).real) <= 1e-12
+
+
+def test_rld_entry_equals_the_full_metric_entry():
+    for r in (R_MIN, 0.3, 0.5, 0.9, R_MAX):
+        for theta in (0.0, 0.3, PI / 2, 2.9):
+            s = QubitState(r, theta, 1.2)
+            d_phi = d_rho(s, ParamIndex.PHI)
+            entry = metrics._rld_entry(_rho_inverse(density_matrix(s)), d_phi, d_phi)
+            assert entry == rld_metric(s)[2, 2], (r, theta)
 
 
 def test_rld_phiphi_reference_point():
