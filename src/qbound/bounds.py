@@ -373,7 +373,9 @@ def bounds_sweep(
     Per row: B_max = C_max / g with g the phi-phi component of the
     phase-space metric, the inverse phi-phi components of the SLD, RLD,
     measurement-Fisher and Husimi metrics, the estimator variance, and the
-    signed slack v*g - C.  Failed rows are marked and the sweep continues.
+    signed slack v*g - C.  Failed rows are marked and the sweep continues;
+    at sin(theta) = 0, where the phi-phi entries vanish, every row in the
+    working range fails.
 
     Once per sweep, at the first valid state: the family (it reads only
     phi, eps and sigma), its grid, I1, I2 and C's off-diagonal integral; a
@@ -395,11 +397,15 @@ def bounds_sweep(
                 I1, I2, offdiag = _r_free_integrals(ctx, family, family_grid)
                 grid = family_grid
             g = float(new_metric(state)[2, 2])
+            st = math.sin(state.theta)
+            if st == 0.0:
+                raise DomainError(
+                    "sin(theta) = 0: the phi-phi metric entries vanish, so the phi bounds are undefined"
+                )
             rho = density_matrix(state)
             drho = d_rho(state, ParamIndex.PHI)
             a, b = _ab(grid, rho, state.phi)
             h3 = coeff_h3r(r)
-            st = math.sin(state.theta)
             q = grid.trace(rho).real
             variance = _second_moment(grid, q, state.phi)
             fisher = _fisher_integral(grid, q, grid.trace(drho).real)

@@ -44,11 +44,21 @@ R_MAX = 1.0 - 1e-6
 SERIES_SWITCH_R = 1e-2
 
 
+def _working_r_error(r: float, what: str) -> DomainError:
+    return DomainError(f"{what} requires r in [{R_MIN:g}, {R_MAX:g}], got r = {float(r)!r}")
+
+
 def require_working_r(r: float, what: str = "operation") -> None:
     if not R_MIN <= r <= R_MAX:
-        raise DomainError(
-            f"{what} requires r in [{R_MIN:g}, {R_MAX:g}], got r = {float(r)!r}"
-        )
+        raise _working_r_error(r, what)
+
+
+def _log_ratio(r: float, what: str) -> float:
+    """log((1-r)/(1+r)), which diverges at r = 1; r >= 1 and NaN raise
+    DomainError naming the working range."""
+    if not r < 1.0:
+        raise _working_r_error(r, what)
+    return math.log((1.0 - r) / (1.0 + r))
 
 
 def coeff_k(r: float) -> float:
@@ -56,7 +66,7 @@ def coeff_k(r: float) -> float:
     if r < SERIES_SWITCH_R:
         r2 = r * r
         return r ** 3 * (4.0 / 3.0 + r2 * (4.0 / 15.0 + r2 * (4.0 / 35.0)))
-    return 2.0 * r + (1.0 - r * r) * math.log((1.0 - r) / (1.0 + r))
+    return 2.0 * r + (1.0 - r * r) * _log_ratio(r, "coeff_k")
 
 
 def coeff_k_tilde(r: float) -> float:
@@ -64,7 +74,7 @@ def coeff_k_tilde(r: float) -> float:
     if r < SERIES_SWITCH_R:
         r2 = r * r
         return -(r ** 3) * (2.0 / 3.0 + r2 * (2.0 / 5.0 + r2 * (2.0 / 7.0)))
-    return 2.0 * r + math.log((1.0 - r) / (1.0 + r))
+    return 2.0 * r + _log_ratio(r, "coeff_k_tilde")
 
 
 def coeff_h3r(r: float) -> float:
@@ -73,6 +83,8 @@ def coeff_h3r(r: float) -> float:
     if r < SERIES_SWITCH_R:
         r2 = r * r
         return r ** 3 * (1.0 / 10.0 + r2 * (3.0 / 70.0 + r2 * (1.0 / 42.0)))
+    if not r < 1.0:
+        raise _working_r_error(r, "coeff_h3r")
     return (3.0 * coeff_k(r) - 4.0 * r ** 3) / (8.0 * r * r)
 
 

@@ -341,7 +341,7 @@ def tabulated_family(phi_hat, x11, x12, y12, label: str = "tabulated") -> PovmFa
         d_x11=_zero,
         d_x12=_zero,
         d_y12=_zero,
-        discontinuities=tuple(float(v) for v in phi_hat[1:-1]),
+        discontinuities=tuple(phi_hat[1:-1].tolist()),
         label=label,
         half_width=0.5 * (hi - lo),
         panels_hint=1,
@@ -349,30 +349,84 @@ def tabulated_family(phi_hat, x11, x12, y12, label: str = "tabulated") -> PovmFa
     )
 
 
+# Characters on which the fast path would part from the row loop:
+# np.loadtxt strips \x1c-\x1f around an ASCII cell, which float() rejects,
+# and str.splitlines breaks lines at \x0b, \x0c, \x1c-\x1e, \x85, \u2028
+# and \u2029, which reading the file does not.  A body holding one goes to
+# the loop.
+_LOOP_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
+
+
 def load_tabulated_csv(path) -> PovmFamily:
-    """Read a (phi_hat, x11, x12, y12) CSV into a piecewise-linear family."""
-    rows = []
+    """Read a (phi_hat, x11, x12, y12) CSV into a piecewise-linear family.
+
+    The file is UTF-8 in the excel CSV dialect: a header naming the four
+    columns (cells stripped), then rows of exactly four cells, each cell
+    exactly what float() accepts; blank lines are skipped, and at least two
+    rows are needed.  The body is parsed in one np.loadtxt call; anything
+    that call cannot take, or takes as another shape, is parsed again row
+    by row, and that loop names the first bad line as path:line.  Both
+    paths accept the same files and return the same bits.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty POVM table")
-        expected = ["phi_hat", "x11", "x12", "y12"]
-        if [h.strip() for h in header] != expected:
-            raise ValueError(f"{path}: header must be {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        data = _parse_body(fh, path)
+        if data is None:
+            fh.seek(0)
+            data = _parse_rows(fh, path)
+    return tabulated_family(data[:, 0], data[:, 1], data[:, 2], data[:, 3], label=str(path))
+
+
+def _check_header(reader, path) -> None:
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty POVM table")
+    expected = ["phi_hat", "x11", "x12", "y12"]
+    if [h.strip() for h in header] != expected:
+        raise ValueError(f"{path}: header must be {','.join(expected)}")
+
+
+def _parse_body(fh, path) -> np.ndarray | None:
+    """The table as an (n, 4) array from one np.loadtxt call over its lines,
+    or None where the row loop must decide: a body that is blank,
+    undecodable, holds one of _LOOP_ONLY or a line longer than csv's field
+    limit, or that loadtxt rejects or reads as another shape."""
+    _check_header(csv.reader(fh), path)
+    try:
+        body = fh.read()
+    except ValueError:
+        return None
+    # loadtxt warns on a body without rows
+    if not body.strip() or any(c in body for c in _LOOP_ONLY):
+        return None
+    lines = body.splitlines()
+    # csv.reader raises csv.Error on a cell longer than its limit
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == 4 and data.shape[0] >= 2 else None
+
+
+def _parse_rows(fh, path) -> np.ndarray:
+    """The table cell by cell through csv.reader and float(); every error
+    names its path and, past the header, its line."""
+    rows = []
+    reader = csv.reader(fh)
+    _check_header(reader, path)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 columns")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two rows")
-    data = np.asarray(rows, dtype=float)
-    return tabulated_family(data[:, 0], data[:, 1], data[:, 2], data[:, 3], label=str(path))
+    return np.asarray(rows, dtype=float)
 
 
 def trace_with_elements(m: np.ndarray, x11, x12, y12):

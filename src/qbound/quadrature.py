@@ -62,7 +62,7 @@ class QuadSpec:
             raise ValueError("panels must be >= 1")
         if self.order < 2:
             raise ValueError("order must be >= 2")
-        object.__setattr__(self, "split_points", tuple(float(s) for s in self.split_points))
+        object.__setattr__(self, "split_points", tuple(map(float, self.split_points)))
 
     def with_splits(self, split_points) -> "QuadSpec":
         return QuadSpec(self.panels, self.order, tuple(split_points))

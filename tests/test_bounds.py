@@ -388,6 +388,19 @@ def test_sweep_rows_outside_the_working_range_name_it():
     ]
 
 
+def test_sweep_rows_at_sin_theta_zero_name_it():
+    # theta = 0 zeroes every phi-phi entry; rows outside the working range
+    # keep their own errors
+    for theta in (0.0, -0.0):
+        rows = bounds_sweep([0.0, 0.5, 0.9, 1.5], theta=theta)
+        assert rows[0].error.startswith("new_metric requires r in")
+        for row in rows[1:3]:
+            assert row.error.startswith("sin(theta) = 0"), row
+            assert math.isnan(row.B_max) and math.isnan(row.B_SLD)
+        assert rows[3].error == "r must lie in [0, 1], got 1.5"
+    assert all(row.error is None for row in bounds_sweep([0.5, 0.9], theta=PI))
+
+
 def test_sweep_family_error_reaches_every_valid_row():
     # invalid states keep their own errors; every valid row, r = 0 included,
     # carries the family's

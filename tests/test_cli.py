@@ -182,6 +182,15 @@ def test_bounds_sweep_reports_failed_row(capsys):
         assert all(math.isfinite(row[c]) for c in row if c != "error")
 
 
+def test_bounds_sweep_at_theta_zero_marks_rows(capsys):
+    code = run(["bounds", "sweep", "--theta", "0", "--steps", "2", "--format", "csv"])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err.count("failed: sin(theta) = 0") == 2
+    assert "Traceback" not in captured.err
+    assert len(captured.out.splitlines()) == 3
+
+
 def test_zero_quadrature_flags_are_refused(capsys):
     for flags, message in ((["--panels", "0"], "panels must be >= 1"),
                            (["--order", "0"], "order must be >= 2")):

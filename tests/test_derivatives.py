@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qbound.bounds import bound_Cmax
 from qbound.derivatives import (
     R_MAX,
     SERIES_SWITCH_R,
@@ -14,6 +16,7 @@ from qbound.derivatives import (
     rld,
     sld,
 )
+from qbound.measurement import EstimationContext, gaussian_sharp_family
 from qbound.qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 from conftest import PI, grid_36, h3_amplitude, k_coeff, k_tilde_coeff
@@ -52,6 +55,23 @@ def test_h3r_reference_value():
     oracle = h3_amplitude(0.5)
     assert abs(oracle - 0.0140612) <= 1e-6
     assert abs(coeff_h3r(0.5) - oracle) <= 1e-12
+
+
+def test_coefficients_are_the_direct_formulas_bit_for_bit_up_to_r_one():
+    for r in (SERIES_SWITCH_R, 0.5, 0.99, R_MAX, 0.9999999, 1.0 - 2.0**-52):
+        assert coeff_k(r) == k_coeff(r), r
+        assert coeff_k_tilde(r) == k_tilde_coeff(r), r
+
+
+def test_coefficients_name_the_working_range_from_r_one():
+    for r in (1.0, 1.5, math.inf, math.nan):
+        for f in (coeff_k, coeff_k_tilde, coeff_h3r):
+            message = f"{f.__name__} requires r in [1e-06, 0.999999], got r = {r!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                f(r)
+    ctx = EstimationContext(QubitState(1.0, 1.0, 0.3))
+    with pytest.raises(DomainError, match=re.escape("coeff_h3r requires r in [1e-06, 0.999999]")):
+        bound_Cmax(ctx, gaussian_sharp_family(ctx))
 
 
 def test_h3r_cubic_limit():

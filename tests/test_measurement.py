@@ -1,8 +1,13 @@
+import csv
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from qbound import measurement
 
 from qbound.measurement import (
     EstimationContext,
@@ -435,3 +440,153 @@ def test_csv_rejects_non_numeric_cell(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:3:") + ".*np.float64"):
         load_tabulated_csv(path)
+
+
+def _reference_rows(path):
+    """load_tabulated_csv's csv.reader + float() loop, kept here as the
+    reference the loader must match: the (n, 4) array it hands to
+    tabulated_family, or the error it raises."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty POVM table")
+        expected = ["phi_hat", "x11", "x12", "y12"]
+        if [h.strip() for h in header] != expected:
+            raise ValueError(f"{path}: header must be {','.join(expected)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 columns")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least two rows")
+    return np.asarray(rows, dtype=float)
+
+
+def _loaded_rows(path):
+    """The columns load_tabulated_csv hands to tabulated_family, as (n, 4)."""
+    with mock.patch.object(measurement, "tabulated_family",
+                           lambda *cols, label: np.column_stack(cols)):
+        return load_tabulated_csv(path)
+
+
+def _outcome(load, path):
+    """The rows as uint64 bit patterns, or the exception class and message."""
+    try:
+        return load(path).view(np.uint64).tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_loader_matches_reference(path, data: bytes):
+    path.write_bytes(data)
+    want = _outcome(_reference_rows, path)
+    assert _outcome(_loaded_rows, path) == want, data
+
+
+HEADER = "phi_hat,x11,x12,y12"
+ROW = "0.25,0.5,0,0"
+LAST = "1.0,0.5,0,0"
+# bodies whose first line carries the case; blank and padded lines included
+LOADER_CASES = {
+    "repr": "-1.0,0.15915494309189535,0.0,-0.0\n2.5,1e-300,5e-324,1.7976931348623157e+308\n",
+    "np.float64": "np.float64(0.5),0.5,0,0\n" + LAST + "\n",
+    "underscores": "1_000,0.5,0,0\n2_000.5,0.5,0,0\n",
+    "unicode digits": "\u0661\u0662,\uff11,\u0967.5,0\n20,0.5,0,0\n",
+    "nbsp padding": "\xa00.25\xa0,0.5,0,0\n" + LAST + "\n",
+    "whitespace padding": " 0.25 ,\t0.5\t,  0,0  \n" + LAST + "\n",
+    "other unicode spaces": "\u20000.25\u3000,\u20280.5,\x850,0\n" + LAST + "\n",
+    "nan and inf": "nan,-inf,Infinity,-nan\n+inf,NaN,-Infinity,iNf\n",
+    "bad exponent": ROW + "\n1e,0.5,0,0\n",
+    "hash": ROW + "\n1.0,0.5,0,0#\n",
+    "hash line": ROW + "\n# comment\n" + LAST + "\n",
+    "quoted cells": '"0.25",0.5,"0",0\n' + LAST + "\n",
+    "quoted comma": '"0,25",0.5,0\n' + LAST + "\n",
+    "crlf": ROW + "\r\n" + LAST + "\r\n",
+    "bare cr": ROW + "\r" + LAST + "\r",
+    "mixed line ends": ROW + "\r\n\r" + LAST + "\n\r\n",
+    "blank lines": "\n\n" + ROW + "\n\n\n" + LAST + "\n\n",
+    "whitespace-only line": ROW + "\n   \n" + LAST + "\n",
+    "tab-only line": ROW + "\n\t\n" + LAST + "\n",
+    "trailing comma": ROW + ",\n" + LAST + ",\n",
+    "3 columns": "0.25,0.5,0\n1.0,0.5,0\n",
+    "5 columns": ROW + ",0\n" + LAST + ",0\n",
+    "ragged": ROW + "\n1.0,0.5,0\n",
+    "empty cell": "0.25,,0,0\n" + LAST + "\n",
+    "comma only line": ROW + "\n,,,\n" + LAST + "\n",
+    "empty body": "",
+    "blank body": "\n\r\n\r",
+    "single row": ROW + "\n",
+    "no final line end": ROW + "\n" + LAST,
+    "nul in cell": ROW + "\n1.0\x00,0.5,0,0\n",
+    "nul before extra cell": ROW + "\n" + LAST + "\x00,9\n",
+    "ascii separators": "\x1c0.25,0.5\x1f,0,0\n" + LAST + "\n",
+    "vertical tab and form feed": "\x0b0.25,0.5\x0c,0,0\n" + LAST + "\n",
+    "hex and complex": "0x10,1j,0,0\n" + LAST + "\n",
+    "field over the csv limit": " " * (csv.field_size_limit() + 1) + "0.25,0.5,0,0\n" + LAST + "\n",
+}
+# str.splitlines breaks a line at each of these, the file reader does not
+for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+    LOADER_CASES[f"U+{ord(ch):04X} inside a row"] = ROW + ch + LAST + "\n" + ROW + "\n"
+
+
+@pytest.mark.parametrize("body", LOADER_CASES.values(), ids=LOADER_CASES.keys())
+def test_csv_loader_matches_row_loop(tmp_path, body):
+    _assert_loader_matches_reference(tmp_path / "t.csv", (HEADER + "\n" + body).encode("utf-8"))
+
+
+@pytest.mark.parametrize("data", [b"", HEADER.encode(), b"a,b,c,d\n" + ROW.encode(),
+                                  (HEADER + "\n" + ROW + "\n").encode() + b"\xff,0,0,0\n",
+                                  # the bad row is read and named before the
+                                  # decoder reaches the bad byte
+                                  (HEADER + "\n" + ROW + "\n1,2\n" + (ROW + "\n") * 2000).encode()
+                                  + b"\xff\n"],
+                         ids=["empty file", "header only", "bad header", "bad utf-8", "bad row before bad utf-8"])
+def test_csv_loader_matches_row_loop_on_whole_files(tmp_path, data):
+    _assert_loader_matches_reference(tmp_path / "t.csv", data)
+
+
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=st.lists(st.lists(st.floats(), min_size=4, max_size=4), max_size=12),
+       end=LINE_ENDS, blank=st.integers(0, 12))
+def test_csv_loader_matches_row_loop_on_repr_tables(tmp_path_factory, values, end, blank):
+    lines = [",".join(repr(float(x)) for x in row) for row in values]
+    lines.insert(min(blank, len(lines)), "")
+    data = end.join([HEADER, *lines, ""]).encode("utf-8")
+    path = tmp_path_factory.mktemp("repr") / "t.csv"
+    _assert_loader_matches_reference(path, data)
+
+
+CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0", "-0.5", " 1 ", "\t2", "1_0", "nan", "-inf", "Infinity", "1e", "#",
+                     '"3"', "", " ", "\xa04", "\x1c5", "\x006", "\u0665", "np.float64(0.5)"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.lists(st.lists(CELLS, min_size=0, max_size=6), max_size=6), end=LINE_ENDS)
+def test_csv_loader_matches_row_loop_on_arbitrary_cells(tmp_path_factory, rows, end):
+    data = end.join([HEADER, *(",".join(row) for row in rows), ""]).encode("utf-8")
+    path = tmp_path_factory.mktemp("cells") / "t.csv"
+    _assert_loader_matches_reference(path, data)
+
+
+def test_csv_loader_parses_plain_tables_in_one_call(tmp_path):
+    path = tmp_path / "t.csv"
+    grid = np.linspace(-PI, PI, 301)
+    lines = [HEADER, *(f"{x!r},{1.0 / (2.0 * PI)!r},0.0,{0.1 * x!r}" for x in grid.tolist())]
+    path.write_text("\r\n".join(lines) + "\r\n\r\n", encoding="utf-8")
+    with mock.patch.object(measurement, "_parse_rows", side_effect=AssertionError("row loop")):
+        fam = load_tabulated_csv(path)
+    assert fam.discontinuities == tuple(grid[1:-1].tolist())
