@@ -19,13 +19,15 @@ the sign conditions on the off-diagonals is
 
     C_max = ( a + b - 2 h3 sin(theta) (I1 - I2) )^2,
 
-I1 and I2 being half-window moments of x11.  For the saturating Gaussian
-family C = C_max.
+I1 and I2 being half-window moments of x11.  Every integral here is a
+contraction over the family's `FamilyGrid`, which is split at the window
+center, so I1 and I2 are sums over its two halves.
 
-Every integral here is a contraction over the family's `FamilyGrid`, which
-is split at the window center, so I1 and I2 are sums over its two halves.
-I1, I2 and C's off-diagonal integral are free of r: `bounds_sweep` builds
-them, the family and its grid once per sweep, and the rest per row.
+Two routes evaluate the bracket, kept apart: the closed one above,
+`_squared_bracket` over `_r_free_integrals`, for `bound_Cmax` and
+`bounds_sweep`; and `_operator_bracket`, which contracts the deviation
+operators h_k with the family, for `theorem_general` and
+`audit_derivation`.  `test_closed_and_operator_brackets_agree` ties them.
 
 The audit evaluates each identity of the underlying derivation numerically.
 Its key diagnostic: differentiating the unbiasedness integral with fixed
@@ -39,7 +41,11 @@ identity residual and this boundary term side by side, and evaluates the
 unconditional Cauchy-Schwarz chain, whose outer inequality must hold for
 every positive family regardless of boundary effects.  The inequality
 v * g >= C is deliberately NOT asserted anywhere; the sweep reports its
-signed slack per row.
+signed slack per row.  Measured, not asserted: on the default Gaussian
+sweep C = C_max and v g - C < 0 (-0.66 to -1.69), the gap being the dropped
+boundary term 2 pi x11(mu +- pi) = 0.685; the tapered family removes that
+term, and v g - C >= 0 (7.6e-3 to 0.63, r in {0.2, 0.5, 0.8, 0.95}, k in
+{1, 3}); B_Fisher = B_SLD for both, which is what "saturating" means.
 
 `metric_report` gathers every metric at one state point, with the
 measurement-Fisher entry of the Gaussian family the sweep uses.
@@ -62,7 +68,7 @@ from .measurement import (
     _sign_conditions_ok,
     estimator_moments,
     gaussian_sharp_family,
-    outcome_density_values,
+    trace_with_elements,
 )
 from .metrics import (
     MONOTONE_SPECS,
@@ -81,6 +87,11 @@ from .quadrature import QuadSpec
 E3 = np.array([0.0, 0.0, 1.0])
 
 UNBIASEDNESS_PRECHECK_TOL = 1e-6
+
+
+class _Record:
+    def as_dict(self) -> dict:
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -146,8 +157,21 @@ def _squared_bracket(c: float, h3: float, st: float, integral) -> float:
     return float((c - 2.0 * h3 * st * integral) ** 2)
 
 
+def _operator_bracket(g: FamilyGrid, state: QubitState, c: float, Y, Z):
+    """Y^t (A+B) Z - Y_phi integral (phi_hat - phi) tr(sum_k Z_k h_k Pi), c = a + b.
+
+    The family depends on the parameters only through phi, and r and theta
+    have trivial estimators, so A + B is the identity except in its
+    (phi, phi) entry c.  An h_k of zero weight is not built.
+    """
+    h = (Z[k] * deviation_h(state, ParamIndex(k + 1)) for k in range(3) if Z[k])
+    t_h = sum(h, np.zeros((2, 2)))
+    yz = Y[:2] @ Z[:2] + Y[2] * Z[2] * c
+    return yz - Y[2] * g.integrate((g.x - state.phi) * g.trace(t_h))
+
+
 @dataclass(frozen=True)
-class CmaxBreakdown:
+class CmaxBreakdown(_Record):
     """Pieces of the maximized bound.  c >= 0 and the off-diagonal sign
     pattern are preconditions of the maximization step; violations are
     flagged, in which case C_max is not an upper bound for C."""
@@ -162,9 +186,6 @@ class CmaxBreakdown:
     C_max: float
     sign_conditions_ok: bool
     c_nonneg: bool
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def bound_Cmax(
@@ -202,44 +223,24 @@ class TheoremEvaluation:
 
 
 def theorem_general(problem: BoundProblem, spec: QuadSpec | None = None) -> TheoremEvaluation:
-    """Evaluate (Y^t V Y)(Z^t G Z) and |Y^t (A+B) Z - tr int T_xi T_h Pi|^2.
-
-    G is the phase-space metric; the family depends on the parameters only
-    through phi, so A and B differ from the identity only in their phi
-    column.
-    """
+    """Evaluate (Y^t V Y)(Z^t G Z) and |Y^t (A+B) Z - tr int T_xi T_h Pi|^2,
+    G the phase-space metric, the bracket from `_operator_bracket`."""
     ctx, p, Y, Z = problem.ctx, problem.povm, problem.Y, problem.Z
     state = ctx.state
-    phi = state.phi
 
     mean, variance = estimator_moments(ctx, p, spec)
-    target = phi + ctx.eps
-    if abs(mean - target) > UNBIASEDNESS_PRECHECK_TOL:
+    if abs(mean - ctx.center) > UNBIASEDNESS_PRECHECK_TOL:
         raise DomainError(
             f"family is not unbiased at this context: E[phi_hat] = {float(mean)!r}, "
-            f"expected {float(target)!r}"
+            f"expected {float(ctx.center)!r}"
         )
 
-    g = new_metric(state, method="closed")
-    lhs = (Y[2] ** 2 * variance) * float(Z @ g @ Z)
-
     grid = p.grid(spec)
-    tr_dpi = grid.d_trace(density_matrix(state))
-    int_tr = grid.integrate(tr_dpi)
-    int_x_tr = grid.integrate(grid.x * tr_dpi)
-
-    # With trivial estimators for r and theta, the A and B contributions in
-    # the phi column cancel exactly for j != 3, leaving the identity except
-    # in the (phi, phi) entry.
-    ab_matrix = np.eye(3, dtype=complex)
-    ab_matrix[2, 2] = phi * int_tr + 1.0 - int_x_tr
-
-    t_h = sum(Z[k] * deviation_h(state, ParamIndex(k + 1)) for k in range(3))
-    cross = Y[2] * grid.integrate((grid.x - phi) * grid.trace(t_h))
-
-    bracket = complex(Y @ ab_matrix @ Z) - complex(cross)
+    a, b = _ab(grid, density_matrix(state), state.phi)
+    bracket = _operator_bracket(grid, state, a + b, Y, Z)
+    g = new_metric(state, method="closed")
     return TheoremEvaluation(
-        lhs=float(lhs),
+        lhs=float(Y[2] ** 2 * variance * float(Z @ g @ Z)),
         rhs=float(abs(bracket) ** 2),
         bracket=float(bracket.real),
         bracket_imag=float(abs(bracket.imag)),
@@ -247,7 +248,7 @@ def theorem_general(problem: BoundProblem, spec: QuadSpec | None = None) -> Theo
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Record):
     """Numerical residuals for each step of the derivation, for Y = Z = e3.
 
     `fixed_window_residual` is lhs - (a+b) of the identity obtained by
@@ -276,9 +277,6 @@ class AuditReport:
     metric_phiphi: float
     vg_minus_C: float
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def audit_derivation(
     ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None
@@ -289,28 +287,24 @@ def audit_derivation(
     lo, hi = p.window
 
     g = p.grid(spec)
-    x = g.x
     rho = density_matrix(state)
     drho = d_rho(state, ParamIndex.PHI)
 
     q = g.trace(rho).real
-    a, b = ab_coefficients(ctx, p, spec)
+    a, b = _ab(g, rho, phi)
+    c = a + b
 
     # identity from differentiating unbiasedness with fixed limits
-    lhs_fw = g.integrate((x - phi) * g.trace(drho))
-    residual_fw = lhs_fw.real - (a + b)
+    lhs_fw = g.integrate((g.x - phi) * g.trace(drho))
 
-    q_hi = float(outcome_density_values(ctx, p, np.array([hi]))[0])
-    q_lo = float(outcome_density_values(ctx, p, np.array([lo]))[0])
-    boundary = (hi - phi) * q_hi - (lo - phi) * q_lo
+    edges = np.array([hi, lo])
+    q_hi, q_lo = trace_with_elements(rho, p.x11(edges), p.x12(edges), p.y12(edges)).real
 
-    h3 = deviation_h(state, ParamIndex.PHI)
-    bracket_c = (a + b) - g.integrate((x - phi) * g.trace(h3))
+    bracket_c = _operator_bracket(g, state, c, E3, E3)
     bracket = float(bracket_c.real)
-    imag_residual = float(abs(bracket_c.imag))
 
     l3 = new_log_derivative(state, ParamIndex.PHI)
-    cross = g.integrate((x - phi) * g.trace(rho @ l3))
+    cross = g.integrate((g.x - phi) * g.trace(rho @ l3))
     cross_real = float(cross.real)
 
     variance = _second_moment(g, q, phi)
@@ -323,10 +317,10 @@ def audit_derivation(
 
     return AuditReport(
         fixed_window_lhs=float(lhs_fw.real),
-        fixed_window_rhs=a + b,
-        fixed_window_residual=float(residual_fw),
-        boundary_term=float(boundary),
-        imag_residual=imag_residual,
+        fixed_window_rhs=c,
+        fixed_window_residual=float(lhs_fw.real - c),
+        boundary_term=float((hi - phi) * q_hi - (lo - phi) * q_lo),
+        imag_residual=float(abs(bracket_c.imag)),
         cross_term_real=cross_real,
         bracket=bracket,
         cross_identity_residual=cross_real - bracket,
@@ -343,7 +337,7 @@ def audit_derivation(
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     """One row of the bound-comparison sweep; `error` marks failed rows."""
 
     r: float
@@ -355,9 +349,6 @@ class SweepRow:
     v: float = math.nan
     vg_minus_C: float = math.nan
     error: str | None = None
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def bounds_sweep(

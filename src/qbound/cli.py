@@ -31,7 +31,6 @@ from .measurement import (
 )
 from .quadrature import QuadSpec
 from .qubit import DomainError, QubitState
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -408,6 +407,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
+    from .selftest import run_selftest
     results = run_selftest()
     status = EXIT_OK
     for res in results:

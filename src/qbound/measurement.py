@@ -27,7 +27,9 @@ The saturating Gaussian family takes
 
 with sgn(0) = 0.  Its small eigenvalue vanishes identically away from the
 center ("sharp" measurement) and the off-diagonal sign pattern makes the
-maximized bound an equality.
+maximized bound an equality.  Measured, not asserted: its B_Fisher = B_SLD
+(8.6e-16 relative over 608 random sweep rows; 5.1e-16 for tapered families
+at |offdiag_scale| = 1), which is what "saturating" means.
 
 Every window integral of a family is a contraction over the `FamilyGrid`
 that `PovmFamily.grid(spec)` builds once per effective spec and keeps on the
@@ -376,6 +378,14 @@ def load_tabulated_csv(path) -> PovmFamily:
     return tabulated_family(data[:, 0], data[:, 1], data[:, 2], data[:, 3], label=str(path))
 
 
+def _rows(reader, path):
+    """The reader's rows; a csv.Error becomes a ValueError naming path:line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _check_header(reader, path) -> None:
     header = next(reader, None)
     if header is None:
@@ -390,7 +400,7 @@ def _parse_body(fh, path) -> np.ndarray | None:
     or None where the row loop must decide: a body that is blank,
     undecodable, holds one of _LOOP_ONLY or a line longer than csv's field
     limit, or that loadtxt rejects or reads as another shape."""
-    _check_header(csv.reader(fh), path)
+    _check_header(_rows(csv.reader(fh), path), path)
     try:
         body = fh.read()
     except ValueError:
@@ -413,7 +423,7 @@ def _parse_rows(fh, path) -> np.ndarray:
     """The table cell by cell through csv.reader and float(); every error
     names its path and, past the header, its line."""
     rows = []
-    reader = csv.reader(fh)
+    reader = _rows(csv.reader(fh), path)
     _check_header(reader, path)
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -432,13 +442,6 @@ def _parse_rows(fh, path) -> np.ndarray:
 def trace_with_elements(m: np.ndarray, x11, x12, y12):
     """tr(M Pi) for element-value arrays of a family with equal diagonals."""
     return (m[0, 0] + m[1, 1]) * x11 + m[0, 1] * (x12 - 1j * y12) + m[1, 0] * (x12 + 1j * y12)
-
-
-def outcome_density_values(ctx: EstimationContext, p: PovmFamily, phi_hat) -> np.ndarray:
-    """q(phi_hat) = tr[rho Pi(phi_hat)] evaluated vectorized (real part)."""
-    rho = density_matrix(ctx.state)
-    vals = trace_with_elements(rho, p.x11(phi_hat), p.x12(phi_hat), p.y12(phi_hat))
-    return np.asarray(vals).real
 
 
 @dataclass(frozen=True)
@@ -475,6 +478,7 @@ class ValidationReport:
         return {**fields, "all_ok": self.all_ok}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_povm(
     p: PovmFamily,
     ctx: EstimationContext,
@@ -482,7 +486,8 @@ def validate_povm(
 ) -> ValidationReport:
     """Check completeness, positivity, the symmetry and zero-mean element
     conditions, the shifted unbiasedness integral, and the off-diagonal sign
-    pattern.  Purely diagnostic: nothing raises."""
+    pattern.  Purely diagnostic: nothing raises or warns, and an overflow
+    reads inf."""
     g = p.grid(spec)
     lo, hi = p.window
     mu = p.center
@@ -542,9 +547,11 @@ class OutcomeDistribution:
 def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistribution:
     """Build the outcome density, rejecting families that go genuinely negative."""
     lo, hi = p.window
+    rho = density_matrix(ctx.state)
 
     def pdf(phi_hat):
-        return outcome_density_values(ctx, p, phi_hat)
+        vals = trace_with_elements(rho, p.x11(phi_hat), p.x12(phi_hat), p.y12(phi_hat))
+        return np.asarray(vals).real
 
     scan = np.linspace(lo, hi, DENSITY_SCAN)
     vals = pdf(scan)

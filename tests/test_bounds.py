@@ -275,6 +275,53 @@ def test_audit_serializes():
         assert key in data
 
 
+# ------------------------------------------ the closed and operator brackets
+def test_closed_and_operator_brackets_agree():
+    # bound_Cmax's closed-form C against the operator route's |bracket|^2, and
+    # theorem_general at Y = Z = e3 against the audit bit for bit, across the
+    # working domain at eps != 0
+    rng = np.random.default_rng(1210)
+    for r in np.geomspace(R_MIN, R_MAX, 23):
+        theta = rng.uniform(0.1, PI - 0.1)
+        phi = rng.uniform(-1.4, 1.4) + rng.choice([0.0, PI])
+        eps = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.5)
+        sigma = rng.uniform(0.5, 5.0)
+        ctx = standard_ctx(r=r, theta=theta, phi=phi, eps=eps)
+        tapered = tapered_sharp_family(ctx, sigma=sigma, taper_power=int(rng.integers(1, 4)),
+                                       offdiag_scale=rng.uniform(-1.0, 1.0))
+        for fam in (gaussian_sharp_family(ctx, sigma=sigma), tapered):
+            rep = audit_derivation(ctx, fam)
+            assert abs(bound_Cmax(ctx, fam).C - rep.schwarz_rhs) <= 1e-13 * rep.schwarz_rhs
+            te = theorem_general(BoundProblem(ctx, fam))
+            assert te.rhs == rep.schwarz_rhs
+            assert te.lhs - te.rhs == rep.vg_minus_C
+
+
+def _counted(monkeypatch, modules, name):
+    """Calls of `name` through each of `modules`, recorded in a list."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_audit_and_theorem_share_one_bracket_helper(monkeypatch):
+    brackets = _counted(monkeypatch, [bounds], "_operator_bracket")
+    rhos = _counted(monkeypatch, [bounds, measurement], "density_matrix")
+    ctx = standard_ctx(eps=0.1)
+    fam = gaussian_sharp_family(ctx)
+    audit_derivation(ctx, fam)
+    assert (len(brackets), len(rhos)) == (1, 1)
+    theorem_general(BoundProblem(ctx, fam))
+    assert len(brackets) == 2
+
+
 # ----------------------------------------------------------------- the sweep
 def test_sweep_reference_row():
     rows = bounds_sweep([0.5])

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -128,6 +129,18 @@ def test_povm_validate_tabulated_csv(tmp_path):
     data = json.loads(out.read_text())
     assert data["completeness_residual"] <= 1e-9
     assert data["all_ok"] is True
+
+
+def test_povm_validate_csv_cell_over_the_field_limit_names_its_line(tmp_path, capsys):
+    table = tmp_path / "wide.csv"
+    wide = " " * (csv.field_size_limit() + 1)
+    table.write_text(f"phi_hat,x11,x12,y12\n{wide}0.25,0.5,0,0\n1.0,0.5,0,0\n", encoding="utf-8")
+    code = run(["povm", "validate", "--r", "0.5", "--csv", str(table)])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{table}:2: field larger than field limit" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_povm_validate_csv_refuses_family_options(tmp_path, capsys):

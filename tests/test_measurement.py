@@ -159,6 +159,18 @@ def test_validate_flags_unnormalized_family():
     assert not rep.all_ok
 
 
+def test_validate_reports_an_overflowed_residual_as_inf():
+    # finite elements whose window integral overflows: inf, and no warning,
+    # which the RuntimeWarning filter would turn into an error
+    ctx = standard_ctx()
+    big = np.full(2, 1.7e308)
+    fam = tabulated_family([-1.0, 1.0], big, np.zeros(2), np.zeros(2))
+    rep = validate_povm(fam, ctx)
+    assert rep.completeness_residual == math.inf
+    assert not rep.completeness_ok
+    assert not rep.all_ok
+
+
 def test_validate_flags_sign_violation():
     ctx = standard_ctx()
     fam = tapered_sharp_family(ctx, offdiag_scale=-0.5)
@@ -449,21 +461,24 @@ def _reference_rows(path):
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty POVM table")
-        expected = ["phi_hat", "x11", "x12", "y12"]
-        if [h.strip() for h in header] != expected:
-            raise ValueError(f"{path}: header must be {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty POVM table")
+            expected = ["phi_hat", "x11", "x12", "y12"]
+            if [h.strip() for h in header] != expected:
+                raise ValueError(f"{path}: header must be {','.join(expected)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ValueError(f"{path}:{lineno}: expected 4 columns")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two rows")
     return np.asarray(rows, dtype=float)
@@ -580,6 +595,17 @@ def test_csv_loader_matches_row_loop_on_arbitrary_cells(tmp_path_factory, rows, 
     data = end.join([HEADER, *(",".join(row) for row in rows), ""]).encode("utf-8")
     path = tmp_path_factory.mktemp("cells") / "t.csv"
     _assert_loader_matches_reference(path, data)
+
+
+def test_csv_cell_over_the_field_limit_names_its_line(tmp_path):
+    # in the header too, which the fast path reads with csv.reader
+    path = tmp_path / "wide.csv"
+    wide = " " * (csv.field_size_limit() + 1)
+    for text, line in ((f"{HEADER}\n{ROW}\n{wide}{LAST}\n", 3),
+                       (f"phi_hat{wide},x11,x12,y12\n{ROW}\n{LAST}\n", 1)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: field larger than field limit")):
+            load_tabulated_csv(path)
 
 
 def test_csv_loader_parses_plain_tables_in_one_call(tmp_path):
