@@ -133,10 +133,8 @@ def ab_coefficients(
 
 def _ab(g: FamilyGrid, rho: np.ndarray, phi: float) -> tuple[float, float]:
     """(a, b) from the family grid and the state's rho and azimuth."""
-    tr_dpi = g.d_trace(rho)
-    a = phi * g.integrate(tr_dpi)
-    b = 1.0 - g.integrate(g.x * tr_dpi)
-    return float(a.real), float(b.real)
+    tr_dpi = trace_with_elements(rho, g.d_x11, g.d_x12, g.d_y12)
+    return float(phi * g.integrate(tr_dpi)), float(1.0 - g.integrate(g.x * tr_dpi))
 
 
 def _r_free_integrals(ctx: EstimationContext, p: PovmFamily, g: FamilyGrid):
@@ -242,7 +240,7 @@ def theorem_general(problem: BoundProblem, spec: QuadSpec | None = None) -> Theo
     return TheoremEvaluation(
         lhs=float(Y[2] ** 2 * variance * float(Z @ g @ Z)),
         rhs=float(abs(bracket) ** 2),
-        bracket=float(bracket.real),
+        bracket=float(bracket),
         bracket_imag=float(abs(bracket.imag)),
     )
 
@@ -290,7 +288,7 @@ def audit_derivation(
     rho = density_matrix(state)
     drho = d_rho(state, ParamIndex.PHI)
 
-    q = g.trace(rho).real
+    q = g.trace(rho)
     a, b = _ab(g, rho, phi)
     c = a + b
 
@@ -298,10 +296,10 @@ def audit_derivation(
     lhs_fw = g.integrate((g.x - phi) * g.trace(drho))
 
     edges = np.array([hi, lo])
-    q_hi, q_lo = trace_with_elements(rho, p.x11(edges), p.x12(edges), p.y12(edges)).real
+    q_hi, q_lo = trace_with_elements(rho, p.x11(edges), p.x12(edges), p.y12(edges))
 
     bracket_c = _operator_bracket(g, state, c, E3, E3)
-    bracket = float(bracket_c.real)
+    bracket = float(bracket_c)
 
     l3 = new_log_derivative(state, ParamIndex.PHI)
     cross = g.integrate((g.x - phi) * g.trace(rho @ l3))
@@ -316,9 +314,9 @@ def audit_derivation(
     schwarz_rhs = float(abs(bracket_c) ** 2)
 
     return AuditReport(
-        fixed_window_lhs=float(lhs_fw.real),
+        fixed_window_lhs=float(lhs_fw),
         fixed_window_rhs=c,
-        fixed_window_residual=float(lhs_fw.real - c),
+        fixed_window_residual=float(lhs_fw - c),
         boundary_term=float((hi - phi) * q_hi - (lo - phi) * q_lo),
         imag_residual=float(abs(bracket_c.imag)),
         cross_term_real=cross_real,
@@ -397,9 +395,9 @@ def bounds_sweep(
             drho = d_rho(state, ParamIndex.PHI)
             a, b = _ab(grid, rho, state.phi)
             h3 = coeff_h3r(r)
-            q = grid.trace(rho).real
+            q = grid.trace(rho)
             variance = _second_moment(grid, q, state.phi)
-            fisher = _fisher_integral(grid, q, grid.trace(drho).real)
+            fisher = _fisher_integral(grid, q, grid.trace(drho))
             rows.append(
                 SweepRow(
                     r=r,

@@ -33,11 +33,14 @@ at |offdiag_scale| = 1), which is what "saturating" means.
 
 Every window integral of a family is a contraction over the `FamilyGrid`
 that `PovmFamily.grid(spec)` builds once per effective spec and keeps on the
-family; the window is always split at its center.
+family; the window is always split at its center.  Traces tr(M Pi) are real
+arrays for Hermitian M, and an integral scans its values for a non-finite
+one only when its result is not finite.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -105,18 +108,18 @@ class FamilyGrid:
     d_y12: np.ndarray
 
     def trace(self, m: np.ndarray) -> np.ndarray:
-        """tr(M Pi) at every node."""
+        """tr(M Pi) at every node; a real array when M is Hermitian."""
         return trace_with_elements(m, self.x11, self.x12, self.y12)
 
-    def d_trace(self, m: np.ndarray) -> np.ndarray:
-        """tr(M dPi) at every node, dPi the total parameter derivative."""
-        return trace_with_elements(m, self.d_x11, self.d_x12, self.d_y12)
-
+    @np.errstate(invalid="ignore")
     def integrate(self, values):
-        """Window integral of per-node values; non-finite values raise
-        QuadratureError naming their abscissa."""
-        _check_finite(values[:, None], self.x)
-        return self.w @ values
+        """Window integral of per-node values.  Weights are finite and >= 0,
+        so only a non-finite result, unwarned, is scanned: a non-finite value
+        raises QuadratureError naming its first abscissa; an overflow is inf."""
+        out = self.w @ values
+        if not cmath.isfinite(out):
+            _check_finite(values[:, None], self.x)
+        return out
 
 
 @dataclass(frozen=True)
@@ -303,6 +306,7 @@ def tapered_sharp_family(
     )
 
 
+@np.errstate(over="ignore")
 def tabulated_family(phi_hat, x11, x12, y12, label: str = "tabulated") -> PovmFamily:
     """Piecewise-linear family from sampled matrix elements.
 
@@ -311,12 +315,17 @@ def tabulated_family(phi_hat, x11, x12, y12, label: str = "tabulated") -> PovmFa
     extremes, and interpolation kinks are registered as split points so
     low-order panels integrate the elements exactly.  The columns are
     copied, so later changes to the caller's arrays do not reach the family.
+    A table whose window or interpolation slope overflows is rejected.
     """
     phi_hat = np.array(phi_hat, dtype=float)
     if phi_hat.ndim != 1 or phi_hat.size < 2:
         raise ValueError("need at least two tabulation nodes")
-    if not np.all(np.diff(phi_hat) > 0):
+    steps = np.diff(phi_hat)
+    if not np.all(steps > 0):
         raise ValueError("phi_hat column must be strictly increasing")
+    lo, hi = float(phi_hat[0]), float(phi_hat[-1])
+    if not math.isfinite(hi - lo):
+        raise ValueError("phi_hat column must span a finite window")
     cols = []
     for name, col in (("x11", x11), ("x12", x12), ("y12", y12)):
         col = np.array(col, dtype=float)
@@ -324,9 +333,12 @@ def tabulated_family(phi_hat, x11, x12, y12, label: str = "tabulated") -> PovmFa
             raise ValueError(f"column {name} has shape {col.shape}, expected {phi_hat.shape}")
         if not np.all(np.isfinite(col)):
             raise ValueError(f"column {name} contains non-finite values")
+        finite = np.isfinite(np.diff(col) / steps)
+        if not finite.all():
+            i = int(np.argmin(finite)) + 1
+            raise ValueError(f"column {name} has a non-finite slope between rows {i} and {i + 1}")
         cols.append(col)
     x11c, x12c, y12c = cols
-    lo, hi = float(phi_hat[0]), float(phi_hat[-1])
     center = 0.5 * (lo + hi)
 
     def interp(col):
@@ -440,8 +452,19 @@ def _parse_rows(fh, path) -> np.ndarray:
 
 
 def trace_with_elements(m: np.ndarray, x11, x12, y12):
-    """tr(M Pi) for element-value arrays of a family with equal diagonals."""
-    return (m[0, 0] + m[1, 1]) * x11 + m[0, 1] * (x12 - 1j * y12) + m[1, 0] * (x12 + 1j * y12)
+    """tr(M Pi) for element-value arrays of a family with equal diagonals,
+    in real arithmetic: M = H + iK with H, K Hermitian, and tr(H Pi) + i tr(K Pi)
+    is the real tr(H Pi) when K = 0 exactly (rho, d rho, h_k)."""
+    (m00, m01), (m10, m11) = np.asarray(m, dtype=complex).tolist()
+
+    def hermitian_trace(diag, off):
+        return diag * x11 + 2.0 * (off.real * x12 + off.imag * y12)
+
+    out = hermitian_trace(m00.real + m11.real, 0.5 * (m01 + m10.conjugate()))
+    k01 = -0.5j * (m01 - m10.conjugate())
+    if m00.imag or m11.imag or k01:
+        out = out + 1j * hermitian_trace(m00.imag + m11.imag, k01)
+    return out
 
 
 @dataclass(frozen=True)
@@ -505,7 +528,7 @@ def validate_povm(
     half = np.linspace(0.0, p.half_width, VALIDATION_SCAN // 2)[1:-1]
     sym = float(np.max(np.abs(np.asarray(p.x11(mu + half)) - np.asarray(p.x11(mu - half)))))
 
-    unbias = g.integrate((g.x - mu) * g.trace(density_matrix(ctx.state)).real)
+    unbias = g.integrate((g.x - mu) * g.trace(density_matrix(ctx.state)))
 
     return ValidationReport(
         completeness_residual=float(completeness),
@@ -550,8 +573,7 @@ def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistri
     rho = density_matrix(ctx.state)
 
     def pdf(phi_hat):
-        vals = trace_with_elements(rho, p.x11(phi_hat), p.x12(phi_hat), p.y12(phi_hat))
-        return np.asarray(vals).real
+        return trace_with_elements(rho, p.x11(phi_hat), p.x12(phi_hat), p.y12(phi_hat))
 
     scan = np.linspace(lo, hi, DENSITY_SCAN)
     vals = pdf(scan)
@@ -575,7 +597,7 @@ def estimator_moments(
     mean; the two coincide when eps = 0.
     """
     g = p.grid(spec)
-    q = g.trace(density_matrix(ctx.state)).real
+    q = g.trace(density_matrix(ctx.state))
     return float(g.integrate(g.x * q)), _second_moment(g, q, ctx.state.phi)
 
 

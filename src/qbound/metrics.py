@@ -194,20 +194,20 @@ def measurement_fisher(state: QubitState, povm, spec: QuadSpec | None = None) ->
     discontinuities.
     """
     g = povm.grid(spec)
-    return _fisher_integral(g, g.trace(density_matrix(state)).real,
-                            g.trace(d_rho(state, ParamIndex.PHI)).real)
+    return _fisher_integral(g, g.trace(density_matrix(state)),
+                            g.trace(d_rho(state, ParamIndex.PHI)))
 
 
 def _fisher_integral(g, p: np.ndarray, dp: np.ndarray) -> float:
     """Integral of dp^2 / p over grid g's nodes, p the outcome density and dp
-    its phi-derivative; p = 0 with dp != 0 raises, naming the abscissa."""
-    bad = p <= 0
-    vanishing = bad & (np.abs(dp) > 0)
-    if np.any(vanishing):
-        where = float(g.x[np.argmax(vanishing)])
-        raise DomainError(f"outcome density vanishes at phi_hat = {where!r}")
-    out = np.zeros_like(p)
-    ok = ~bad
-    out[ok] = dp[ok] ** 2 / p[ok]
-    return float(g.integrate(out))
+    its phi-derivative.  A node with p <= 0 adds 0, or raises naming its
+    abscissa where dp != 0; with p > 0 throughout nothing is masked."""
+    if not np.all(p > 0):
+        bad = p <= 0
+        vanishing = bad & (np.abs(dp) > 0)
+        if np.any(vanishing):
+            where = float(g.x[np.argmax(vanishing)])
+            raise DomainError(f"outcome density vanishes at phi_hat = {where!r}")
+        p, dp = np.where(bad, 1.0, p), np.where(bad, 0.0, dp)
+    return float(g.integrate(dp ** 2 / p))
 

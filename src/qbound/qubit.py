@@ -36,17 +36,11 @@ class ParamIndex(enum.IntEnum):
     PHI = 3
 
 
-def hermiticity_defect(m) -> float:
-    """Max-abs entry of m - m^dagger."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def require_hermitian(m, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-    defect = hermiticity_defect(m)
+    defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > atol:
         raise ValueError(f"{name} is not Hermitian: max |m - m^dagger| = {defect:.3e} > {atol:.1e}")
     return m

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -141,6 +142,17 @@ def test_povm_validate_csv_cell_over_the_field_limit_names_its_line(tmp_path, ca
     assert captured.out == ""
     assert f"{table}:2: field larger than field limit" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_povm_validate_csv_rejects_a_table_whose_slope_overflows(tmp_path, capsys):
+    # finite cells, but np.interp's slope between them is not
+    table = tmp_path / "huge.csv"
+    table.write_text("phi_hat,x11,x12,y12\n-1,0.5,1.7e308,0\n1,0.5,-1.7e308,0\n", encoding="utf-8")
+    code = run(["povm", "validate", "--r", "0.5", "--csv", str(table)])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qbound: column x12 has a non-finite slope between rows 1 and 2\n"
 
 
 def test_povm_validate_csv_refuses_family_options(tmp_path, capsys):
@@ -346,3 +358,30 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+# sha256 of the stdout of each command, recorded with numpy 2.4 on x86-64
+# before the family traces moved to real arithmetic.  Their CSV must stay
+# byte-identical; selftest's residual digits sit at rounding level and may
+# differ on another platform.
+PINNED_SHA256 = {
+    ("audit", "--r", "0.5", "--format", "csv"):
+        "e768f3da77c886c7f9b4ba667048ad12f550dbd34ae5d92f0377e0392d3724ee",
+    ("bounds", "sweep", "--steps", "200", "--format", "csv"):
+        "6a945aa8bf9f072c6177aa123b3f3c3ad0d0ae8ca1305d7af8e64da535814c62",
+    ("bounds", "sweep", "--panels", "8", "--order", "6", "--eps", "0.1", "--format", "csv"):
+        "81d07179388fcf9a957f7ddc6235f56a51b5aec5c5efe9bca04a2962ccf2367c",
+    ("povm", "validate", "--r", "0.5", "--format", "csv"):
+        "c9e39b553e864f81109845c207c8a18ca1e1d14fe73658604ac25e04cc4038d5",
+    ("metrics", "--r", "0.5", "--format", "csv"):
+        "22e765b0541f2c2c4d265192c9c30deaa4ffdadf7ddd1ba705d294f4447b082b",
+    ("selftest",):
+        "c37e381e808e1c625c3514cac089d07cdd013b467e31a92f7e96dc9c6cfe9c3b",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_SHA256, ids=" ".join)
+def test_cli_output_bytes_are_pinned(argv, capsys):
+    assert run(list(argv)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[argv]

@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from qbound import measurement
 
+from qbound.bounds import audit_derivation
+from qbound.derivatives import deviation_h, new_log_derivative
 from qbound.measurement import (
     EstimationContext,
+    FamilyGrid,
     PovmFamily,
     _invert_cdf,
     estimator_moments,
@@ -20,10 +23,11 @@ from qbound.measurement import (
     sample_outcomes,
     tabulated_family,
     tapered_sharp_family,
+    trace_with_elements,
     validate_povm,
 )
-from qbound.quadrature import QuadSpec, integrate_1d
-from qbound.qubit import DomainError, QubitState
+from qbound.quadrature import QuadSpec, QuadratureError, integrate_1d, nodes_1d
+from qbound.qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 from conftest import PI, SharpOracle, grid_36
 
@@ -253,6 +257,90 @@ def test_family_grid_is_built_once_per_spec():
     assert doubled.x.size == 2 * fam.grid(spec).x.size
 
 
+def test_family_grid_integral_names_the_first_non_finite_abscissa():
+    # splits (0, 0) make a zero-width piece whose nodes have weight 0, where
+    # the dot meets 0 * nan and 0 * inf
+    x, w = nodes_1d(-1.0, 1.0, QuadSpec(2, 3, (0.0, 0.0)))
+    zero_weight = int(np.flatnonzero(w == 0.0)[0])
+    zeros = np.zeros_like(x)
+    grid = FamilyGrid(x, w, *[zeros] * 6)
+    for at in (0, x.size - 1, zero_weight):
+        for bad in (math.nan, math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0, -math.inf)):
+            values = np.ones(x.size, dtype=type(bad))
+            values[at] = bad
+            if at != x.size - 1:
+                values[-1] = math.nan  # a later bad value is not the one named
+            with pytest.raises(QuadratureError, match=f"at abscissa {re.escape(repr(float(x[at])))}$"):
+                grid.integrate(values)
+
+
+def test_family_grid_integral_of_finite_values_may_overflow_to_inf():
+    x, w = nodes_1d(-1.0, 1.0, QuadSpec(2, 3))
+    grid = FamilyGrid(x, w, *[np.zeros_like(x)] * 6)
+    with np.errstate(over="ignore"):
+        assert grid.integrate(np.full(x.size, 1.7e308)) == math.inf
+        assert grid.integrate(np.full(x.size, -1.7e308)) == -math.inf
+
+
+# ----------------------------------------------------------------- trace kernel
+def _reference_trace(m, x11, x12, y12):
+    """tr(M Pi) in complex arithmetic: the expression the kernel replaced."""
+    return (m[0, 0] + m[1, 1]) * x11 + m[0, 1] * (x12 - 1j * y12) + m[1, 0] * (x12 + 1j * y12)
+
+
+# kernel vs reference, in units of eps * sum |terms| (plus a few subnormals
+# for products that underflow)
+KERNEL_ULPS = 8
+MODERATE = st.floats(-1e100, 1e100)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(entries=st.lists(MODERATE, min_size=8, max_size=8), hermitian=st.booleans(),
+       nodes=st.lists(st.tuples(MODERATE, MODERATE, MODERATE), min_size=1, max_size=8))
+def test_trace_kernel_matches_the_complex_expression(entries, hermitian, nodes):
+    a, b, c, d, e, f, g, h = entries
+    if hermitian:
+        m = np.array([[a, complex(b, c)], [complex(b, -c), d]], dtype=complex)
+    else:
+        m = np.array([[complex(a, e), complex(b, c)], [complex(f, g), complex(d, h)]])
+    x11, x12, y12 = (np.array(col) for col in zip(*nodes))
+    got = trace_with_elements(m, x11, x12, y12)
+    ref = _reference_trace(m, x11, x12, y12)
+    terms = (abs(m[0, 0] + m[1, 1]) * np.abs(x11)
+             + (abs(m[0, 1]) + abs(m[1, 0])) * (np.abs(x12) + np.abs(y12)))
+    bound = KERNEL_ULPS * (np.finfo(float).eps * terms + np.finfo(float).smallest_subnormal)
+    assert np.all(np.abs(got.real - ref.real) <= bound)
+    assert np.all(np.abs(np.imag(got) - ref.imag) <= bound)
+    assert np.isrealobj(got) == np.array_equal(m, m.conj().T)
+
+
+def test_trace_kernel_is_real_for_rho_its_derivative_and_h():
+    g = gaussian_sharp_family(standard_ctx(eps=0.1)).grid()
+    for m in (density_matrix(STANDARD), d_rho(STANDARD, ParamIndex.PHI),
+              deviation_h(STANDARD, ParamIndex.R), deviation_h(STANDARD, ParamIndex.PHI)):
+        assert g.trace(m).dtype == np.float64
+        assert trace_with_elements(m, g.d_x11, g.d_x12, g.d_y12).dtype == np.float64
+
+
+def test_audit_cross_term_keeps_its_imaginary_part():
+    # a family built away from the state's azimuth: int (phi_hat - phi)
+    # tr(rho L_phi Pi) has an imaginary part, and |cross|^2 keeps it
+    state = QubitState(0.5, 1.0, 0.9)
+    fam = gaussian_sharp_family(EstimationContext(QubitState(0.5, 1.0, 0.3)))
+    g = fam.grid()
+    rho_l3 = density_matrix(state) @ new_log_derivative(state, ParamIndex.PHI)
+    tr = g.trace(rho_l3)
+    assert np.iscomplexobj(tr)
+    ref = _reference_trace(rho_l3, g.x11, g.x12, g.y12)
+    assert np.max(np.abs(tr - ref)) <= 1e-15 * np.max(np.abs(ref))
+    cross_ref = g.w @ ((g.x - state.phi) * ref)
+    assert abs(cross_ref.imag) > 0.05
+    rep = audit_derivation(EstimationContext(state), fam)
+    assert abs(rep.cross_term_real - cross_ref.real) <= 1e-14
+    assert abs(rep.schwarz_mid - abs(cross_ref) ** 2) <= 1e-14
+    assert abs((rep.schwarz_mid - rep.cross_term_real ** 2) - cross_ref.imag ** 2) <= 1e-14
+
+
 # --------------------------------------------------------------------- moments
 def test_moments_mean_is_phi():
     ctx = standard_ctx()
@@ -402,6 +490,29 @@ def test_tabulated_family_validation_errors():
         tabulated_family(grid, zeros[:-1], zeros, zeros)
     with pytest.raises(ValueError, match="two"):
         tabulated_family(grid[:1], zeros[:1], zeros[:1], zeros[:1])
+
+
+def test_csv_table_whose_slope_overflows_is_rejected_on_load(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"{HEADER}\n-1,0.5,1.7e308,0\n1,0.5,-1.7e308,0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^column x12 has a non-finite slope between rows 1 and 2$"):
+        load_tabulated_csv(path)
+
+
+def test_tabulated_family_rejects_overflowing_slopes_and_windows():
+    grid = np.arange(4.0)
+    half = np.full(4, 0.5)
+    big = np.array([0.0, 1.7e308, -1.7e308, 0.0])
+    for name in ("x11", "x12", "y12"):
+        cols = {"x11": half, "x12": np.zeros(4), "y12": np.zeros(4), name: big}
+        with pytest.raises(ValueError, match=f"^column {name} has a non-finite slope between rows 2 and 3$"):
+            tabulated_family(grid, cols["x11"], cols["x12"], cols["y12"])
+    # a finite difference over a subnormal step
+    with pytest.raises(ValueError, match="^column x11 has a non-finite slope between rows 1 and 2$"):
+        tabulated_family([0.0, 1e-310, 1.0], [0.5, 1.0, 0.5], np.zeros(3), np.zeros(3))
+    for span in ([0.0, math.inf], [-math.inf, 0.0], [-1e308, 0.0, 1e308]):
+        with pytest.raises(ValueError, match="^phi_hat column must span a finite window$"):
+            tabulated_family(span, np.full(len(span), 0.5), np.zeros(len(span)), np.zeros(len(span)))
 
 
 def test_tabulated_family_copies_its_columns():

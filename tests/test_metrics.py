@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from qbound.bounds import metric_report
 from qbound import metrics
 from qbound.derivatives import R_MAX, R_MIN, _rho_inverse, new_log_derivative
-from qbound.measurement import EstimationContext, gaussian_sharp_family
+from qbound.measurement import EstimationContext, gaussian_sharp_family, tapered_sharp_family
 from qbound.metrics import (
     MONOTONE_SPECS,
+    _fisher_integral,
     husimi_classical_metric,
     measurement_fisher,
     monotone_metric,
@@ -238,6 +240,40 @@ def test_measurement_fisher_maximally_mixed():
     s = QubitState(0.0, PI / 2, 0.3)
     fam = gaussian_sharp_family(EstimationContext(s))
     assert abs(measurement_fisher(s, fam)) <= 1e-15
+
+
+def _masked_fisher(g, p, dp):
+    """dp^2 / p integrated over the nodes with p > 0, masked as the Fisher
+    integral was before it skipped the mask: the reference for both paths."""
+    out = np.zeros_like(p)
+    ok = ~(p <= 0)
+    out[ok] = dp[ok] ** 2 / p[ok]
+    return float(g.integrate(out))
+
+
+def test_fisher_integral_equals_the_masked_integral_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    for case in range(16):
+        state = QubitState(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.9), rng.uniform(-1.2, 1.2))
+        ctx = EstimationContext(state, eps=rng.uniform(-0.3, 0.3))
+        fam = (gaussian_sharp_family if case % 2 else tapered_sharp_family)(ctx)
+        g = fam.grid()
+        p, dp = g.trace(density_matrix(state)), g.trace(d_rho(state, ParamIndex.PHI))
+        assert np.all(p > 0)
+        assert _fisher_integral(g, p, dp) == _masked_fisher(g, p, dp)
+        # p <= 0 where dp = 0: the masked path
+        p[::7], p[3::11] = 0.0, -1e-300
+        dp[::7], dp[3::11] = 0.0, -0.0
+        assert _fisher_integral(g, p, dp) == _masked_fisher(g, p, dp)
+
+
+def test_fisher_integral_names_where_the_density_vanishes():
+    state = QubitState(0.5, PI / 2, 3 * PI / 4)
+    g = gaussian_sharp_family(EstimationContext(state)).grid()
+    p, dp = g.trace(density_matrix(state)), g.trace(d_rho(state, ParamIndex.PHI))
+    p[[40, 90]] = [0.0, -1e-3]
+    with pytest.raises(DomainError, match=f"^outcome density vanishes at phi_hat = {re.escape(repr(float(g.x[40])))}$"):
+        _fisher_integral(g, p, dp)
 
 
 # ---------------------------------------------------------------- metric report
