@@ -89,36 +89,6 @@ E3 = np.array([0.0, 0.0, 1.0])
 UNBIASEDNESS_PRECHECK_TOL = 1e-6
 
 
-class _Record:
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
-@dataclass(frozen=True)
-class BoundProblem:
-    """Inputs of the general bilinear inequality.
-
-    Y weights the estimator deviations, Z weights the deviation operators.
-    The outcome space carries an estimator only for phi; the other two
-    parameters are treated as known (their trivial estimators contribute
-    zero deviation), which reduces Y (but not Z) to its third component.
-    """
-
-    ctx: EstimationContext
-    povm: PovmFamily
-    Y: np.ndarray | None = None
-    Z: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name, vec in (("Y", self.Y), ("Z", self.Z)):
-            vec = E3.copy() if vec is None else np.asarray(vec, dtype=float)
-            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, vec)
-        if not (np.any(self.Y) or np.any(self.Z)):
-            raise ValueError("Y and Z must not both be zero")
-
-
 def ab_coefficients(
     ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None
 ) -> tuple[float, float]:
@@ -168,62 +138,61 @@ def _operator_bracket(g: FamilyGrid, state: QubitState, c: float, Y, Z):
     return yz - Y[2] * g.integrate((g.x - state.phi) * g.trace(t_h))
 
 
-@dataclass(frozen=True)
-class CmaxBreakdown(_Record):
-    """Pieces of the maximized bound.  c >= 0 and the off-diagonal sign
-    pattern are preconditions of the maximization step; violations are
-    flagged, in which case C_max is not an upper bound for C."""
-
-    a: float
-    b: float
-    c: float
-    I1: float
-    I2: float
-    h3r: float
-    C: float
-    C_max: float
-    sign_conditions_ok: bool
-    c_nonneg: bool
-
-
 def bound_Cmax(
     ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None
-) -> CmaxBreakdown:
-    """Maximized bound with its half-window moments I1 and I2."""
+) -> dict:
+    """Maximized bound with its half-window moments I1 and I2.
+
+    Returns the dict a, b, c = a + b, I1, I2, h3r, C, C_max,
+    sign_conditions_ok and c_nonneg.  c >= 0 and the off-diagonal sign
+    pattern are preconditions of the maximization step; violations are
+    flagged, in which case C_max is not an upper bound for C.
+    """
     a, b = ab_coefficients(ctx, p, spec)
     c = a + b
     I1, I2, offdiag = _r_free_integrals(ctx, p, p.grid(spec))
     h3 = coeff_h3r(ctx.state.r)
     st = math.sin(ctx.state.theta)
-    return CmaxBreakdown(
-        a=a,
-        b=b,
-        c=c,
-        I1=I1,
-        I2=I2,
-        h3r=h3,
-        C=_squared_bracket(c, h3, st, offdiag),
-        C_max=_squared_bracket(c, h3, st, I1 - I2),
-        sign_conditions_ok=_sign_conditions_ok(p, ctx),
-        c_nonneg=c >= 0.0,
-    )
+    return {
+        "a": a,
+        "b": b,
+        "c": c,
+        "I1": I1,
+        "I2": I2,
+        "h3r": h3,
+        "C": _squared_bracket(c, h3, st, offdiag),
+        "C_max": _squared_bracket(c, h3, st, I1 - I2),
+        "sign_conditions_ok": _sign_conditions_ok(p, ctx),
+        "c_nonneg": c >= 0.0,
+    }
 
 
-@dataclass(frozen=True)
-class TheoremEvaluation:
-    """Both sides of the bilinear inequality, with the bracket's imaginary
-    part reported (it should vanish up to quadrature noise)."""
-
-    lhs: float
-    rhs: float
-    bracket: float
-    bracket_imag: float
-
-
-def theorem_general(problem: BoundProblem, spec: QuadSpec | None = None) -> TheoremEvaluation:
+def theorem_general(
+    ctx: EstimationContext,
+    p: PovmFamily,
+    Y=None,
+    Z=None,
+    spec: QuadSpec | None = None,
+) -> dict:
     """Evaluate (Y^t V Y)(Z^t G Z) and |Y^t (A+B) Z - tr int T_xi T_h Pi|^2,
-    G the phase-space metric, the bracket from `_operator_bracket`."""
-    ctx, p, Y, Z = problem.ctx, problem.povm, problem.Y, problem.Z
+    G the phase-space metric, the bracket from `_operator_bracket`.
+
+    Y weights the estimator deviations, Z weights the deviation operators;
+    each defaults to e3 and must be a finite 3-vector, and they must not both
+    be zero.  The outcome space carries an estimator only for phi; the other
+    two parameters are treated as known (their trivial estimators contribute
+    zero deviation), which reduces Y (but not Z) to its third component.
+    Returns the dict lhs, rhs and bracket.
+    """
+    weights = []
+    for name, vec in (("Y", Y), ("Z", Z)):
+        vec = E3.copy() if vec is None else np.asarray(vec, dtype=float)
+        if vec.shape != (3,) or not np.all(np.isfinite(vec)):
+            raise ValueError(f"{name} must be a finite 3-vector")
+        weights.append(vec)
+    Y, Z = weights
+    if not (np.any(Y) or np.any(Z)):
+        raise ValueError("Y and Z must not both be zero")
     state = ctx.state
 
     mean, variance = estimator_moments(ctx, p, spec)
@@ -237,49 +206,37 @@ def theorem_general(problem: BoundProblem, spec: QuadSpec | None = None) -> Theo
     a, b = _ab(grid, density_matrix(state), state.phi)
     bracket = _operator_bracket(grid, state, a + b, Y, Z)
     g = new_metric(state, method="closed")
-    return TheoremEvaluation(
-        lhs=float(Y[2] ** 2 * variance * float(Z @ g @ Z)),
-        rhs=float(abs(bracket) ** 2),
-        bracket=float(bracket),
-        bracket_imag=float(abs(bracket.imag)),
-    )
-
-
-@dataclass(frozen=True)
-class AuditReport(_Record):
-    """Numerical residuals for each step of the derivation, for Y = Z = e3.
-
-    `fixed_window_residual` is lhs - (a+b) of the identity obtained by
-    differentiating unbiasedness with fixed limits; for rigidly translating
-    families it equals minus `boundary_term`.  The Schwarz chain is
-    schwarz_lhs >= schwarz_mid unconditionally; schwarz_mid >= schwarz_rhs
-    only when the fixed-window identity actually holds, so `slack_inner` may
-    be negative for edge-supported families.
-    """
-
-    fixed_window_lhs: float
-    fixed_window_rhs: float
-    fixed_window_residual: float
-    boundary_term: float
-    imag_residual: float
-    cross_term_real: float
-    bracket: float
-    cross_identity_residual: float
-    schwarz_lhs: float
-    schwarz_mid: float
-    schwarz_rhs: float
-    slack_outer: float
-    slack_inner: float
-    quadratic_form_residual: float
-    variance: float
-    metric_phiphi: float
-    vg_minus_C: float
+    return {
+        "lhs": float(Y[2] ** 2 * variance * float(Z @ g @ Z)),
+        "rhs": float(abs(bracket) ** 2),
+        "bracket": float(bracket),
+    }
 
 
 def audit_derivation(
     ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None
-) -> AuditReport:
-    """Evaluate every identity of the 1-D derivation chain numerically."""
+) -> dict:
+    """Evaluate every identity of the 1-D derivation chain numerically, for
+    Y = Z = e3.
+
+    Returns a dict, in this order:
+    - fixed_window_lhs, fixed_window_rhs = a + b, and their difference
+      fixed_window_residual, of the identity obtained by differentiating
+      unbiasedness with fixed limits; for rigidly translating families the
+      residual equals minus boundary_term, the moving window's edge term.
+    - imag_residual, the bracket's imaginary part: always 0.0, since the
+      operator bracket is real by construction.  The key stays because the
+      audit's CSV output is pinned byte for byte.
+    - cross_term_real, the real part of int (phi_hat - phi) tr(rho L_phi Pi),
+      the bracket, and their difference cross_identity_residual.
+    - schwarz_lhs >= schwarz_mid >= schwarz_rhs, the Cauchy-Schwarz chain,
+      with slack_outer and slack_inner its two gaps.  The outer one holds
+      unconditionally; the inner one only when the fixed-window identity
+      actually holds, so slack_inner may be negative for edge-supported
+      families.
+    - quadratic_form_residual, |tr int L_phi rho L_phi Pi - g_phiphi|.
+    - variance, metric_phiphi and vg_minus_C, the signed slack of v g >= C.
+    """
     state = ctx.state
     phi = state.phi
     lo, hi = p.window
@@ -313,29 +270,29 @@ def audit_derivation(
     schwarz_mid = float(abs(cross) ** 2)
     schwarz_rhs = float(abs(bracket_c) ** 2)
 
-    return AuditReport(
-        fixed_window_lhs=float(lhs_fw),
-        fixed_window_rhs=c,
-        fixed_window_residual=float(lhs_fw - c),
-        boundary_term=float((hi - phi) * q_hi - (lo - phi) * q_lo),
-        imag_residual=float(abs(bracket_c.imag)),
-        cross_term_real=cross_real,
-        bracket=bracket,
-        cross_identity_residual=cross_real - bracket,
-        schwarz_lhs=schwarz_lhs,
-        schwarz_mid=schwarz_mid,
-        schwarz_rhs=schwarz_rhs,
-        slack_outer=schwarz_lhs - schwarz_mid,
-        slack_inner=schwarz_mid - schwarz_rhs,
-        quadratic_form_residual=abs(quad_tl - g_phiphi),
-        variance=variance,
-        metric_phiphi=g_phiphi,
-        vg_minus_C=variance * g_phiphi - schwarz_rhs,
-    )
+    return {
+        "fixed_window_lhs": float(lhs_fw),
+        "fixed_window_rhs": c,
+        "fixed_window_residual": float(lhs_fw - c),
+        "boundary_term": float((hi - phi) * q_hi - (lo - phi) * q_lo),
+        "imag_residual": 0.0,
+        "cross_term_real": cross_real,
+        "bracket": bracket,
+        "cross_identity_residual": cross_real - bracket,
+        "schwarz_lhs": schwarz_lhs,
+        "schwarz_mid": schwarz_mid,
+        "schwarz_rhs": schwarz_rhs,
+        "slack_outer": schwarz_lhs - schwarz_mid,
+        "slack_inner": schwarz_mid - schwarz_rhs,
+        "quadratic_form_residual": abs(quad_tl - g_phiphi),
+        "variance": variance,
+        "metric_phiphi": g_phiphi,
+        "vg_minus_C": variance * g_phiphi - schwarz_rhs,
+    }
 
 
 @dataclass(frozen=True)
-class SweepRow(_Record):
+class SweepRow:
     """One row of the bound-comparison sweep; `error` marks failed rows."""
 
     r: float
@@ -347,6 +304,9 @@ class SweepRow(_Record):
     v: float = math.nan
     vg_minus_C: float = math.nan
     error: str | None = None
+
+    def as_dict(self) -> dict:
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def bounds_sweep(
@@ -415,43 +375,16 @@ def bounds_sweep(
     return rows
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """All metric components at one state point."""
-
-    r: float
-    theta: float
-    phi: float
-    new_metric: np.ndarray
-    sld_metric: np.ndarray
-    rld_metric: np.ndarray
-    husimi_classical: np.ndarray
-    monotone: dict[str, tuple[float, float]]
-    measurement_fisher_phiphi: float | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "r": self.r,
-            "theta": self.theta,
-            "phi": self.phi,
-            "new_metric": self.new_metric.tolist(),
-            "sld_metric": self.sld_metric.tolist(),
-            "rld_metric": self.rld_metric.tolist(),
-            "husimi_classical": self.husimi_classical.tolist(),
-        }
-        for name, (radial, angular) in self.monotone.items():
-            out[f"monotone_{name}"] = [radial, angular]
-        out["measurement_fisher_phiphi"] = self.measurement_fisher_phiphi
-        return out
-
-
 def metric_report(
     state: QubitState,
     eps: float = 0.0,
     sigma: float = 3.0,
     spec: QuadSpec | None = None,
-) -> MetricReport:
-    """Assemble every metric at one point.
+) -> dict:
+    """Every metric at one point, as a dict: r, theta, phi, the new, SLD,
+    RLD and Husimi-classical metrics as nested lists, monotone_<name> as the
+    [radial, angular] pair of each of MONOTONE_SPECS, and
+    measurement_fisher_phiphi.
 
     The measurement-Fisher entry uses the Gaussian sharp family at the
     state's azimuth, integrated with `spec`; it is omitted (None) when
@@ -468,14 +401,16 @@ def metric_report(
     if abs(math.cos(state.phi)) >= _COS_MIN:
         ctx = EstimationContext(state, eps=eps)
         fisher = measurement_fisher(state, gaussian_sharp_family(ctx, sigma=sigma), spec)
-    return MetricReport(
-        r=state.r,
-        theta=state.theta,
-        phi=state.phi,
-        new_metric=new_metric(state),
-        sld_metric=sld_metric(state),
-        rld_metric=rld_metric(state),
-        husimi_classical=husimi_classical_metric(state),
-        monotone={name: monotone_metric(ms, state.r) for name, ms in MONOTONE_SPECS.items()},
-        measurement_fisher_phiphi=fisher,
-    )
+    out = {
+        "r": state.r,
+        "theta": state.theta,
+        "phi": state.phi,
+        "new_metric": new_metric(state).tolist(),
+        "sld_metric": sld_metric(state).tolist(),
+        "rld_metric": rld_metric(state).tolist(),
+        "husimi_classical": husimi_classical_metric(state).tolist(),
+    }
+    for name, f in MONOTONE_SPECS.items():
+        out[f"monotone_{name}"] = list(monotone_metric(f, state.r))
+    out["measurement_fisher_phiphi"] = fisher
+    return out

@@ -319,8 +319,7 @@ def _emit(args, data: dict | None = None, csv_text: str | None = None) -> None:
 
 def _cmd_metrics(args) -> int:
     state = QubitState(_require_r(args), args.theta, args.phi)
-    report = metric_report(state, eps=args.eps, sigma=args.sigma, spec=_quad_spec(args))
-    _emit(args, report.as_dict())
+    _emit(args, metric_report(state, eps=args.eps, sigma=args.sigma, spec=_quad_spec(args)))
     return EXIT_OK
 
 
@@ -371,7 +370,7 @@ def _cmd_audit(args) -> int:
     ctx = EstimationContext(state, eps=args.eps)
     family = gaussian_sharp_family(ctx, sigma=args.sigma)
     report = audit_derivation(ctx, family, _quad_spec(args))
-    _emit(args, {"family": family.label, **report.as_dict()})
+    _emit(args, {"family": family.label, **report})
     return EXIT_OK
 
 

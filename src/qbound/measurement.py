@@ -380,14 +380,19 @@ def load_tabulated_csv(path) -> PovmFamily:
     rows are needed.  The body is parsed in one np.loadtxt call; anything
     that call cannot take, or takes as another shape, is parsed again row
     by row, and that loop names the first bad line as path:line.  Both
-    paths accept the same files and return the same bits.
+    paths accept the same files and return the same bits.  An error of
+    `tabulated_family` on the parsed columns is raised again with the path
+    in front.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         data = _parse_body(fh, path)
         if data is None:
             fh.seek(0)
             data = _parse_rows(fh, path)
-    return tabulated_family(data[:, 0], data[:, 1], data[:, 2], data[:, 3], label=str(path))
+    try:
+        return tabulated_family(data[:, 0], data[:, 1], data[:, 2], data[:, 3], label=str(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _rows(reader, path):

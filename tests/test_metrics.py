@@ -135,8 +135,8 @@ def test_monotone_rld_matches_rld_metric():
 
 
 def test_monotone_coefficients_unify_at_small_r():
-    for spec in MONOTONE_SPECS.values():
-        _, angular = monotone_metric(spec, 1e-6)
+    for f in MONOTONE_SPECS.values():
+        _, angular = monotone_metric(f, 1e-6)
         assert abs(angular - 1.0) <= 1e-5
 
 
@@ -144,13 +144,13 @@ def test_monotone_coefficients_unify_at_small_r():
 @given(t=st.floats(0.01, 100.0))
 def test_monotone_functional_symmetry(t):
     # f(t) = t f(1/t) and f(1) = 1 for every named kind
-    for spec in MONOTONE_SPECS.values():
-        assert abs(spec.f(t) - t * spec.f(1.0 / t)) <= 1e-10 * max(1.0, spec.f(t))
-        assert abs(spec.f(1.0) - 1.0) <= 1e-12
+    for f in MONOTONE_SPECS.values():
+        assert abs(f(t) - t * f(1.0 / t)) <= 1e-10 * max(1.0, f(t))
+        assert abs(f(1.0) - 1.0) <= 1e-12
 
 
 def test_kubo_mori_removable_singularity():
-    f = MONOTONE_SPECS["KuboMori"].f
+    f = MONOTONE_SPECS["KuboMori"]
     for t in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
         assert abs(f(t) - 1.0) <= 1e-8
     assert abs(f(1.001) - f(0.999) - 0.001) <= 1e-6  # slope 1/2 on both sides
@@ -279,12 +279,11 @@ def test_fisher_integral_names_where_the_density_vanishes():
 # ---------------------------------------------------------------- metric report
 def test_metric_report_contents():
     s = QubitState(0.5, PI / 2, 3 * PI / 4)
-    rep = metric_report(s)
-    data = rep.as_dict()
+    data = metric_report(s)
     for key in ("new_metric", "sld_metric", "rld_metric", "husimi_classical",
                 "monotone_SLD", "monotone_RLD", "monotone_KuboMori"):
         assert key in data
-    assert abs(rep.measurement_fisher_phiphi - 0.25) <= 1e-10
+    assert abs(data["measurement_fisher_phiphi"] - 0.25) <= 1e-10
     import json
 
     json.dumps(data)  # must be serializable as-is
@@ -292,7 +291,7 @@ def test_metric_report_contents():
 
 def test_metric_report_skips_fisher_at_cos_zero():
     rep = metric_report(QubitState(0.5, PI / 2, PI / 2))
-    assert rep.measurement_fisher_phiphi is None
+    assert rep["measurement_fisher_phiphi"] is None
 
 
 def test_metric_report_domain_error_below_working_range():
