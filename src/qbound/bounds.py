@@ -323,8 +323,9 @@ def bounds_sweep(
     phase-space metric, the inverse phi-phi components of the SLD, RLD,
     measurement-Fisher and Husimi metrics, the estimator variance, and the
     signed slack v*g - C.  Failed rows are marked and the sweep continues;
-    at sin(theta) = 0, where the phi-phi entries vanish, every row in the
-    working range fails.
+    where sin(theta) == 0.0 the phi-phi entries vanish and every row in the
+    working range fails.  Only that exact zero fails a row: the float nearest
+    pi has sin = 1.2e-16, and its huge bounds are the true ones for that input.
 
     Once per sweep, at the first valid state: the family (it reads only
     phi, eps and sigma), its grid, I1, I2 and C's off-diagonal integral; a

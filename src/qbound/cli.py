@@ -38,7 +38,6 @@ EXIT_IO = 2
 EXIT_SELFTEST = 3
 
 _SWEEP_COLUMNS = ("r", "B_max", "B_SLD", "B_RLD", "B_Fisher", "B_Husimi", "v", "vg_minus_C")
-_SWEEP_SERIES = ("B_max", "B_SLD", "B_RLD", "B_Fisher", "B_Husimi")
 _SERIES_COLORS = {
     "B_max": "#c0392b",
     "B_SLD": "#2980b9",
@@ -46,6 +45,7 @@ _SERIES_COLORS = {
     "B_Fisher": "#8e44ad",
     "B_Husimi": "#e67e22",
 }
+_SWEEP_SERIES = tuple(_SERIES_COLORS)
 
 
 def fmt(x) -> str:
@@ -205,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("metrics", help="metric report at one state point")
+    p.set_defaults(run=_cmd_metrics)
     _add_state_args(p)
     _add_common_args(p)
 
@@ -215,25 +216,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(v)
     v.add_argument("--csv", default=None, help="tabulated family CSV (phi_hat,x11,x12,y12)")
     # None marks "not given", which --csv requires: a table carries its own window
-    v.set_defaults(eps=None, sigma=None)
+    v.set_defaults(eps=None, sigma=None, run=_cmd_povm_validate)
 
     p = sub.add_parser("bounds", help="estimation bound tools")
     bounds_sub = p.add_subparsers(dest="bounds_command", required=True)
     s = bounds_sub.add_parser("sweep", help="bound comparison over an r grid")
+    s.set_defaults(run=_cmd_bounds_sweep)
     s.add_argument("--r-min", type=float, default=0.1)
     s.add_argument("--r-max", type=float, default=0.9)
     s.add_argument("--steps", type=int, default=9)
-    s.add_argument("--theta", type=float, default=math.pi / 2)
+    s.add_argument("--theta", type=float, default=math.pi / 2,
+                   help="polar angle, radians; rows fail only where sin(theta) == 0.0")
     s.add_argument("--phi", type=float, default=3 * math.pi / 4)
     _add_common_args(s)
     s.add_argument("--svg", default=None, help="also write an SVG chart here")
     s.add_argument("--log-y", action="store_true", help="log-scale the SVG y axis")
 
     p = sub.add_parser("audit", help="derivation audit report")
+    p.set_defaults(run=_cmd_audit)
     _add_state_args(p)
     _add_common_args(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the estimator moments")
+    p.set_defaults(run=_cmd_simulate)
     _add_state_args(p)
     _add_common_args(p)
     p.add_argument("--samples", type=int, default=100000)
@@ -241,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed (falls back to QBOUND_SEED, then 0)")
 
     p = sub.add_parser("selftest", help="run the built-in oracle/invariant suite")
+    p.set_defaults(run=_cmd_selftest)
     return parser
 
 
@@ -297,17 +303,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     return parser.parse_args(argv)
 
 
-def _require_r(args) -> float:
+def _state(args) -> QubitState:
     if args.r is None:
         raise DomainError("--r is required (flag or config file)")
-    return args.r
+    return QubitState(args.r, args.theta, args.phi)
 
 
 def _quad_spec(args) -> QuadSpec | None:
-    if args.panels is None and args.order is None:
-        return None
-    return QuadSpec(64 if args.panels is None else args.panels,
-                    16 if args.order is None else args.order)
+    """QuadSpec of the flags given, the rest defaulted; None keeps a family's own sizing."""
+    given = {k: v for k, v in (("panels", args.panels), ("order", args.order)) if v is not None}
+    return QuadSpec(**given) if given else None
 
 
 def _emit(args, data: dict | None = None, csv_text: str | None = None) -> None:
@@ -318,13 +323,12 @@ def _emit(args, data: dict | None = None, csv_text: str | None = None) -> None:
 
 
 def _cmd_metrics(args) -> int:
-    state = QubitState(_require_r(args), args.theta, args.phi)
-    _emit(args, metric_report(state, eps=args.eps, sigma=args.sigma, spec=_quad_spec(args)))
+    _emit(args, metric_report(_state(args), eps=args.eps, sigma=args.sigma, spec=_quad_spec(args)))
     return EXIT_OK
 
 
 def _cmd_povm_validate(args) -> int:
-    state = QubitState(_require_r(args), args.theta, args.phi)
+    state = _state(args)
     given = {k: v for k, v in (("eps", args.eps), ("sigma", args.sigma)) if v is not None}
     if args.csv and given:
         raise DomainError(
@@ -355,8 +359,7 @@ def _cmd_bounds_sweep(args) -> int:
     else:
         _emit(args, csv_text=rows_to_csv(_SWEEP_COLUMNS, table))
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(sweep_svg(rows, log_y=args.log_y))
+        write_output(sweep_svg(rows, log_y=args.log_y), args.svg)
     failed = [row for row in rows if row.error is not None]
     if failed:
         for row in failed:
@@ -366,8 +369,7 @@ def _cmd_bounds_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    state = QubitState(_require_r(args), args.theta, args.phi)
-    ctx = EstimationContext(state, eps=args.eps)
+    ctx = EstimationContext(_state(args), eps=args.eps)
     family = gaussian_sharp_family(ctx, sigma=args.sigma)
     report = audit_derivation(ctx, family, _quad_spec(args))
     _emit(args, {"family": family.label, **report})
@@ -378,7 +380,7 @@ def _cmd_simulate(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("QBOUND_SEED", "0"))
-    state = QubitState(_require_r(args), args.theta, args.phi)
+    state = _state(args)
     ctx = EstimationContext(state, eps=args.eps)
     family = gaussian_sharp_family(ctx, sigma=args.sigma)
     mean_q, var_q = estimator_moments(ctx, family, _quad_spec(args))
@@ -419,28 +421,12 @@ def _cmd_selftest(_args) -> int:
     return status
 
 
-def dispatch(args) -> int:
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "povm":
-        return _cmd_povm_validate(args)
-    if args.command == "bounds":
-        return _cmd_bounds_sweep(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "selftest":
-        return _cmd_selftest(args)
-    raise ValueError(f"unknown command {args.command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = _apply_config(parser, argv)
-        return dispatch(args)
+        return args.run(args)
     except (DomainError, ValueError) as exc:
         print(f"qbound: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

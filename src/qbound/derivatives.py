@@ -36,7 +36,6 @@ import math
 import numpy as np
 
 from .phasespace import husimi, husimi_partial, inverse_weyl
-from .quadrature import QuadSpec
 from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix, eig2
 
 R_MIN = 1e-6
@@ -93,12 +92,7 @@ def _check_method(method: str, allowed: tuple[str, ...]) -> None:
         raise ValueError(f"method must be one of {allowed}, got {method!r}")
 
 
-def new_log_derivative(
-    state: QubitState,
-    k: ParamIndex,
-    method: str = "closed",
-    spec: QuadSpec | None = None,
-) -> np.ndarray:
+def new_log_derivative(state: QubitState, k: ParamIndex, method: str = "closed") -> np.ndarray:
     """Phase-space-derived logarithmic derivative for parameter xi^k."""
     _check_method(method, ("closed", "quadrature"))
     require_working_r(state.r, "new_log_derivative")
@@ -106,7 +100,7 @@ def new_log_derivative(
     if method == "quadrature":
         q = husimi(state)
         dq = husimi_partial(state, k)
-        return inverse_weyl(lambda t1, p1: dq(t1, p1) / q(t1, p1), -1.0, spec, state.bloch)
+        return inverse_weyl(lambda t1, p1: dq(t1, p1) / q(t1, p1), -1.0, state.bloch)
 
     r = state.r
     drho = d_rho(state, k)

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import QuadSpec, _check_finite, integrate_1d, nodes_1d
+from .quadrature import DEFAULT_SPEC, QuadSpec, _check_finite, integrate_1d, nodes_1d
 from .qubit import DomainError, QubitState, density_matrix
 
 COMPLETENESS_TOL = 1e-9
@@ -142,8 +142,8 @@ class PovmFamily:
     label: str = ""
     half_width: float = math.pi
     # quadrature sizing hint; tabulated families override it
-    panels_hint: int = 64
-    order_hint: int = 16
+    panels_hint: int = DEFAULT_SPEC.panels
+    order_hint: int = DEFAULT_SPEC.order
     # FamilyGrid per effective QuadSpec; lives and dies with the family
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -292,7 +292,7 @@ def tapered_sharp_family(
             - k * cos_half ** (2 * k - 1) * np.sin(0.5 * u)
         )
 
-    norm = 1.0 / integrate_1d(shape, -math.pi, math.pi, QuadSpec(64, 16))
+    norm = 1.0 / integrate_1d(shape, -math.pi, math.pi)
 
     def x11(u):
         return norm * shape(np.asarray(u, dtype=float) - mu)

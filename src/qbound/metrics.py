@@ -149,9 +149,7 @@ def monotone_metric(f: Callable[[float], float], r: float) -> tuple[float, float
     return 1.0 / (1.0 - r * r), 1.0 / f(t) / (1.0 + r)
 
 
-def husimi_classical_metric(
-    state: QubitState, method: str = "closed", spec: QuadSpec | None = None
-) -> np.ndarray:
+def husimi_classical_metric(state: QubitState, method: str = "closed") -> np.ndarray:
     """Classical Fisher metric of the Husimi density over the sphere.
 
     `method="quadrature"` evaluates E_Q[d_i log Q d_j log Q] directly.
@@ -168,7 +166,7 @@ def husimi_classical_metric(
             d = np.stack([f(t1, p1) for f in dq], axis=-1)
             return d[..., :, None] * d[..., None, :] / q(t1, p1)[..., None, None]
 
-        return sphere_integrate(integrand, spec, state.bloch)
+        return sphere_integrate(integrand, state.bloch)
     radial = -coeff_k_tilde(r) / (2.0 * r ** 3)
     angular = coeff_k(r) / (4.0 * r ** 3)
     return _angular_block(r, th, radial, angular)

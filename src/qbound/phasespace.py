@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .quadrature import QuadSpec, sphere_integrate
+from .quadrature import sphere_integrate
 from .qubit import (
     IDENTITY2,
     PAULIS,
@@ -88,7 +88,7 @@ def weyl_map(a, s: float):
     return symbol
 
 
-def inverse_weyl(f, s: float, spec: QuadSpec | None = None, pole=None) -> np.ndarray:
+def inverse_weyl(f, s: float, pole=None) -> np.ndarray:
     """Operator whose s-symbol is f: integral of f(Omega) Delta(Omega; -s) dmu.
 
     `pole` is the Bloch vector of the state whose Husimi function f divides
@@ -101,7 +101,7 @@ def inverse_weyl(f, s: float, spec: QuadSpec | None = None, pole=None) -> np.nda
         vals = np.broadcast_to(vals, np.shape(theta1))[..., None]
         return np.concatenate([vals, vals * _omega(theta1, phi1)], axis=-1)
 
-    a = sphere_integrate(integrand, spec, pole)
+    a = sphere_integrate(integrand, pole)
     return 0.5 * (a[0] * IDENTITY2 + _c(-s) * np.tensordot(a[1:], PAULIS, axes=1))
 
 

@@ -11,24 +11,28 @@ integrand returns a field whose first axis has the node count, of any trailing
 shape, integrated entrywise; a scalar or a 2x2 constant broadcasts.
 
 On the sphere, with dmu = du dpsi / (2 pi) for u = n.Omega and psi the
-azimuth about an axis n, one rule serves two cases:
+azimuth about an axis n, one fixed rule of SPHERE_ORDER = 16 Gauss nodes
+per panel in u serves two cases:
 
-* No pole (state-free integrands): n = e3, Gauss-Legendre in u = cos(theta1)
-  on panels x order nodes times a trapezoid of 2 x panels x order nodes
-  in phi1.  This is exact for every spherical harmonic of degree below
-  2 x panels x order.
+* No pole (state-free integrands): n = e3, 16 Gauss-Legendre nodes in
+  u = cos(theta1) times a trapezoid of 32 nodes in phi1.  This is exact
+  for every spherical harmonic of degree below 32.
 * A pole p, the Bloch vector of a state with r = |p| in (0, 1): n = p / r.
   The state integrands are polynomials in Omega over powers of
   Q = (1 + r u) / 2.  In psi they are trigonometric polynomials of degree
   <= 2, on which the periodic trapezoid rule is exact from 3 nodes
-  (Trefethen & Weideman, SIAM Review 56, 2014); it uses 8 x panels nodes.
+  (Trefethen & Weideman, SIAM Review 56, 2014); it uses 8 nodes.
   In u they are analytic but for the pole of 1/(1 + r u) at u = -1/r, and
   a Gauss rule on [-1, 1] converges like rho^(-2n) with rho the Bernstein
   ellipse through that pole, rho = 1/r + sqrt(1/r^2 - 1).  As r -> 1,
   rho -> 1 and a uniform rule needs O(1/sqrt(1 - r)) nodes.  Split at the
   geometric mesh -1 + 2 * 0.2^k, down to below 0.2 (1 - r), every panel
   sees the pole at least half its half-width beyond its near end
-  (rho >= 2.6), so O(log 1/(1 - r)) panels of `order` nodes suffice.
+  (rho >= 2.6), so O(log 1/(1 - r)) grading panels of 16 nodes suffice.
+
+The doubling residual refines every axis of either case: 2 panels per
+grading level (or over [-1, 1] without a pole), one more level, and twice
+the azimuth nodes.
 
 Both map their nodes back to the lab angles (theta1, phi1), so integrands
 are written once, in the lab frame, and the rule never looks inside them.
@@ -72,8 +76,8 @@ class QuadSpec:
 
 
 DEFAULT_SPEC = QuadSpec()
-# one 16-point panel in u per grading level; exact to degree 31 without a pole
-SPHERE_SPEC = QuadSpec(panels=1, order=16)
+# Gauss nodes per grading panel in u; exact to degree 31 without a pole
+SPHERE_ORDER = 16
 # ratio of the sphere rule's geometric mesh toward u = -1; the mesh stops
 # below GRADING * (1 - r), where the pole at u = -1/r is 5 panel widths away
 GRADING = 0.2
@@ -129,11 +133,11 @@ def integrate_1d(f, a: float, b: float, spec: QuadSpec | None = None) -> float:
     return float(w @ y)
 
 
-def _sphere_nodes(spec: QuadSpec, pole, extra_levels: int = 0):
+def _sphere_nodes(pole, panels: int = 1, extra_levels: int = 0):
     """Lab angles and weights of the sphere rule, u-major."""
     if pole is None:
-        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(spec.panels, spec.order))
-        m = 2 * spec.panels * spec.order
+        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, SPHERE_ORDER))
+        m = 2 * panels * SPHERE_ORDER
         e1, e2, n = np.eye(3)
     else:
         pole = np.asarray(pole, dtype=float)
@@ -144,8 +148,8 @@ def _sphere_nodes(spec: QuadSpec, pole, extra_levels: int = 0):
         while 2.0 * GRADING ** levels >= GRADING * (1.0 - r):
             levels += 1
         splits = [-1.0 + 2.0 * GRADING ** k for k in range(1, levels + extra_levels + 1)]
-        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(spec.panels, spec.order, splits))
-        m = 8 * spec.panels
+        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, SPHERE_ORDER, splits))
+        m = 8 * panels
         # spherical frame of n: e1 toward increasing polar angle, e2 azimuthal
         n = pole / r
         rho = math.hypot(n[0], n[1])
@@ -175,23 +179,21 @@ def _integrate_nodes(F, theta1, phi1, w):
     return res.item() if res.ndim == 0 else res
 
 
-def sphere_integrate(F, spec: QuadSpec | None = None, pole=None):
+def sphere_integrate(F, pole=None):
     """Integral of F(theta1, phi1) over the sphere with measure
     sin(theta1) d theta1 d phi1 / (2 pi), so the total measure is 2.
 
     F returns a field of shape (nodes, ...), integrated entrywise, or a
     scalar or 2x2 constant.  A scalar field gives a scalar.  `pole` is the
     Bloch vector of the state whose Husimi function F divides by (None for
-    state-free integrands); see the module docstring.  Split points in the
-    spec are not used on the sphere.
+    state-free integrands); see the module docstring.
     """
-    return _integrate_nodes(F, *_sphere_nodes(spec or SPHERE_SPEC, pole))
+    return _integrate_nodes(F, *_sphere_nodes(pole))
 
 
-def doubling_residual_sphere(F, spec: QuadSpec | None = None, pole=None) -> float:
+def doubling_residual_sphere(F, pole=None) -> float:
     """Max-abs change of the integral when every axis is refined: twice the
     panels per grading level, twice the azimuth nodes, one more level."""
-    spec = spec or SPHERE_SPEC
-    lo = np.asarray(sphere_integrate(F, spec, pole))
-    hi = np.asarray(_integrate_nodes(F, *_sphere_nodes(spec.doubled(), pole, extra_levels=1)))
+    lo = np.asarray(sphere_integrate(F, pole))
+    hi = np.asarray(_integrate_nodes(F, *_sphere_nodes(pole, panels=2, extra_levels=1)))
     return float(np.max(np.abs(lo - hi)))

@@ -36,13 +36,15 @@ class ParamIndex(enum.IntEnum):
     PHI = 3
 
 
-def require_hermitian(m, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > atol:
-        raise ValueError(f"{name} is not Hermitian: max |m - m^dagger| = {defect:.3e} > {atol:.1e}")
+    if defect > HERMITIAN_ATOL:
+        raise ValueError(
+            f"{name} is not Hermitian: max |m - m^dagger| = {defect:.3e} > {HERMITIAN_ATOL:.1e}"
+        )
     return m
 
 

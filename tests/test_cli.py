@@ -43,12 +43,15 @@ def test_metrics_quadrature_flags_reach_fisher(tmp_path):
     state = QubitState(0.5, PI / 2, 3 * PI / 4)
     family = gaussian_sharp_family(EstimationContext(state))
     values = []
-    for flags in ([], ["--panels", "2", "--order", "2"]):
+    for flags in ([], ["--panels", "2", "--order", "2"], ["--panels", "8"], ["--order", "6"]):
         out = tmp_path / "metrics.json"
         assert run(["metrics", "--r", "0.5", *flags, "--out", str(out)]) == EXIT_OK
         values.append(json.loads(out.read_text())["measurement_fisher_phiphi"])
     assert values[1] == measurement_fisher(state, family, QuadSpec(2, 2))
     assert values[1] != values[0]
+    # one flag alone keeps the default of the other
+    assert values[2] == measurement_fisher(state, family, QuadSpec(8, 16))
+    assert values[3] == measurement_fisher(state, family, QuadSpec(64, 6))
 
 
 def test_metrics_csv_cells_are_formatted(tmp_path):

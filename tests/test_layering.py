@@ -1,6 +1,7 @@
 """The package's modules import one way: each only from lower layers."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -79,3 +80,31 @@ def test_all_lists_exactly_the_public_names_init_binds():
     )
     assert qbound.__all__ == sorted(set(qbound.__all__))
     assert qbound.__all__ == public
+
+
+def imported_names(path):
+    """Names a module imports with `from ... import`, at any depth."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_the_sphere_side_takes_no_quadrature_spec():
+    # the sphere rule is fixed; only 1-D integrals over a POVM window take a QuadSpec
+    from qbound import derivatives, metrics, phasespace, quadrature
+
+    package = Path(qbound.__file__).parent
+    assert [stem for stem in ("phasespace", "derivatives")
+            if "QuadSpec" in imported_names(package / f"{stem}.py")] == []
+    functions = [
+        fn for mod in (phasespace, derivatives)
+        for name, fn in vars(mod).items()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_")
+    ]
+    functions += [quadrature.sphere_integrate, quadrature.doubling_residual_sphere,
+                  metrics.husimi_classical_metric]
+    with_spec = [fn.__qualname__ for fn in functions if "spec" in inspect.signature(fn).parameters]
+    assert with_spec == []

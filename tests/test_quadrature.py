@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from qbound.derivatives import R_MAX
-from qbound.phasespace import husimi, sw_kernel
+from qbound.derivatives import R_MAX, new_log_derivative
+from qbound.metrics import husimi_classical_metric
+from qbound.phasespace import husimi, husimi_partial, sw_kernel
 from qbound.quadrature import (
     QuadSpec,
     QuadratureError,
@@ -15,7 +17,7 @@ from qbound.quadrature import (
     nodes_1d,
     sphere_integrate,
 )
-from qbound.qubit import QubitState
+from qbound.qubit import ParamIndex, QubitState
 
 from conftest import PI
 
@@ -233,3 +235,29 @@ def test_sphere_integrates_a_matrix_field_in_one_call():
 def test_sphere_rejects_bad_shapes():
     with pytest.raises(TypeError, match="broadcast"):
         sphere_integrate(lambda t, p: np.zeros(3))
+
+
+# sha256 over every sphere-rule output at six states, recorded with numpy 2.4
+# on x86-64 while the sphere functions still took a QuadSpec.  The rule is
+# fixed, so these bits may only move with a deliberate change to it; another
+# platform may round differently.
+SPHERE_PIN = "dd96c4f7fba30bfaab1b64b02b71cec16e0147bb26e32e760c8fac3d982f173d"
+
+
+def test_sphere_rule_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for r, theta, phi in ((0.1, 1.0, 2.0), (0.5, PI / 2, 0.3), (0.9, 2.8, 5.5),
+                          (0.999, 0.4, 4.0), (R_MAX, 2.0, 4.0), (0.7, 0.0, 0.0)):
+        s = QubitState(r, theta, phi)
+        q, dq = husimi(s), husimi_partial(s, ParamIndex.R)
+        outputs = [
+            husimi_classical_metric(s, "quadrature"),
+            *(new_log_derivative(s, k, "quadrature") for k in ParamIndex),
+            sphere_integrate(q),
+            sphere_integrate(q, pole=s.bloch),
+            doubling_residual_sphere(q),
+            doubling_residual_sphere(lambda t, p: dq(t, p) ** 2 / q(t, p), pole=s.bloch),
+        ]
+        for value in outputs:
+            digest.update(np.asarray(value, dtype=complex).tobytes())
+    assert digest.hexdigest() == SPHERE_PIN
