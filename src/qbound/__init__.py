@@ -1,5 +1,7 @@
 """qbound: phase-space information metrics and estimation-error bounds for one qubit."""
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     SweepRow,
     ab_coefficients,
@@ -57,56 +59,6 @@ from .qubit import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "EstimationContext",
-    "MONOTONE_SPECS",
-    "OutcomeDistribution",
-    "ParamIndex",
-    "PovmFamily",
-    "QuadSpec",
-    "QuadratureError",
-    "QubitState",
-    "R_MAX",
-    "R_MIN",
-    "SweepRow",
-    "ValidationReport",
-    "ab_coefficients",
-    "audit_derivation",
-    "bound_Cmax",
-    "bounds_sweep",
-    "coeff_h3r",
-    "coeff_k",
-    "coeff_k_tilde",
-    "d_rho",
-    "density_matrix",
-    "deviation_h",
-    "eig2",
-    "estimator_moments",
-    "gaussian_sharp_family",
-    "husimi",
-    "husimi_classical_metric",
-    "husimi_partial",
-    "integrate_1d",
-    "inverse_weyl",
-    "load_tabulated_csv",
-    "measurement_fisher",
-    "metric_report",
-    "monotone_metric",
-    "new_log_derivative",
-    "new_metric",
-    "outcome_distribution",
-    "pauli_decomposition",
-    "rld",
-    "rld_metric",
-    "sample_outcomes",
-    "sld",
-    "sld_metric",
-    "sphere_integrate",
-    "sw_kernel",
-    "tabulated_family",
-    "tapered_sharp_family",
-    "theorem_general",
-    "validate_povm",
-    "weyl_map",
-]
+# every public name bound above; the layer modules themselves are not exported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

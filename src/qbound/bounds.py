@@ -21,7 +21,7 @@ the sign conditions on the off-diagonals is
 
 I1 and I2 being half-window moments of x11.  Every integral here is a
 contraction over the family's `FamilyGrid`, which is split at the window
-center, so I1 and I2 are sums over its two halves.
+center; a, b, v, I1, I2 and C's integrals are read from its moment table.
 
 Two routes evaluate the bracket, kept apart: the closed one above,
 `_squared_bracket` over `_r_free_integrals`, for `bound_Cmax` and
@@ -64,9 +64,10 @@ from .measurement import (
     FamilyGrid,
     PovmFamily,
     _COS_MIN,
-    _second_moment,
+    _check_window,
+    _inv_square,
+    _moment_integrals,
     _sign_conditions_ok,
-    estimator_moments,
     gaussian_sharp_family,
     trace_with_elements,
 )
@@ -98,25 +99,17 @@ def ab_coefficients(
     the window limits are held fixed, so for edge-supported families b picks
     up the edge value of x11 through integration by parts.
     """
-    return _ab(p.grid(spec), density_matrix(ctx.state), ctx.state.phi)
+    return _moment_integrals(p.grid(spec), ctx.state)(ctx.state.r)[:2]
 
 
-def _ab(g: FamilyGrid, rho: np.ndarray, phi: float) -> tuple[float, float]:
-    """(a, b) from the family grid and the state's rho and azimuth."""
-    tr_dpi = trace_with_elements(rho, g.d_x11, g.d_x12, g.d_y12)
-    return float(phi * g.integrate(tr_dpi)), float(1.0 - g.integrate(g.x * tr_dpi))
-
-
-def _r_free_integrals(ctx: EstimationContext, p: PovmFamily, g: FamilyGrid):
+def _r_free_integrals(ctx: EstimationContext, g: FamilyGrid):
     """I1, I2 and C's off-diagonal integral, all free of r."""
-    mu = p.center
     phi = ctx.state.phi
     cos_c = math.cos(phi)
-    below = slice(None, int(np.searchsorted(g.x, mu)))
-    above = slice(below.stop, None)
-    I1 = float(g.w[below] @ ((g.x[below] - mu) * g.x11[below] + ctx.eps * g.y12[below] / cos_c))
-    I2 = float(g.w[above] @ ((g.x[above] - phi) * g.x11[above]))
-    offdiag = g.integrate((g.x - phi) * (math.sin(phi) * g.x12 + cos_c * g.y12))
+    m, d = g.moment, g.center - phi  # about phi, a first moment is m1 + d m0
+    I1 = m("x11", 1, -1) + ctx.eps * m("y12", 0, -1) / cos_c
+    I2 = m("x11", 1, 1) + d * m("x11", 0, 1)
+    offdiag = math.sin(phi) * (m("x12", 1) + d * m("x12", 0)) + cos_c * (m("y12", 1) + d * m("y12", 0))
     return I1, I2, offdiag
 
 
@@ -150,7 +143,7 @@ def bound_Cmax(
     """
     a, b = ab_coefficients(ctx, p, spec)
     c = a + b
-    I1, I2, offdiag = _r_free_integrals(ctx, p, p.grid(spec))
+    I1, I2, offdiag = _r_free_integrals(ctx, p.grid(spec))
     h3 = coeff_h3r(ctx.state.r)
     st = math.sin(ctx.state.theta)
     return {
@@ -195,15 +188,14 @@ def theorem_general(
         raise ValueError("Y and Z must not both be zero")
     state = ctx.state
 
-    mean, variance = estimator_moments(ctx, p, spec)
+    grid = p.grid(spec)
+    a, b, mean, variance = _moment_integrals(grid, state)(state.r)
     if abs(mean - ctx.center) > UNBIASEDNESS_PRECHECK_TOL:
         raise DomainError(
             f"family is not unbiased at this context: E[phi_hat] = {float(mean)!r}, "
             f"expected {float(ctx.center)!r}"
         )
 
-    grid = p.grid(spec)
-    a, b = _ab(grid, density_matrix(state), state.phi)
     bracket = _operator_bracket(grid, state, a + b, Y, Z)
     g = new_metric(state, method="closed")
     return {
@@ -245,8 +237,7 @@ def audit_derivation(
     rho = density_matrix(state)
     drho = d_rho(state, ParamIndex.PHI)
 
-    q = g.trace(rho)
-    a, b = _ab(g, rho, phi)
+    a, b, _, variance = _moment_integrals(g, state)(state.r)
     c = a + b
 
     # identity from differentiating unbiasedness with fixed limits
@@ -262,7 +253,6 @@ def audit_derivation(
     cross = g.integrate((g.x - phi) * g.trace(rho @ l3))
     cross_real = float(cross.real)
 
-    variance = _second_moment(g, q, phi)
     quad_tl = float(g.integrate(g.trace(l3 @ rho @ l3)).real)
     g_phiphi = float(new_metric(state, method="closed")[2, 2])
 
@@ -328,11 +318,12 @@ def bounds_sweep(
     pi has sin = 1.2e-16, and its huge bounds are the true ones for that input.
 
     Once per sweep, at the first valid state: the family (it reads only
-    phi, eps and sigma), its grid, I1, I2 and C's off-diagonal integral; a
-    failed build is retried, and so reported, on every valid row.  Per row:
-    the closed-form metrics (phase-space first, so r = 1 names its range),
-    a, b, one tr(rho Pi) for both v and Fisher, tr(d_phi rho Pi) and the RLD
-    (phi, phi) entry, each bit for bit what the single-state functions give.
+    phi, eps and sigma), its grid, I1, I2, C's off-diagonal integral and
+    the r-free parts of a, b, v and Fisher; a failed build is retried, and so
+    reported, on every valid row.  Per row: the closed-form metrics
+    (phase-space first, so r = 1 names its range), the RLD (phi, phi) entry,
+    a, b and v as scalar arithmetic, and one node pass for Fisher, each bit
+    for bit what the single-state functions give.
     """
     rows = []
     grid = None
@@ -342,9 +333,10 @@ def bounds_sweep(
             state = QubitState(r, theta, phi)
             ctx = EstimationContext(state, eps=eps)
             if grid is None:
-                family = gaussian_sharp_family(ctx, sigma=sigma)
-                family_grid = family.grid(spec)
-                I1, I2, offdiag = _r_free_integrals(ctx, family, family_grid)
+                family_grid = gaussian_sharp_family(ctx, sigma=sigma).grid(spec)
+                I1, I2, offdiag = _r_free_integrals(ctx, family_grid)
+                integrals = _moment_integrals(family_grid, state)
+                fisher_of = _fisher_integral(family_grid, state)
                 grid = family_grid
             g = float(new_metric(state)[2, 2])
             st = math.sin(state.theta)
@@ -354,11 +346,9 @@ def bounds_sweep(
                 )
             rho = density_matrix(state)
             drho = d_rho(state, ParamIndex.PHI)
-            a, b = _ab(grid, rho, state.phi)
+            a, b, _, variance = integrals(r)
+            fisher = fisher_of(r)
             h3 = coeff_h3r(r)
-            q = grid.trace(rho)
-            variance = _second_moment(grid, q, state.phi)
-            fisher = _fisher_integral(grid, q, grid.trace(drho))
             rows.append(
                 SweepRow(
                     r=r,
@@ -394,10 +384,8 @@ def metric_report(
     integral.
     """
     # in the order the family itself checks them
-    if not math.isfinite(eps):
-        raise DomainError("eps must be finite")
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
+    _check_window(state.phi, eps)
+    _inv_square(sigma)
     fisher = None
     if abs(math.cos(state.phi)) >= _COS_MIN:
         ctx = EstimationContext(state, eps=eps)

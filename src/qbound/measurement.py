@@ -33,8 +33,10 @@ at |offdiag_scale| = 1), which is what "saturating" means.
 
 Every window integral of a family is a contraction over the `FamilyGrid`
 that `PovmFamily.grid(spec)` builds once per effective spec and keeps on the
-family; the window is always split at its center.  Traces tr(M Pi) are real
-arrays for Hermitian M, and an integral scans its values for a non-finite
+family; the window is always split at its center.  Integrals of
+(phi_hat - mu)^j tr(M Pi), j <= 2, are scalar arithmetic on the grid's
+moment table (`FamilyGrid.moment`).  Traces tr(M Pi) are real arrays for
+Hermitian M, and an integral over nodes scans its values for a non-finite
 one only when its result is not finite.
 """
 
@@ -49,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import DEFAULT_SPEC, QuadSpec, _check_finite, integrate_1d, nodes_1d
-from .qubit import DomainError, QubitState, density_matrix
+from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 COMPLETENESS_TOL = 1e-9
 EIGENVALUE_TOL = 1e-12
@@ -79,8 +81,7 @@ class EstimationContext:
     eps: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.eps):
-            raise DomainError("eps must be finite")
+        _check_window(self.state.phi, self.eps)
         if abs(math.cos(self.state.phi)) < _COS_MIN:
             raise DomainError(
                 "construction angle has cos(phi) ~ 0; the off-diagonal "
@@ -93,10 +94,35 @@ class EstimationContext:
         return self.state.phi + self.eps
 
 
+def _check_window(phi: float, eps: float) -> None:
+    """eps must be finite and keep mu = phi + eps inside [mu - pi, mu + pi]."""
+    if not math.isfinite(eps):
+        raise DomainError("eps must be finite")
+    mu = phi + eps
+    if not mu - math.pi < mu < mu + math.pi:
+        raise DomainError(f"eps = {eps!r} collapses the window [mu - pi, mu + pi] at mu = {mu!r}")
+
+
+def _inv_square(sigma: float) -> float:
+    """1/sigma^2, for a positive sigma whose square does not underflow."""
+    if not sigma > 0:
+        raise DomainError("sigma must be positive")
+    inv = 1.0 / (sigma * sigma) if sigma * sigma else math.inf
+    if inv == math.inf:
+        raise DomainError(f"sigma = {sigma!r} is too small: 1/sigma^2 overflows")
+    return inv
+
+
+# FamilyGrid's element arrays; tr(M Pi) reads the VALUES, tr(M dPi) the rest
+ELEMENT_NAMES = ("x11", "x12", "y12", "d_x11", "d_x12", "d_y12")
+VALUES, DERIVATIVES = ELEMENT_NAMES[:3], ELEMENT_NAMES[3:]
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyGrid:
     """A family's quadrature nodes and weights on its window, with its
-    element arrays and their parameter derivatives at every node."""
+    element arrays and their parameter derivatives at every node, and a
+    table of element moments, each computed on first use and kept."""
 
     x: np.ndarray
     w: np.ndarray
@@ -106,6 +132,8 @@ class FamilyGrid:
     d_x11: np.ndarray
     d_x12: np.ndarray
     d_y12: np.ndarray
+    center: float = 0.0
+    _table: dict = field(default_factory=dict, init=False, repr=False)
 
     def trace(self, m: np.ndarray) -> np.ndarray:
         """tr(M Pi) at every node; a real array when M is Hermitian."""
@@ -120,6 +148,24 @@ class FamilyGrid:
         if not cmath.isfinite(out):
             _check_finite(values[:, None], self.x)
         return out
+
+    def moment(self, name: str, j: int, side: int = 0) -> float:
+        """The sum of w (x - center)^j e, e the element array `name`, over the
+        window (side 0) or its nodes below (-1) or above (+1) the center."""
+        key = (name, j, side)
+        if key not in self._table:
+            part, wj = self._weights(j, side)
+            self._table[key] = float(wj @ getattr(self, name)[part])
+        return self._table[key]
+
+    def _weights(self, j: int, side: int) -> tuple[slice, np.ndarray]:
+        key = (None, j, side)
+        if key not in self._table:
+            k = int(np.searchsorted(self.x, self.center))
+            part = (slice(None), slice(k, None), slice(None, k))[side]
+            wj = self._weights(j - 1, side)[1] * (self.x[part] - self.center) if j else self.w[part]
+            self._table[key] = part, wj
+        return self._table[key]
 
 
 @dataclass(frozen=True)
@@ -146,6 +192,9 @@ class PovmFamily:
     order_hint: int = DEFAULT_SPEC.order
     # FamilyGrid per effective QuadSpec; lives and dies with the family
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # all six element arrays in one pass, bit for bit the callables' values;
+    # not an init field, so a dataclasses.replace copy calls its callables
+    _elements: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -164,19 +213,19 @@ class PovmFamily:
 
     def grid(self, spec: QuadSpec | None = None) -> FamilyGrid:
         """Nodes, weights and element arrays for window integrals, built
-        once per effective spec.  Non-finite element values raise
-        QuadratureError naming their abscissa."""
+        once per effective spec.  A non-finite element value raises
+        QuadratureError naming the first abscissa that has one."""
         qspec = self.quad_spec(spec)
         grid = self._grids.get(qspec)
         if grid is None:
             x, w = nodes_1d(*self.window, qspec)
-            x.flags.writeable = w.flags.writeable = False
-            arrays = {}
-            for name in ("x11", "x12", "y12", "d_x11", "d_x12", "d_y12"):
-                vals = np.broadcast_to(np.asarray(getattr(self, name)(x), dtype=float), x.shape)
-                _check_finite(vals[:, None], x)
-                arrays[name] = vals
-            grid = self._grids[qspec] = FamilyGrid(x, w, **arrays)
+            evaluate = self._elements or (lambda u: [getattr(self, n)(u) for n in ELEMENT_NAMES])
+            stacked = np.array(np.broadcast_arrays(x, *evaluate(x))[1:], dtype=float)
+            if not np.isfinite(stacked).all():
+                _check_finite(stacked.T, x)
+            for a in (x, w, stacked):
+                a.flags.writeable = False
+            grid = self._grids[qspec] = FamilyGrid(x, w, *stacked, center=self.center)
         return grid
 
     def matrix(self, phi_hat) -> np.ndarray:
@@ -203,58 +252,46 @@ def _zero(phi_hat):
     return np.zeros_like(np.asarray(phi_hat, dtype=float))
 
 
-def _sharp_family(ctx: EstimationContext, x11, d_x11, scale: float, label: str) -> PovmFamily:
+def _sharp_family(ctx: EstimationContext, x11, d_profile, scale: float, label: str) -> PovmFamily:
     """Sharp construction on the diagonal profile x11: the off-diagonals are
-    scale * (sin, cos)(phi) * x11 * sgn(mu - phi_hat), and d_x11 is the
-    profile's total parameter derivative."""
+    scale * (sin, cos)(phi) * x11 * sgn(mu - phi_hat), and d_profile(u, p) the
+    profile's total parameter derivative at u, p = x11(u).  The callables and
+    the grid's one-pass `elements` share these formulas."""
     mu = ctx.center
     sin_c, cos_c = math.sin(ctx.state.phi), math.cos(ctx.state.phi)
 
-    def sgn(u):
-        return np.sign(mu - np.asarray(u, dtype=float))
+    def values(u):
+        p, s = x11(u), np.sign(mu - u)
+        return p, scale * sin_c * p * s, scale * cos_c * p * s, s
 
-    def x12(u):
-        return scale * sin_c * x11(u) * sgn(u)
+    def elements(u):
+        p, x12, y12, s = values(u)
+        dp = d_profile(u, p)
+        return (p, x12, y12, dp, scale * (cos_c * p + sin_c * dp) * s,
+                scale * (-sin_c * p + cos_c * dp) * s)
 
-    def y12(u):
-        return scale * cos_c * x11(u) * sgn(u)
+    def element(i):
+        evaluate = values if i < 3 else elements
+        return lambda u: evaluate(np.asarray(u, dtype=float))[i]
 
-    def d_x12(u):
-        return scale * (cos_c * x11(u) + sin_c * d_x11(u)) * sgn(u)
-
-    def d_y12(u):
-        return scale * (-sin_c * x11(u) + cos_c * d_x11(u)) * sgn(u)
-
-    return PovmFamily(
-        center=mu,
-        x11=x11,
-        x12=x12,
-        y12=y12,
-        d_x11=d_x11,
-        d_x12=d_x12,
-        d_y12=d_y12,
-        discontinuities=(mu,),
-        label=label,
-    )
+    family = PovmFamily(mu, *map(element, range(6)), discontinuities=(mu,), label=label)
+    object.__setattr__(family, "_elements", elements)
+    return family
 
 
 def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFamily:
     """The saturating Gaussian family (default sigma = 3)."""
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
+    inv_s2 = _inv_square(sigma)
     mu = ctx.center
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * math.erf(math.pi / (sigma * math.sqrt(2.0))))
-    inv_s2 = 1.0 / (sigma * sigma)
 
     def x11(u):
-        u = np.asarray(u, dtype=float)
         return norm * np.exp(-0.5 * (u - mu) ** 2 * inv_s2)
 
-    def d_x11(u):
-        u = np.asarray(u, dtype=float)
-        return x11(u) * (u - mu) * inv_s2
+    def d_profile(u, p):
+        return p * (u - mu) * inv_s2
 
-    return _sharp_family(ctx, x11, d_x11, 1.0, f"gaussian-sharp(sigma={sigma:g})")
+    return _sharp_family(ctx, x11, d_profile, 1.0, f"gaussian-sharp(sigma={sigma:g})")
 
 
 def tapered_sharp_family(
@@ -271,14 +308,12 @@ def tapered_sharp_family(
     Because the elements vanish at the edges, the moving-window boundary term
     vanishes for this family.
     """
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
+    inv_s2 = _inv_square(sigma)
     if not (math.isfinite(taper_power) and taper_power >= 1 and taper_power == int(taper_power)):
         raise DomainError("taper_power must be an integer >= 1")
     if not abs(offdiag_scale) <= 1.0:
         raise DomainError("|offdiag_scale| must be <= 1 to keep the POVM positive")
     mu = ctx.center
-    inv_s2 = 1.0 / (sigma * sigma)
     k = int(taper_power)
 
     def shape(u):
@@ -292,16 +327,19 @@ def tapered_sharp_family(
             - k * cos_half ** (2 * k - 1) * np.sin(0.5 * u)
         )
 
-    norm = 1.0 / integrate_1d(shape, -math.pi, math.pi)
+    total = integrate_1d(shape, -math.pi, math.pi)
+    if not total > 0:
+        raise DomainError(f"sigma = {sigma!r} is too small: the profile vanishes at every node")
+    norm = 1.0 / total
 
     def x11(u):
-        return norm * shape(np.asarray(u, dtype=float) - mu)
+        return norm * shape(u - mu)
 
-    def d_x11(u):
-        return -norm * shape_prime(np.asarray(u, dtype=float) - mu)
+    def d_profile(u, p):
+        return -norm * shape_prime(u - mu)
 
     return _sharp_family(
-        ctx, x11, d_x11, offdiag_scale,
+        ctx, x11, d_profile, offdiag_scale,
         f"tapered-sharp(sigma={sigma:g},k={k},scale={offdiag_scale:g})",
     )
 
@@ -520,9 +558,9 @@ def validate_povm(
     lo, hi = p.window
     mu = p.center
 
-    comp_diag = float(g.integrate(g.x11)) - 1.0
-    comp_x = float(g.integrate(g.x12))
-    comp_y = float(g.integrate(g.y12))
+    comp_diag = g.moment("x11", 0) - 1.0
+    comp_x = g.moment("x12", 0)
+    comp_y = g.moment("y12", 0)
     completeness = max(abs(comp_diag), math.hypot(comp_x, comp_y))
 
     # interior grid, avoiding the exact center and edges
@@ -533,7 +571,7 @@ def validate_povm(
     half = np.linspace(0.0, p.half_width, VALIDATION_SCAN // 2)[1:-1]
     sym = float(np.max(np.abs(np.asarray(p.x11(mu + half)) - np.asarray(p.x11(mu - half)))))
 
-    unbias = g.integrate((g.x - mu) * g.trace(density_matrix(ctx.state)))
+    unbias = trace_with_elements(density_matrix(ctx.state), *(g.moment(n, 1) for n in VALUES))
 
     return ValidationReport(
         completeness_residual=float(completeness),
@@ -595,20 +633,34 @@ def estimator_moments(
     p: PovmFamily,
     spec: QuadSpec | None = None,
 ) -> tuple[float, float]:
-    """Mean of phi_hat and the second moment about the true parameter.
+    """Mean of phi_hat and the second moment about the true parameter, by
+    scalar arithmetic on the grid's moment table (`_moment_integrals`).
 
-    The variance returned is E[(phi_hat - phi)^2] with phi the state's
-    azimuth, i.e. deviation from the true value rather than from the sample
-    mean; the two coincide when eps = 0.
+    The variance is E[(phi_hat - phi)^2], phi the state's azimuth: the
+    deviation from the true value, not from the mean; equal when eps = 0.
     """
     g = p.grid(spec)
-    q = g.trace(density_matrix(ctx.state))
-    return float(g.integrate(g.x * q)), _second_moment(g, q, ctx.state.phi)
+    return _moment_integrals(g, ctx.state)(ctx.state.r)[2:]
 
 
-def _second_moment(g: FamilyGrid, q: np.ndarray, phi: float) -> float:
-    """E[(phi_hat - phi)^2] for the outcome density q at the nodes of g."""
-    return float(g.integrate((g.x - phi) ** 2 * q))
+def _moment_integrals(g: FamilyGrid, state: QubitState):
+    """(a, b, E[phi_hat], E[(phi_hat - phi)^2]) as a function of r at the
+    state's angles.  As rho = I/2 + r d_r rho, the moments m_j of tr(rho Pi)
+    and t_j of tr(rho dPi) about the center mu are table moments of x11 and
+    d_x11 plus r times those of tr(d_r rho Pi) and tr(d_r rho dPi).  The
+    variance m2 + 2 d m1 + d^2 m0, d = mu - phi, can cancel for large |d|."""
+    dr = d_rho(state, ParamIndex.R)
+    moments = ((VALUES, 0), (VALUES, 1), (VALUES, 2), (DERIVATIVES, 0), (DERIVATIVES, 1))
+    lines = [(g.moment(names[0], j), trace_with_elements(dr, *(g.moment(n, j) for n in names)))
+             for names, j in moments]
+    mu, phi = g.center, state.phi
+    d = mu - phi
+
+    def at(r: float) -> tuple[float, float, float, float]:
+        m0, m1, m2, t0, t1 = (c + r * s for c, s in lines)
+        return phi * t0, 1.0 - (t1 + mu * t0), m1 + mu * m0, m2 + 2.0 * d * m1 + d * d * m0
+
+    return at
 
 
 def sample_outcomes(dist: OutcomeDistribution, n: int, seed: int) -> np.ndarray:

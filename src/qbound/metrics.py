@@ -180,21 +180,29 @@ def measurement_fisher(state: QubitState, povm, spec: QuadSpec | None = None) ->
     state only.  The integral runs over the family's grid, split at its
     discontinuities.
     """
-    g = povm.grid(spec)
-    return _fisher_integral(g, g.trace(density_matrix(state)),
-                            g.trace(d_rho(state, ParamIndex.PHI)))
+    return _fisher_integral(povm.grid(spec), state)(state.r)
 
 
-def _fisher_integral(g, p: np.ndarray, dp: np.ndarray) -> float:
-    """Integral of dp^2 / p over grid g's nodes, p the outcome density and dp
-    its phi-derivative.  A node with p <= 0 adds 0, or raises naming its
-    abscissa where dp != 0; with p > 0 throughout nothing is masked."""
-    if not np.all(p > 0):
-        bad = p <= 0
-        vanishing = bad & (np.abs(dp) > 0)
-        if np.any(vanishing):
-            where = float(g.x[np.argmax(vanishing)])
-            raise DomainError(f"outcome density vanishes at phi_hat = {where!r}")
-        p, dp = np.where(bad, 1.0, p), np.where(bad, 0.0, dp)
-    return float(g.integrate(dp ** 2 / p))
+def _fisher_integral(g, state: QubitState):
+    """The Fisher integral over grid g's nodes as a function of r at the
+    state's angles.  As rho = I/2 + r d_r rho, the outcome density is
+    p = x11 + r B, B = tr(d_r rho Pi), and its phi-derivative r E, with
+    E = tr(d_phi rho Pi) at r = 1; the integral is r^2 times that of E^2 / p.
+    A node with p <= 0 adds 0, or raises naming its abscissa where r E != 0;
+    with p > 0 throughout nothing is masked."""
+    b = g.trace(d_rho(state, ParamIndex.R))
+    e = g.trace(d_rho(QubitState(1.0, state.theta, state.phi), ParamIndex.PHI))
+    e2 = e * e
 
+    def at(r: float) -> float:
+        p, num = g.x11 + r * b, e2
+        if not p.min() > 0:
+            bad = p <= 0
+            vanishing = bad & (np.abs(r * e) > 0)
+            if np.any(vanishing):
+                where = float(g.x[np.argmax(vanishing)])
+                raise DomainError(f"outcome density vanishes at phi_hat = {where!r}")
+            p, num = np.where(bad, 1.0, p), np.where(bad, 0.0, num)
+        return float(r * r * g.integrate(num / p))
+
+    return at

@@ -10,6 +10,7 @@ DomainError.  Any other exception, and any warning, fails the test.
 import inspect
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -154,3 +155,67 @@ def test_public_functions_on_domain_edges(tmp_path, name):
         if result is None and name == "require_working_r":
             continue
         assert _bad_parts(result) == [], (state, side)
+
+
+# ------------------------------------------------- family width and window edges
+TINY_SIGMA = 1e-300  # sigma^2 underflows to 0
+HUGE_EPS = 1e300  # mu - pi, mu and mu + pi round to one float
+
+
+def _cli(argv, capsys):
+    from qbound.cli import main
+
+    code = main(argv)
+    return code, capsys.readouterr()
+
+
+def test_families_name_a_sigma_whose_square_underflows():
+    ctx = EstimationContext(QubitState(0.5, 1.0, 0.3))
+    for sigma in (TINY_SIGMA, 1e-160, 5e-324):
+        for build in (measurement.gaussian_sharp_family, measurement.tapered_sharp_family):
+            with pytest.raises(DomainError, match="^" + re.escape(f"sigma = {sigma!r} is too small")):
+                build(ctx, sigma=sigma)
+    # a profile narrower than every node spacing cannot be normalized
+    with pytest.raises(DomainError, match=r"^sigma = 1e-06 is too small"):
+        measurement.tapered_sharp_family(ctx, sigma=1e-6)
+
+
+def test_context_names_an_eps_that_collapses_the_window():
+    state = QubitState(0.5, 1.0, 0.3)
+    for eps in (HUGE_EPS, -HUGE_EPS, 1e17):
+        with pytest.raises(DomainError, match="^" + re.escape(f"eps = {eps!r} collapses the window")):
+            EstimationContext(state, eps=eps)
+    # a window wide enough to keep its center inside is accepted
+    assert EstimationContext(state, eps=1e15).center == 0.3 + 1e15
+
+
+def test_width_and_window_errors_reach_reports_and_sweep_rows():
+    state = QubitState(0.5, 1.0, 0.3)
+    for kwargs, message in (({"sigma": TINY_SIGMA}, "sigma = 1e-300 is too small"),
+                            ({"eps": HUGE_EPS}, "eps = 1e+300 collapses the window")):
+        # the Fisher entry is skipped at cos(phi) ~ 0, but the flags are still checked
+        for phi in (0.3, PI / 2):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                bounds.metric_report(QubitState(0.5, 1.0, phi), **kwargs)
+        rows = bounds.bounds_sweep([0.2, 0.8], theta=state.theta, phi=state.phi, **kwargs)
+        assert [row.error[:len(message)] for row in rows] == [message, message]
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--r", "0.5"],
+    ["bounds", "sweep", "--steps", "2"],
+    ["simulate", "--r", "0.5", "--samples", "10"],
+    ["audit", "--r", "0.5"],
+], ids=" ".join)
+def test_cli_exits_1_naming_the_width_or_window(argv, capsys):
+    for flags, message in ((["--sigma", "1e-300"], "sigma = 1e-300 is too small"),
+                           (["--eps", "1e300"], "eps = 1e+300 collapses the window")):
+        code, captured = _cli(argv + flags, capsys)
+        assert code == 1, flags
+        lines = captured.err.splitlines()
+        if argv[0] == "bounds":
+            # every row fails and says why
+            assert [line.split(": ", 1)[1][:len(message)] for line in lines] == [message] * 2
+        else:
+            assert len(lines) == 1 and lines[0].startswith(f"qbound: {message}"), lines
+            assert captured.out == ""

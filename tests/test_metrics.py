@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -251,29 +252,58 @@ def _masked_fisher(g, p, dp):
     return float(g.integrate(out))
 
 
+def _affine_parts(g, state):
+    """B and E of p = x11 + r B and dp = r E, as the node-level reference."""
+    unit = QubitState(1.0, state.theta, state.phi)
+    return g.trace(d_rho(state, ParamIndex.R)), g.trace(d_rho(unit, ParamIndex.PHI))
+
+
 def test_fisher_integral_equals_the_masked_integral_bit_for_bit():
+    # (r E)^2 / p = r^2 E^2 / p with p = x11 + r B
     rng = np.random.default_rng(20261018)
     for case in range(16):
         state = QubitState(rng.uniform(0.05, 0.95), rng.uniform(0.2, 2.9), rng.uniform(-1.2, 1.2))
         ctx = EstimationContext(state, eps=rng.uniform(-0.3, 0.3))
         fam = (gaussian_sharp_family if case % 2 else tapered_sharp_family)(ctx)
-        g = fam.grid()
+        r = state.r
+        for g in (fam.grid(), _with_vanishing_elements(fam.grid())):
+            b, e = _affine_parts(g, state)
+            assert _fisher_integral(g, state)(r) == r * r * _masked_fisher(g, g.x11 + r * b, e)
+
+
+def _with_vanishing_elements(g):
+    """g with p <= 0 and dp = 0 at some nodes: all elements 0 at every 7th,
+    x11 = -1e-300 and x12 = y12 = 0 at every 11th from the 3rd."""
+    x11, x12, y12 = (np.array(a) for a in (g.x11, g.x12, g.y12))
+    x11[::7], x11[3::11] = 0.0, -1e-300
+    for a in (x12, y12):
+        a[::7], a[3::11] = 0.0, 0.0
+    return dataclasses.replace(g, x11=x11, x12=x12, y12=y12)
+
+
+def test_fisher_integral_matches_the_trace_of_rho_and_its_derivative():
+    # p = tr(rho Pi) and dp = tr(d_phi rho Pi) at every node: the formula the
+    # affine form replaced, to rounding
+    for state, kwargs in ((QubitState(0.7, 1.1, 0.4), {"offdiag_scale": 0.6}),
+                          (QubitState(0.3, 2.5, 5.9), {"taper_power": 3})):
+        g = tapered_sharp_family(EstimationContext(state, eps=0.2), **kwargs).grid()
         p, dp = g.trace(density_matrix(state)), g.trace(d_rho(state, ParamIndex.PHI))
-        assert np.all(p > 0)
-        assert _fisher_integral(g, p, dp) == _masked_fisher(g, p, dp)
-        # p <= 0 where dp = 0: the masked path
-        p[::7], p[3::11] = 0.0, -1e-300
-        dp[::7], dp[3::11] = 0.0, -0.0
-        assert _fisher_integral(g, p, dp) == _masked_fisher(g, p, dp)
+        want = _masked_fisher(g, p, dp)
+        assert abs(_fisher_integral(g, state)(state.r) - want) <= 1e-14 * want
 
 
 def test_fisher_integral_names_where_the_density_vanishes():
     state = QubitState(0.5, PI / 2, 3 * PI / 4)
     g = gaussian_sharp_family(EstimationContext(state)).grid()
-    p, dp = g.trace(density_matrix(state)), g.trace(d_rho(state, ParamIndex.PHI))
-    p[[40, 90]] = [0.0, -1e-3]
+    # p = x11 + r B is exactly 0 at node 40 and negative at node 90, where
+    # dp = r E != 0
+    b, e = _affine_parts(g, state)
+    x11 = np.array(g.x11)
+    x11[[40, 90]] = [-(state.r * b[40]), -1e-3]
+    bad = dataclasses.replace(g, x11=x11)
+    assert bad.x11[40] + state.r * b[40] == 0.0 and e[40] != 0.0
     with pytest.raises(DomainError, match=f"^outcome density vanishes at phi_hat = {re.escape(repr(float(g.x[40])))}$"):
-        _fisher_integral(g, p, dp)
+        _fisher_integral(bad, state)(state.r)
 
 
 # ---------------------------------------------------------------- metric report
