@@ -243,8 +243,7 @@ def audit_derivation(
     # identity from differentiating unbiasedness with fixed limits
     lhs_fw = g.integrate((g.x - phi) * g.trace(drho))
 
-    edges = np.array([hi, lo])
-    q_hi, q_lo = trace_with_elements(rho, p.x11(edges), p.x12(edges), p.y12(edges))
+    q_hi, q_lo = trace_with_elements(rho, *p.elements(np.array([hi, lo]))[:3])
 
     bracket_c = _operator_bracket(g, state, c, E3, E3)
     bracket = float(bracket_c)

@@ -10,14 +10,17 @@ construction point mu = phi + eps, phi the state's azimuth: the window moves
 with the parameter, which is the source of the boundary terms surfaced by the
 audit module.
 
-Element derivative callables (`d_x11`, ...) hold the total derivative with
-respect to the construction parameter, including the dependence through the
-trigonometric construction coefficients, not just through the window center.
-They carry the piecewise-smooth part only: the distributional contribution
-from differentiating a jump (the sign factor at the center) is not
-represented.  In every combination the package integrates, that contribution
-cancels identically because the families are constructed at the state's own
-azimuth, the angle at which they are evaluated.
+A family's one element function, `PovmFamily.elements(u)`, returns the six
+arrays x11, x12, y12, d_x11, d_x12, d_y12 at the abscissae u in one pass;
+every consumer evaluates a point set with one call.  The derivatives d_* are
+total derivatives with respect to the construction parameter, including the
+dependence through the trigonometric construction coefficients, not just
+through the window center.  They carry the piecewise-smooth part only: the
+distributional contribution from differentiating a jump (the sign factor at
+the center) is not represented.  In every combination the package
+integrates, that contribution cancels identically because the families are
+constructed at the state's own azimuth, the angle at which they are
+evaluated.
 
 The saturating Gaussian family takes
 
@@ -113,7 +116,7 @@ def _inv_square(sigma: float) -> float:
     return inv
 
 
-# FamilyGrid's element arrays; tr(M Pi) reads the VALUES, tr(M dPi) the rest
+# PovmFamily.elements order and FamilyGrid fields; tr(M Pi) reads the VALUES, tr(M dPi) the rest
 ELEMENT_NAMES = ("x11", "x12", "y12", "d_x11", "d_x12", "d_y12")
 VALUES, DERIVATIVES = ELEMENT_NAMES[:3], ELEMENT_NAMES[3:]
 
@@ -170,20 +173,17 @@ class FamilyGrid:
 
 @dataclass(frozen=True)
 class PovmFamily:
-    """Matrix-element functions of one POVM family, plus window metadata.
+    """One POVM family: its element function, plus window metadata.
 
-    The outcome window is [center - half_width, center + half_width];
-    constructed families use the full half_width = pi, tabulated ones infer
-    it from their abscissa extremes.
+    `elements(u)` returns the six element arrays at the abscissae u, in
+    ELEMENT_NAMES order: x11, x12, y12 and their total parameter
+    derivatives.  The outcome window is [center - half_width, center +
+    half_width]; constructed families use the full half_width = pi,
+    tabulated ones infer it from their abscissa extremes.
     """
 
     center: float
-    x11: Callable
-    x12: Callable
-    y12: Callable
-    d_x11: Callable
-    d_x12: Callable
-    d_y12: Callable
+    elements: Callable
     discontinuities: tuple[float, ...] = ()
     label: str = ""
     half_width: float = math.pi
@@ -192,9 +192,6 @@ class PovmFamily:
     order_hint: int = DEFAULT_SPEC.order
     # FamilyGrid per effective QuadSpec; lives and dies with the family
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # all six element arrays in one pass, bit for bit the callables' values;
-    # not an init field, so a dataclasses.replace copy calls its callables
-    _elements: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -219,8 +216,7 @@ class PovmFamily:
         grid = self._grids.get(qspec)
         if grid is None:
             x, w = nodes_1d(*self.window, qspec)
-            evaluate = self._elements or (lambda u: [getattr(self, n)(u) for n in ELEMENT_NAMES])
-            stacked = np.array(np.broadcast_arrays(x, *evaluate(x))[1:], dtype=float)
+            stacked = np.array(np.broadcast_arrays(x, *self.elements(x))[1:], dtype=float)
             if not np.isfinite(stacked).all():
                 _check_finite(stacked.T, x)
             for a in (x, w, stacked):
@@ -228,55 +224,29 @@ class PovmFamily:
             grid = self._grids[qspec] = FamilyGrid(x, w, *stacked, center=self.center)
         return grid
 
-    def matrix(self, phi_hat) -> np.ndarray:
-        """Element matrix Pi(phi_hat); (..., 2, 2) for array input."""
-        phi_hat = np.asarray(phi_hat, dtype=float)
-        a = np.broadcast_to(np.asarray(self.x11(phi_hat)), phi_hat.shape)
-        b = np.broadcast_to(np.asarray(self.x12(phi_hat)), phi_hat.shape)
-        c = np.broadcast_to(np.asarray(self.y12(phi_hat)), phi_hat.shape)
-        out = np.empty(phi_hat.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = a
-        out[..., 0, 1] = b + 1j * c
-        out[..., 1, 0] = b - 1j * c
-        out[..., 1, 1] = a
-        return out
-
     def eigenvalues(self, phi_hat) -> tuple[np.ndarray, np.ndarray]:
         """(lam1, lam2) with lam1 <= lam2, elementwise over phi_hat."""
-        a = np.asarray(self.x11(phi_hat), dtype=float)
-        root = np.sqrt(np.asarray(self.x12(phi_hat)) ** 2 + np.asarray(self.y12(phi_hat)) ** 2)
+        x11, x12, y12 = self.elements(phi_hat)[:3]
+        a = np.asarray(x11, dtype=float)
+        root = np.sqrt(np.asarray(x12) ** 2 + np.asarray(y12) ** 2)
         return a - root, a + root
-
-
-def _zero(phi_hat):
-    return np.zeros_like(np.asarray(phi_hat, dtype=float))
 
 
 def _sharp_family(ctx: EstimationContext, x11, d_profile, scale: float, label: str) -> PovmFamily:
     """Sharp construction on the diagonal profile x11: the off-diagonals are
     scale * (sin, cos)(phi) * x11 * sgn(mu - phi_hat), and d_profile(u, p) the
-    profile's total parameter derivative at u, p = x11(u).  The callables and
-    the grid's one-pass `elements` share these formulas."""
+    profile's total parameter derivative at u, p = x11(u)."""
     mu = ctx.center
     sin_c, cos_c = math.sin(ctx.state.phi), math.cos(ctx.state.phi)
 
-    def values(u):
-        p, s = x11(u), np.sign(mu - u)
-        return p, scale * sin_c * p * s, scale * cos_c * p * s, s
-
     def elements(u):
-        p, x12, y12, s = values(u)
+        u = np.asarray(u, dtype=float)
+        p, s = x11(u), np.sign(mu - u)
         dp = d_profile(u, p)
-        return (p, x12, y12, dp, scale * (cos_c * p + sin_c * dp) * s,
-                scale * (-sin_c * p + cos_c * dp) * s)
+        return (p, scale * sin_c * p * s, scale * cos_c * p * s, dp,
+                scale * (cos_c * p + sin_c * dp) * s, scale * (-sin_c * p + cos_c * dp) * s)
 
-    def element(i):
-        evaluate = values if i < 3 else elements
-        return lambda u: evaluate(np.asarray(u, dtype=float))[i]
-
-    family = PovmFamily(mu, *map(element, range(6)), discontinuities=(mu,), label=label)
-    object.__setattr__(family, "_elements", elements)
-    return family
+    return PovmFamily(mu, elements, discontinuities=(mu,), label=label)
 
 
 def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFamily:
@@ -376,23 +346,15 @@ def tabulated_family(phi_hat, x11, x12, y12, label: str = "tabulated") -> PovmFa
             i = int(np.argmin(finite)) + 1
             raise ValueError(f"column {name} has a non-finite slope between rows {i} and {i + 1}")
         cols.append(col)
-    x11c, x12c, y12c = cols
-    center = 0.5 * (lo + hi)
 
-    def interp(col):
-        def f(u):
-            return np.interp(np.asarray(u, dtype=float), phi_hat, col)
-
-        return f
+    def elements(u):
+        u = np.asarray(u, dtype=float)
+        zero = np.zeros_like(u)
+        return (*(np.interp(u, phi_hat, col) for col in cols), zero, zero, zero)
 
     return PovmFamily(
-        center=center,
-        x11=interp(x11c),
-        x12=interp(x12c),
-        y12=interp(y12c),
-        d_x11=_zero,
-        d_x12=_zero,
-        d_y12=_zero,
+        center=0.5 * (lo + hi),
+        elements=elements,
         discontinuities=tuple(phi_hat[1:-1].tolist()),
         label=label,
         half_width=0.5 * (hi - lo),
@@ -569,7 +531,8 @@ def validate_povm(
     min_eig = float(np.min(lam1))
 
     half = np.linspace(0.0, p.half_width, VALIDATION_SCAN // 2)[1:-1]
-    sym = float(np.max(np.abs(np.asarray(p.x11(mu + half)) - np.asarray(p.x11(mu - half)))))
+    above, below = np.split(np.asarray(p.elements(np.concatenate([mu + half, mu - half]))[0]), 2)
+    sym = float(np.max(np.abs(above - below)))
 
     unbias = trace_with_elements(density_matrix(ctx.state), *(g.moment(n, 1) for n in VALUES))
 
@@ -590,9 +553,9 @@ def _sign_conditions_ok(p: PovmFamily, ctx: EstimationContext) -> bool:
     lo, hi = p.window
     mu = p.center
     u = np.linspace(lo, hi, VALIDATION_SCAN)[1:-1]
-    ratio = np.asarray(p.y12(u)) / math.cos(ctx.state.phi)
-    pattern = ratio * np.sign(mu - u)
-    return bool(np.all(pattern >= -EIGENVALUE_TOL)) and abs(float(p.y12(mu))) <= EIGENVALUE_TOL
+    y12 = np.asarray(p.elements(np.append(u, mu))[2])
+    pattern = y12[:-1] / math.cos(ctx.state.phi) * np.sign(mu - u)
+    return bool(np.all(pattern >= -EIGENVALUE_TOL)) and abs(float(y12[-1])) <= EIGENVALUE_TOL
 
 
 @dataclass(frozen=True)
@@ -616,7 +579,7 @@ def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistri
     rho = density_matrix(ctx.state)
 
     def pdf(phi_hat):
-        return trace_with_elements(rho, p.x11(phi_hat), p.x12(phi_hat), p.y12(phi_hat))
+        return trace_with_elements(rho, *p.elements(phi_hat)[:3])
 
     scan = np.linspace(lo, hi, DENSITY_SCAN)
     vals = pdf(scan)

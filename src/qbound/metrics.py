@@ -175,7 +175,7 @@ def husimi_classical_metric(state: QubitState, method: str = "closed") -> np.nda
 def measurement_fisher(state: QubitState, povm, spec: QuadSpec | None = None) -> float:
     """Classical Fisher information of the frozen measurement for phi.
 
-    `povm` is a `measurement.PovmFamily`.  Its element functions are held at
+    `povm` is a `measurement.PovmFamily`.  Its elements are held at
     the family's construction point; the phi-derivative acts through the
     state only.  The integral runs over the family's grid, split at its
     discontinuities.
@@ -189,7 +189,8 @@ def _fisher_integral(g, state: QubitState):
     p = x11 + r B, B = tr(d_r rho Pi), and its phi-derivative r E, with
     E = tr(d_phi rho Pi) at r = 1; the integral is r^2 times that of E^2 / p.
     A node with p <= 0 adds 0, or raises naming its abscissa where r E != 0;
-    with p > 0 throughout nothing is masked."""
+    with p > 0 throughout nothing is masked, and with p > 0 nowhere the
+    integral raises."""
     b = g.trace(d_rho(state, ParamIndex.R))
     e = g.trace(d_rho(QubitState(1.0, state.theta, state.phi), ParamIndex.PHI))
     e2 = e * e
@@ -197,6 +198,8 @@ def _fisher_integral(g, state: QubitState):
     def at(r: float) -> float:
         p, num = g.x11 + r * b, e2
         if not p.min() > 0:
+            if not np.any(p > 0):
+                raise DomainError("outcome density vanishes at every quadrature node")
             bad = p <= 0
             vanishing = bad & (np.abs(r * e) > 0)
             if np.any(vanishing):

@@ -72,12 +72,13 @@ def test_ab_names_abscissa_of_non_finite_element_derivative():
     x, _ = nodes_1d(*base.window, base.quad_spec())
     bad = float(x[100])
 
-    def d_x11(u):
+    def elements(u):
         u = np.asarray(u, dtype=float)
-        return np.where(u == bad, np.nan, base.d_x11(u))
+        *values, d_x11, d_x12, d_y12 = base.elements(u)
+        return (*values, np.where(u == bad, np.nan, d_x11), d_x12, d_y12)
 
     with pytest.raises(QuadratureError, match=re.escape(repr(bad))):
-        ab_coefficients(ctx, dataclasses.replace(base, d_x11=d_x11))
+        ab_coefficients(ctx, dataclasses.replace(base, elements=elements))
 
 
 def test_b_matches_closed_form_reference():

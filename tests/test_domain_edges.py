@@ -43,7 +43,7 @@ def _family(state, build=measurement.gaussian_sharp_family):
 
 
 def _elements(p, u):
-    return p.x11(u), p.x12(u), p.y12(u)
+    return p.elements(u)[:3]
 
 
 def _table(state):
@@ -81,11 +81,11 @@ def edge_calls(tmp_path):
         "husimi_classical_metric": lambda s, u: [
             m.husimi_classical_metric(s, k) for k in ("closed", "quadrature")],
         "measurement_fisher": lambda s, u: m.measurement_fisher(s, _family(s)[1]),
-        "gaussian_sharp_family": lambda s, u: _family(s)[1].matrix(u),
-        "tapered_sharp_family": lambda s, u: _family(s, me.tapered_sharp_family)[1].matrix(u),
-        "tabulated_family": lambda s, u: me.tabulated_family(*_table(s)).matrix(u),
+        "gaussian_sharp_family": lambda s, u: _family(s)[1].elements(u),
+        "tapered_sharp_family": lambda s, u: _family(s, me.tapered_sharp_family)[1].elements(u),
+        "tabulated_family": lambda s, u: me.tabulated_family(*_table(s)).elements(u),
         "load_tabulated_csv": lambda s, u: me.load_tabulated_csv(
-            _csv(s, tmp_path / "t.csv")).matrix(u),
+            _csv(s, tmp_path / "t.csv")).elements(u),
         "trace_with_elements": lambda s, u: me.trace_with_elements(
             density_matrix(s), *_elements(_family(s)[1], u)),
         "validate_povm": lambda s, u: me.validate_povm(_family(s)[1], EstimationContext(s)),
@@ -219,3 +219,40 @@ def test_cli_exits_1_naming_the_width_or_window(argv, capsys):
         else:
             assert len(lines) == 1 and lines[0].startswith(f"qbound: {message}"), lines
             assert captured.out == ""
+
+
+# ------------------------------------------------- an outcome density that vanishes
+NARROW_SIGMA = 1e-10  # the Gaussian profile underflows to 0 at every node
+EVERY_NODE = "outcome density vanishes at every quadrature node"
+
+
+def test_fisher_names_a_density_that_vanishes_at_every_node():
+    state = QubitState(0.5, 1.0, 0.3)
+    narrow = measurement.gaussian_sharp_family(EstimationContext(state), sigma=NARROW_SIGMA)
+    with pytest.raises(DomainError, match=f"^{EVERY_NODE}$"):
+        metrics.measurement_fisher(state, narrow)
+    with pytest.raises(DomainError, match=f"^{EVERY_NODE}$"):
+        bounds.metric_report(state, sigma=NARROW_SIGMA)
+    rows = bounds.bounds_sweep([0.2, 0.8], theta=state.theta, phi=state.phi, sigma=NARROW_SIGMA)
+    assert [row.error for row in rows] == [EVERY_NODE, EVERY_NODE]
+
+
+def test_fisher_entry_on_the_z_axis_stays_zero():
+    # at theta = 0 the density is positive but does not move with phi
+    report = bounds.metric_report(QubitState(0.5, 0.0, 3 * PI / 4))
+    assert report["measurement_fisher_phiphi"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--r", "0.5"],
+    ["bounds", "sweep", "--steps", "2"],
+], ids=" ".join)
+def test_cli_exits_1_where_the_density_vanishes_at_every_node(argv, capsys):
+    code, captured = _cli(argv + ["--sigma", repr(NARROW_SIGMA)], capsys)
+    assert code == 1
+    lines = captured.err.splitlines()
+    if argv[0] == "bounds":
+        assert [line.split(": ", 1)[1] for line in lines] == [EVERY_NODE] * 2
+    else:
+        assert lines == [f"qbound: {EVERY_NODE}"]
+        assert captured.out == ""

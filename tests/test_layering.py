@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import qbound
+from qbound.measurement import ELEMENT_NAMES
 
 RANK = {
     "qubit": 0,
@@ -63,6 +64,24 @@ def test_only_qubit_spells_out_the_bloch_angles():
         for stem in ("phasespace", "derivatives")
     }
     assert reads == {"phasespace": [], "derivatives": []}
+
+
+def element_calls(path):
+    """Lines where a module calls `.x11(`, `.d_y12(` or another of the six
+    names of the arrays PovmFamily.elements returns."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ELEMENT_NAMES
+    ]
+
+
+def test_families_are_evaluated_through_elements_only():
+    # one evaluation path: a family's six arrays come from one elements(u) call
+    package = Path(qbound.__file__).parent
+    calls = {path.stem: element_calls(path) for path in sorted(package.glob("*.py"))}
+    assert {stem: lines for stem, lines in calls.items() if lines} == {}
 
 
 def test_all_lists_exactly_the_public_names_init_binds():

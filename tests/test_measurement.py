@@ -15,7 +15,6 @@ from qbound.derivatives import deviation_h, new_log_derivative
 from qbound.measurement import (
     EstimationContext,
     FamilyGrid,
-    PovmFamily,
     _invert_cdf,
     estimator_moments,
     gaussian_sharp_family,
@@ -62,7 +61,7 @@ def test_context_rejects_cos_zero():
 def test_sharp_family_normalization():
     fam = gaussian_sharp_family(standard_ctx())
     lo, hi = fam.window
-    total = integrate_1d(fam.x11, lo, hi, fam.quad_spec())
+    total = integrate_1d(lambda u: fam.elements(u)[0], lo, hi, fam.quad_spec())
     assert abs(total - 1.0) <= 1e-10
 
 
@@ -70,8 +69,8 @@ def test_sharp_family_edge_value():
     oracle = SharpOracle(3.0)
     fam = gaussian_sharp_family(standard_ctx())
     lo, hi = fam.window
-    assert abs(float(fam.x11(hi)) - oracle.x11_edge) <= 1e-14
-    assert abs(float(fam.x11(lo)) - float(fam.x11(hi))) <= 1e-16
+    assert abs(float(fam.elements(hi)[0]) - oracle.x11_edge) <= 1e-14
+    assert abs(float(fam.elements(lo)[0]) - float(fam.elements(hi)[0])) <= 1e-16
 
 
 def test_sharp_family_eigenvalues():
@@ -81,16 +80,10 @@ def test_sharp_family_eigenvalues():
     u = u[np.abs(u - fam.center) > 1e-9]
     lam1, lam2 = fam.eigenvalues(u)
     assert np.max(np.abs(lam1)) <= 1e-12
-    assert np.max(np.abs(lam2 - 2.0 * np.asarray(fam.x11(u)))) <= 1e-12
+    assert np.max(np.abs(lam2 - 2.0 * np.asarray(fam.elements(u)[0]))) <= 1e-12
     # at the center the sign factor is zero and both eigenvalues collapse
     c1, c2 = fam.eigenvalues(fam.center)
     assert abs(c1 - c2) <= 1e-15
-
-
-def test_sharp_family_matrix_is_hermitian():
-    fam = gaussian_sharp_family(standard_ctx())
-    mats = fam.matrix(np.linspace(*fam.window, 11))
-    assert np.max(np.abs(mats - np.conj(np.transpose(mats, (0, 2, 1))))) <= 1e-15
 
 
 def test_sharp_family_rejects_bad_sigma():
@@ -131,12 +124,11 @@ def test_sharp_family_derivatives_match_finite_differences():
     fam_up_c = gaussian_sharp_family(up_c)
     fam_dn_c = gaussian_sharp_family(dn_c)
     pts = np.array([base.phi - 2.0, base.phi - 0.5, base.phi + 0.7, base.phi + 2.5])
-    fd_x11 = (np.asarray(fam_up.x11(pts)) - np.asarray(fam_dn.x11(pts))) / (2 * h)
-    assert np.max(np.abs(fd_x11 - np.asarray(fam.d_x11(pts)))) <= 1e-6
-    fd_x12 = (np.asarray(fam_up_c.x12(pts)) - np.asarray(fam_dn_c.x12(pts))) / (2 * h)
-    assert np.max(np.abs(fd_x12 - np.asarray(fam.d_x12(pts)))) <= 1e-6
-    fd_y12 = (np.asarray(fam_up_c.y12(pts)) - np.asarray(fam_dn_c.y12(pts))) / (2 * h)
-    assert np.max(np.abs(fd_y12 - np.asarray(fam.d_y12(pts)))) <= 1e-6
+    # x11 against the moved window, x12 and y12 against the moved angle
+    moved = ((fam_up, fam_dn), (fam_up_c, fam_dn_c), (fam_up_c, fam_dn_c))
+    for i, ((f_up, f_dn), d) in enumerate(zip(moved, fam.elements(pts)[3:])):
+        fd = (np.asarray(f_up.elements(pts)[i]) - np.asarray(f_dn.elements(pts)[i])) / (2 * h)
+        assert np.max(np.abs(fd - np.asarray(d))) <= 1e-6, measurement.ELEMENT_NAMES[i]
 
 
 # ------------------------------------------------------------------ validation
@@ -190,12 +182,12 @@ def test_validate_tapered_family():
     rep = validate_povm(fam, ctx)
     assert rep.all_ok
     lo, hi = fam.window
-    assert abs(float(fam.x11(lo))) <= 1e-15
-    assert abs(float(fam.x11(hi))) <= 1e-15
+    assert abs(float(fam.elements(lo)[0])) <= 1e-15
+    assert abs(float(fam.elements(hi)[0])) <= 1e-15
     # small eigenvalue is (1 - scale) * x11
     u = np.linspace(lo, hi, 101)[1:-1]
     lam1, _ = fam.eigenvalues(u)
-    assert np.max(np.abs(lam1 - 0.3 * np.asarray(fam.x11(u)))) <= 1e-12
+    assert np.max(np.abs(lam1 - 0.3 * np.asarray(fam.elements(u)[0]))) <= 1e-12
 
 
 # ---------------------------------------------------------------- distribution
@@ -204,7 +196,7 @@ def test_outcome_density_equals_x11_at_construction_angle():
     fam = gaussian_sharp_family(ctx)
     dist = outcome_distribution(ctx, fam)
     pts = np.linspace(*fam.window, 501)
-    assert np.max(np.abs(dist.pdf(pts) - np.asarray(fam.x11(pts)))) <= 1e-15
+    assert np.max(np.abs(dist.pdf(pts) - np.asarray(fam.elements(pts)[0]))) <= 1e-15
 
 
 def test_outcome_density_maximally_mixed():
@@ -213,7 +205,7 @@ def test_outcome_density_maximally_mixed():
     fam = gaussian_sharp_family(ctx)
     dist = outcome_distribution(ctx, fam)
     pts = np.linspace(*fam.window, 201)
-    assert np.max(np.abs(dist.pdf(pts) - np.asarray(fam.x11(pts)))) <= 1e-16
+    assert np.max(np.abs(dist.pdf(pts) - np.asarray(fam.elements(pts)[0]))) <= 1e-16
 
 
 def test_outcome_density_normalized_on_grid():
@@ -231,18 +223,10 @@ def test_outcome_distribution_rejects_negative_density():
     base = gaussian_sharp_family(ctx)
 
     def big_offdiag(u):
-        return 3.0 * np.asarray(base.x11(u))
+        x11, _, *rest = base.elements(u)
+        return (x11, 3.0 * np.asarray(x11), *rest)
 
-    bogus = PovmFamily(
-        center=base.center,
-        x11=base.x11,
-        x12=big_offdiag,
-        y12=base.y12,
-        d_x11=base.d_x11,
-        d_x12=base.d_x12,
-        d_y12=base.d_y12,
-        discontinuities=base.discontinuities,
-    )
+    bogus = dataclasses.replace(base, elements=big_offdiag)
     with pytest.raises(DomainError, match=r"phi_hat = -?\d[\d.e+-]*$"):
         outcome_distribution(ctx, bogus)
 
@@ -281,28 +265,6 @@ def test_family_grid_integral_of_finite_values_may_overflow_to_inf():
     with np.errstate(over="ignore"):
         assert grid.integrate(np.full(x.size, 1.7e308)) == math.inf
         assert grid.integrate(np.full(x.size, -1.7e308)) == -math.inf
-
-
-def test_one_pass_grid_equals_the_element_callables_bit_for_bit():
-    for eps in (0.0, 0.5):
-        ctx = standard_ctx(eps=eps)
-        families = [gaussian_sharp_family(ctx, sigma) for sigma in (0.5, 3.0, 20.0)]
-        families += [tapered_sharp_family(ctx, taper_power=k, offdiag_scale=s)
-                     for k, s in ((1, 1.0), (3, -0.6))]
-        for fam in families:
-            for spec in (None, QuadSpec(8, 6)):
-                g = fam.grid(spec)
-                for name in measurement.ELEMENT_NAMES:
-                    want = np.asarray(getattr(fam, name)(g.x), dtype=float)
-                    assert getattr(g, name).tobytes() == want.tobytes(), (fam.label, spec, name)
-
-
-def test_a_family_copy_with_a_replaced_callable_evaluates_it():
-    # the one-pass evaluation belongs to the callables it was built with
-    fam = gaussian_sharp_family(standard_ctx())
-    copy = dataclasses.replace(fam, d_x11=lambda u: 2.0 * fam.d_x11(u))
-    assert np.array_equal(copy.grid().d_x11, 2.0 * fam.grid().d_x11)
-    assert np.array_equal(copy.grid().x11, fam.grid().x11)
 
 
 # ----------------------------------------------------------------- moment table
@@ -356,7 +318,7 @@ def test_moment_table_matches_the_node_level_reference():
             families += [tapered_sharp_family(ctx, taper_power=k, offdiag_scale=0.7) for k in (1, 3)]
             base = gaussian_sharp_family(ctx)
             nodes = np.linspace(*base.window, 401)
-            families.append(tabulated_family(nodes, base.x11(nodes), base.x12(nodes), base.y12(nodes)))
+            families.append(tabulated_family(nodes, *base.elements(nodes)[:3]))
             for fam in families:
                 ref = _reference_table(ctx, fam.grid())
                 for key, got in _table_reads(ctx, fam).items():
@@ -566,7 +528,7 @@ def test_tabulated_family_interpolates_nodes():
     grid = np.linspace(-1.0, 1.0, 9)
     vals = 0.25 * (1.0 + 0.5 * np.cos(grid))
     fam = tabulated_family(grid, vals, np.zeros_like(grid), np.zeros_like(grid))
-    assert np.max(np.abs(np.asarray(fam.x11(grid)) - vals)) <= 1e-15
+    assert np.max(np.abs(np.asarray(fam.elements(grid)[0]) - vals)) <= 1e-15
     assert fam.center == 0.0
     # window inferred from the tabulation extremes
     assert fam.window == (-1.0, 1.0)
@@ -620,7 +582,7 @@ def test_tabulated_family_copies_its_columns():
     ctx = standard_ctx()
     base = gaussian_sharp_family(ctx)
     grid = np.linspace(ctx.center - PI, ctx.center + PI, 41)
-    cols = [np.asarray(f(grid), dtype=float) for f in (base.x11, base.x12, base.y12)]
+    cols = [np.asarray(col, dtype=float) for col in base.elements(grid)[:3]]
     fam = tabulated_family(grid, *cols)
     before = validate_povm(fam, ctx).as_dict()
     grid += 0.5
@@ -648,7 +610,7 @@ def test_csv_roundtrip(tmp_path):
     fam = load_tabulated_csv(path)
     assert abs(fam.center) <= 1e-12
     pts = np.linspace(-3.0, 3.0, 11)
-    assert np.max(np.abs(np.asarray(fam.x11(pts)) - 1.0 / (2.0 * PI))) <= 1e-15
+    assert np.max(np.abs(np.asarray(fam.elements(pts)[0]) - 1.0 / (2.0 * PI))) <= 1e-15
 
 
 def test_csv_rejects_bad_header(tmp_path):
