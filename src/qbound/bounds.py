@@ -67,7 +67,7 @@ from .measurement import (
     _check_window,
     _inv_square,
     _moment_integrals,
-    _sign_conditions_ok,
+    _scan_checks,
     gaussian_sharp_family,
     trace_with_elements,
 )
@@ -155,7 +155,7 @@ def bound_Cmax(
         "h3r": h3,
         "C": _squared_bracket(c, h3, st, offdiag),
         "C_max": _squared_bracket(c, h3, st, I1 - I2),
-        "sign_conditions_ok": _sign_conditions_ok(p, ctx),
+        "sign_conditions_ok": _scan_checks(p, ctx)[1],
         "c_nonneg": c >= 0.0,
     }
 

@@ -226,10 +226,14 @@ class PovmFamily:
 
     def eigenvalues(self, phi_hat) -> tuple[np.ndarray, np.ndarray]:
         """(lam1, lam2) with lam1 <= lam2, elementwise over phi_hat."""
-        x11, x12, y12 = self.elements(phi_hat)[:3]
-        a = np.asarray(x11, dtype=float)
-        root = np.sqrt(np.asarray(x12) ** 2 + np.asarray(y12) ** 2)
-        return a - root, a + root
+        return _eigenvalues(*self.elements(phi_hat)[:3])
+
+
+def _eigenvalues(x11, x12, y12) -> tuple[np.ndarray, np.ndarray]:
+    """(lam1, lam2) with lam1 <= lam2 from the elements x11, x12, y12."""
+    a = np.asarray(x11, dtype=float)
+    root = np.sqrt(np.asarray(x12) ** 2 + np.asarray(y12) ** 2)
+    return a - root, a + root
 
 
 def _sharp_family(ctx: EstimationContext, x11, d_profile, scale: float, label: str) -> PovmFamily:
@@ -255,6 +259,7 @@ def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFam
     mu = ctx.center
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * math.erf(math.pi / (sigma * math.sqrt(2.0))))
 
+    @np.errstate(over="ignore")  # the exponent may overflow to -inf; exp(-inf) = 0 is exact
     def x11(u):
         return norm * np.exp(-0.5 * (u - mu) ** 2 * inv_s2)
 
@@ -517,7 +522,6 @@ def validate_povm(
     pattern.  Purely diagnostic: nothing raises or warns, and an overflow
     reads inf."""
     g = p.grid(spec)
-    lo, hi = p.window
     mu = p.center
 
     comp_diag = g.moment("x11", 0) - 1.0
@@ -525,10 +529,7 @@ def validate_povm(
     comp_y = g.moment("y12", 0)
     completeness = max(abs(comp_diag), math.hypot(comp_x, comp_y))
 
-    # interior grid, avoiding the exact center and edges
-    u = np.linspace(lo, hi, VALIDATION_SCAN)[1:-1]
-    lam1, _ = p.eigenvalues(u)
-    min_eig = float(np.min(lam1))
+    min_eig, sign_ok = _scan_checks(p, ctx)
 
     half = np.linspace(0.0, p.half_width, VALIDATION_SCAN // 2)[1:-1]
     above, below = np.split(np.asarray(p.elements(np.concatenate([mu + half, mu - half]))[0]), 2)
@@ -543,19 +544,23 @@ def validate_povm(
         x12_mean_residual=float(abs(comp_x)),
         y12_mean_residual=float(abs(comp_y)),
         unbiasedness_residual=float(unbias),
-        sign_conditions_ok=_sign_conditions_ok(p, ctx),
+        sign_conditions_ok=sign_ok,
     )
 
 
-def _sign_conditions_ok(p: PovmFamily, ctx: EstimationContext) -> bool:
-    """The off-diagonal sign pattern: y12 / cos(phi) has the sign of
-    mu - phi_hat on validate_povm's interior grid, and y12(mu) vanishes."""
+@np.errstate(over="ignore", invalid="ignore")
+def _scan_checks(p: PovmFamily, ctx: EstimationContext) -> tuple[float, bool]:
+    """From one evaluation on an interior grid, avoiding the edges, and at mu:
+    the least eigenvalue on the grid, and the off-diagonal sign pattern (y12 /
+    cos(phi) has the sign of mu - phi_hat on the grid, and y12(mu) vanishes)."""
     lo, hi = p.window
     mu = p.center
     u = np.linspace(lo, hi, VALIDATION_SCAN)[1:-1]
-    y12 = np.asarray(p.elements(np.append(u, mu))[2])
+    x11, x12, y12 = (np.asarray(e) for e in p.elements(np.append(u, mu))[:3])
+    min_eig = float(np.min(_eigenvalues(x11[:-1], x12[:-1], y12[:-1])[0]))
     pattern = y12[:-1] / math.cos(ctx.state.phi) * np.sign(mu - u)
-    return bool(np.all(pattern >= -EIGENVALUE_TOL)) and abs(float(y12[-1])) <= EIGENVALUE_TOL
+    sign_ok = bool(np.all(pattern >= -EIGENVALUE_TOL)) and abs(float(y12[-1])) <= EIGENVALUE_TOL
+    return min_eig, sign_ok
 
 
 @dataclass(frozen=True)

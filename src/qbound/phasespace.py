@@ -41,7 +41,6 @@ from .qubit import (
     d_rho,
     density_matrix,
     pauli_decomposition,
-    require_hermitian,
 )
 
 
@@ -74,9 +73,10 @@ def weyl_map(a, s: float):
     With a = a0 I + a.sigma and Delta = (I + c_s Omega.sigma)/2 this is
     a0 + c_s a.Omega, evaluated as
     a0 + c_s (|a_xy| sin t1 cos(p1 - beta) + a_z cos t1), beta the azimuth of a.
+    Hermiticity is checked once, naming the `weyl_map input` in its error.
     """
     c = _c(s)
-    a0, vec = pauli_decomposition(require_hermitian(a, name="weyl_map input"))
+    a0, vec = pauli_decomposition(a, name="weyl_map input")
     c_xy = c * math.hypot(vec[0], vec[1])
     beta = math.atan2(vec[1], vec[0])
     c_z = c * vec[2]

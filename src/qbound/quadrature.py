@@ -36,6 +36,7 @@ the azimuth nodes.
 
 Both map their nodes back to the lab angles (theta1, phi1), so integrands
 are written once, in the lab frame, and the rule never looks inside them.
+A rule is built once per (pole, refinement) and passed on read-only.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ GRADING = 0.2
 @lru_cache(maxsize=None)
 def _gauss(order: int):
     x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -134,16 +136,25 @@ def integrate_1d(f, a: float, b: float, spec: QuadSpec | None = None) -> float:
 
 
 def _sphere_nodes(pole, panels: int = 1, extra_levels: int = 0):
-    """Lab angles and weights of the sphere rule, u-major."""
+    """Lab angles and weights of the sphere rule, u-major, read-only."""
+    if pole is not None:
+        pole = np.asarray(pole, dtype=float)
+        if pole.shape != (3,) or not 0.0 < float(np.linalg.norm(pole)) < 1.0:
+            raise ValueError(f"pole must be a 3-vector of length in (0, 1), got {pole!r}")
+    return _sphere_rule(None if pole is None else pole.tobytes(), panels, extra_levels)
+
+
+# keyed by the pole's float64 bytes, so a zero's sign counts; 4 rules hold a
+# state's rule, its refinement and the pole-free rule
+@lru_cache(maxsize=4)
+def _sphere_rule(pole: bytes | None, panels: int, extra_levels: int):
     if pole is None:
         u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, SPHERE_ORDER))
         m = 2 * panels * SPHERE_ORDER
         e1, e2, n = np.eye(3)
     else:
-        pole = np.asarray(pole, dtype=float)
+        pole = np.frombuffer(pole)
         r = float(np.linalg.norm(pole))
-        if pole.shape != (3,) or not 0.0 < r < 1.0:
-            raise ValueError(f"pole must be a 3-vector of length in (0, 1), got {pole!r}")
         levels = 1
         while 2.0 * GRADING ** levels >= GRADING * (1.0 - r):
             levels += 1
@@ -162,7 +173,9 @@ def _sphere_nodes(pole, panels: int = 1, extra_levels: int = 0):
     x, y, z = (a * e1[i] + b * e2[i] + u[:, None] * n[i] for i in range(3))
     theta1 = np.arctan2(np.hypot(x, y), z).ravel()
     phi1 = np.arctan2(y, x).ravel()
-    return theta1, phi1, np.repeat(wu / m, m)
+    w = np.repeat(wu / m, m)
+    theta1.flags.writeable = phi1.flags.writeable = w.flags.writeable = False
+    return theta1, phi1, w
 
 
 def _integrate_nodes(F, theta1, phi1, w):
@@ -186,7 +199,8 @@ def sphere_integrate(F, pole=None):
     F returns a field of shape (nodes, ...), integrated entrywise, or a
     scalar or 2x2 constant.  A scalar field gives a scalar.  `pole` is the
     Bloch vector of the state whose Husimi function F divides by (None for
-    state-free integrands); see the module docstring.
+    state-free integrands).  The rule for a pole is built once, and F gets
+    its nodes as read-only arrays; see the module docstring.
     """
     return _integrate_nodes(F, *_sphere_nodes(pole))
 

@@ -129,9 +129,10 @@ def eig2(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def pauli_decomposition(h) -> tuple[float, np.ndarray]:
-    """Coefficients (a0, a) of h = a0*I + a.sigma for Hermitian h."""
-    h = require_hermitian(h, name="pauli_decomposition input")
-    a0 = 0.5 * np.trace(h).real
-    a = np.array([0.5 * np.trace(h @ p).real for p in PAULIS])
-    return float(a0), a
+def pauli_decomposition(h, name: str = "pauli_decomposition input") -> tuple[float, np.ndarray]:
+    """Coefficients (a0, a) of h = a0*I + a.sigma for Hermitian h, called `name` in errors."""
+    h = require_hermitian(h, name=name)
+    # tr(h) / 2 and tr(h sigma_k) / 2 from the entries; + 0.0 makes a zero +0.0, as trace does
+    c = 0.5 * np.array([h[0, 0].real + h[1, 1].real, h[0, 1].real + h[1, 0].real,
+                        h[1, 0].imag - h[0, 1].imag, h[0, 0].real - h[1, 1].real]) + 0.0
+    return float(c[0]), c[1:]

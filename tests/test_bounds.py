@@ -152,6 +152,18 @@ def test_cmax_flags_sign_violation():
     assert not breakdown["sign_conditions_ok"]
 
 
+def test_cmax_sign_check_warns_nothing_where_an_eigenvalue_square_overflows():
+    # |x12| ~ 1e154 squares past the float range in the shared scan, which
+    # C_max does not report; the RuntimeWarning filter would raise
+    ctx = standard_ctx()
+    x = np.linspace(ctx.center - PI, ctx.center + PI, 301)
+    big = 3e154
+    fam = tabulated_family(x, np.full_like(x, big), 0.5 * big * np.sin(x),
+                           0.5 * big * np.sign(ctx.center - x))
+    # y12 has the sign of mu - phi_hat, and cos(phi) < 0
+    assert not bound_Cmax(ctx, fam)["sign_conditions_ok"]
+
+
 @pytest.mark.parametrize("r", [0.3, 0.8])
 @pytest.mark.parametrize(
     "build, expected",

@@ -256,3 +256,32 @@ def test_cli_exits_1_where_the_density_vanishes_at_every_node(argv, capsys):
     else:
         assert lines == [f"qbound: {EVERY_NODE}"]
         assert captured.out == ""
+
+
+# ------------------------------------------- a Gaussian exponent past the float range
+SMALLEST_SIGMA = 1e-154  # 1/sigma^2 is finite, (pi/sigma)^2 is not
+
+
+def test_gaussian_profile_whose_exponent_overflows_is_zero_without_a_warning():
+    # the RuntimeWarning filter turns an overflow warning into an error
+    ctx = EstimationContext(QubitState(0.5, 1.0, 0.3))
+    fam = measurement.gaussian_sharp_family(ctx, sigma=SMALLEST_SIGMA)
+    assert fam.elements(np.array([ctx.center - 3.0, ctx.center + 3.0]))[0].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--r", "0.5", "--samples", "10"],
+    ["audit", "--r", "0.5"],
+    ["metrics", "--r", "0.5"],
+    ["bounds", "sweep", "--steps", "2"],
+], ids=" ".join)
+def test_cli_at_the_smallest_sigma_writes_no_warning(argv, capsys):
+    code, captured = _cli(argv + ["--sigma", repr(SMALLEST_SIGMA)], capsys)
+    lines = captured.err.splitlines()
+    if argv[0] == "bounds":
+        assert code == 1
+        assert [line.split(": ", 1)[1] for line in lines] == [EVERY_NODE] * 2
+    elif argv[0] == "metrics":
+        assert (code, lines) == (1, [f"qbound: {EVERY_NODE}"])
+    else:
+        assert (code, lines) == (0, [])

@@ -145,6 +145,24 @@ def test_validate_sharp_family():
     assert rep.all_ok
 
 
+def test_validate_evaluates_its_interior_scan_once():
+    # the eigenvalue and sign checks read one evaluation on the interior grid
+    ctx = standard_ctx(eps=0.4)
+    for fam in (gaussian_sharp_family(ctx), tapered_sharp_family(ctx, offdiag_scale=-0.5),
+                uniform_diagonal_family(ctx.center)):
+        sizes = []
+
+        def counted(u, elements=fam.elements):
+            sizes.append(np.size(u))
+            return elements(u)
+
+        rep = validate_povm(dataclasses.replace(fam, elements=counted), ctx)
+        scan = (measurement.VALIDATION_SCAN - 2, measurement.VALIDATION_SCAN - 1)
+        assert sum(n in scan for n in sizes) == 1, sizes
+        u = np.linspace(*fam.window, measurement.VALIDATION_SCAN)[1:-1]
+        assert rep.min_eigenvalue == float(np.min(fam.eigenvalues(u)[0]))
+
+
 def test_validate_flags_unnormalized_family():
     ctx = standard_ctx()
     grid = np.linspace(ctx.center - PI, ctx.center + PI, 17)

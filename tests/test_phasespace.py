@@ -67,8 +67,23 @@ def test_weyl_map_of_state_is_husimi():
 
 
 def test_weyl_map_requires_hermitian():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weyl_map input is not Hermitian"):
         weyl_map(np.array([[0, 1], [0, 0]], dtype=complex), -1.0)
+
+
+def test_weyl_map_checks_hermiticity_once(monkeypatch):
+    from qbound import qubit
+
+    calls = []
+    check = qubit.require_hermitian
+
+    def counted(m, name):
+        calls.append(name)
+        return check(m, name)
+
+    monkeypatch.setattr(qubit, "require_hermitian", counted)
+    weyl_map(PAULI_X, -1.0)
+    assert calls == ["weyl_map input"]
 
 
 def test_inverse_weyl_of_constant_one():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from qbound import quadrature
 from qbound.derivatives import R_MAX, new_log_derivative
 from qbound.metrics import husimi_classical_metric
 from qbound.phasespace import husimi, husimi_partial, sw_kernel
@@ -194,6 +195,56 @@ def test_sphere_rejects_pole_off_the_open_ball():
     for pole in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (np.nan, 0.0, 0.5), (0.5, 0.0)):
         with pytest.raises(ValueError, match="pole"):
             sphere_integrate(lambda t, p: 1.0, pole=pole)
+
+
+def test_sphere_rule_is_built_once_per_pole_and_read_only():
+    pole = QubitState(0.6, 1.1, 2.3).bloch
+    rule = quadrature._sphere_nodes(pole)
+    assert all(a is b for a, b in zip(rule, quadrature._sphere_nodes(pole.copy())))
+    for a in (*rule, *quadrature._gauss(16)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_sphere_rule_keys_the_sign_of_a_zero_pole_component():
+    # phi1 = atan2(y, x) reads the sign of a zero y where the frame puts one
+    plus, minus = np.array([-0.3, 0.0, -0.2]), np.array([-0.3, -0.0, -0.2])
+    rules = [quadrature._sphere_nodes(plus), quadrature._sphere_nodes(minus)]
+    assert rules[0][1].tobytes() != rules[1][1].tobytes()
+    for pole, rule in zip((plus, minus), rules):
+        fresh = quadrature._sphere_rule.__wrapped__(pole.tobytes(), 1, 0)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rule, fresh))
+
+
+def test_sphere_rejects_an_invalid_pole_on_every_call():
+    pole = np.array([0.1, 0.2, 0.3])
+    quadrature._sphere_nodes(pole)
+    # the same bytes in another shape must not reach the cached rule
+    for bad in (pole.reshape(3, 1), (0.0, 0.0, 1.0), pole.reshape(3, 1)):
+        with pytest.raises(ValueError, match="pole"):
+            sphere_integrate(lambda t, p: 1.0, pole=bad)
+
+
+def test_doubling_residual_builds_its_refined_rule():
+    pole = QubitState(0.8, 0.7, 1.9).bloch
+    quadrature._sphere_nodes(pole)
+    seen = []
+    doubling_residual_sphere(lambda t, p: seen.append(t.size) or np.ones_like(t), pole=pole)
+    base, refined = seen
+    assert refined > 4 * base
+    assert quadrature._sphere_nodes(pole, panels=2, extra_levels=1)[0].size == refined
+
+
+def test_one_state_builds_one_pole_rule():
+    # three quadrature L_k and the quadrature Husimi metric share one rule
+    quadrature._sphere_rule.cache_clear()
+    s = QubitState(0.7, 1.2, 0.4)
+    for k in ParamIndex:
+        new_log_derivative(s, k, "quadrature")
+    husimi_classical_metric(s, "quadrature")
+    info = quadrature._sphere_rule.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_sphere_total_measure():

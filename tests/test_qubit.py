@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbound.qubit import (
+    HERMITIAN_ATOL,
     PAULI_Z,
+    PAULIS,
     DomainError,
     ParamIndex,
     QubitState,
@@ -159,3 +161,29 @@ def test_eig2_random_hermitian_roundtrip(a0, ax, ay, az):
     back0, back = pauli_decomposition(h)
     assert abs(back0 - a0) <= 1e-12
     assert np.allclose(back, [ax, ay, az], atol=1e-12)
+
+
+def _pauli_by_traces(h):
+    """The trace form of the coefficients: tr(h) / 2 and tr(h sigma_k) / 2."""
+    return 0.5 * np.trace(h).real, np.array([0.5 * np.trace(h @ p).real for p in PAULIS])
+
+
+def test_pauli_decomposition_equals_the_trace_form_bit_for_bit():
+    rng = np.random.default_rng(7)
+    zero = (0.0, -0.0)
+    for _ in range(2000):
+        # Hermitian up to a defect below the tolerance, with a random share
+        # of its parts replaced by zeros of either sign
+        d0, d1, re, im = (rng.choice(zero) if rng.random() < 0.4 else v
+                          for v in rng.normal(size=4))
+        # a zero pairs with a zero of either sign across the diagonal
+        re1, im1 = (rng.choice(zero) if v == 0.0 else s * v for v, s in ((re, 1.0), (im, -1.0)))
+        h = np.array([[complex(d0, rng.choice(zero)), complex(re, im)],
+                      [complex(re1, im1), complex(d1, rng.choice(zero))]])
+        if rng.random() < 0.5:
+            defect = rng.uniform(-1.0, 1.0, (2, 2, 2)) * (0.25 * HERMITIAN_ATOL)
+            h = h + (defect[0] + 1j * defect[1])
+        a0, a = pauli_decomposition(h)
+        want0, want = _pauli_by_traces(h)
+        assert np.float64(a0).tobytes() == np.float64(want0).tobytes(), h
+        assert a.tobytes() == want.tobytes(), h
