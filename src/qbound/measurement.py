@@ -291,10 +291,13 @@ def tapered_sharp_family(
     mu = ctx.center
     k = int(taper_power)
 
+    # profile as a function of u = phi_hat - mu; the exponent may overflow
+    # to -inf, and exp(-inf) = 0 is exact
+    @np.errstate(over="ignore")
     def shape(u):
-        # profile as a function of u = phi_hat - mu
         return np.exp(-0.5 * u * u * inv_s2) * np.cos(0.5 * u) ** (2 * k)
 
+    @np.errstate(over="ignore")
     def shape_prime(u):
         cos_half = np.cos(0.5 * u)
         return np.exp(-0.5 * u * u * inv_s2) * (

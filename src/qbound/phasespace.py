@@ -14,7 +14,10 @@ Delta(Omega; -s) dmu(Omega) with dmu = sin t1 dt1 dp1 / (2 pi).  This sign
 pairing is adopted literally and is pinned down by round-trip tests rather
 than by convention.  Delta is linear in (1, Omega), so the inverse map
 integrates the real field f (1, Omega) to Pauli coefficients (a0, a) and
-returns (a0 I + c_{-s} a.sigma) / 2.
+returns (a0 I + c_{-s} a.sigma) / 2 through `qubit.pauli_operator`.  It
+reads Omega at the nodes from the cached sphere rule that its
+`sphere_integrate` call integrates on; `sw_kernel` computes Omega by the
+same formula, `quadrature._omega`.
 
 The s = -1 symbol of a state is its Husimi function, a genuine probability
 density; it and its partials are built from rho and d_rho through the
@@ -32,7 +35,7 @@ import math
 
 import numpy as np
 
-from .quadrature import sphere_integrate
+from .quadrature import _omega, _sphere_nodes, sphere_integrate
 from .qubit import (
     IDENTITY2,
     PAULIS,
@@ -41,6 +44,7 @@ from .qubit import (
     d_rho,
     density_matrix,
     pauli_decomposition,
+    pauli_operator,
 )
 
 
@@ -51,12 +55,6 @@ def _c(s: float) -> float:
     if s == 1.0:
         return 3.0
     raise ValueError(f"s must be -1.0 or +1.0, got s = {s!r}")
-
-
-def _omega(theta1, phi1) -> np.ndarray:
-    """Unit vectors Omega(theta1, phi1), shape (..., 3)."""
-    st = np.sin(theta1)
-    return np.stack(np.broadcast_arrays(st * np.cos(phi1), st * np.sin(phi1), np.cos(theta1)), -1)
 
 
 def sw_kernel(theta1, phi1, s: float) -> np.ndarray:
@@ -92,17 +90,19 @@ def inverse_weyl(f, s: float, pole=None) -> np.ndarray:
     """Operator whose s-symbol is f: integral of f(Omega) Delta(Omega; -s) dmu.
 
     `pole` is the Bloch vector of the state whose Husimi function f divides
-    by, passed on to `sphere_integrate`.
+    by, passed on to `sphere_integrate`; Omega comes from that pole's rule.
     """
     _c(s)
+    omega = _sphere_nodes(pole)[3]
 
     def integrand(theta1, phi1):
         vals = np.asarray(f(theta1, phi1), dtype=float)
         vals = np.broadcast_to(vals, np.shape(theta1))[..., None]
-        return np.concatenate([vals, vals * _omega(theta1, phi1)], axis=-1)
+        return np.concatenate([vals, vals * omega], axis=-1)
 
-    a = sphere_integrate(integrand, pole)
-    return 0.5 * (a[0] * IDENTITY2 + _c(-s) * np.tensordot(a[1:], PAULIS, axes=1))
+    a0, *a = sphere_integrate(integrand, pole).tolist()
+    c = 0.5 * _c(-s)
+    return pauli_operator(0.5 * a0, [c * v for v in a])
 
 
 def husimi(state: QubitState):

@@ -36,7 +36,10 @@ the azimuth nodes.
 
 Both map their nodes back to the lab angles (theta1, phi1), so integrands
 are written once, in the lab frame, and the rule never looks inside them.
-A rule is built once per (pole, refinement) and passed on read-only.
+A rule is built once per (pole, refinement) and passed on read-only: the
+lab angles, the weights, and the unit vectors Omega(theta1, phi1), shape
+(nodes, 3), which integrands linear in Omega (`phasespace.inverse_weyl`)
+read from the rule instead of recomputing.
 """
 
 from __future__ import annotations
@@ -135,8 +138,14 @@ def integrate_1d(f, a: float, b: float, spec: QuadSpec | None = None) -> float:
     return float(w @ y)
 
 
+def _omega(theta1, phi1) -> np.ndarray:
+    """Unit vectors Omega(theta1, phi1), shape (..., 3)."""
+    st = np.sin(theta1)
+    return np.stack(np.broadcast_arrays(st * np.cos(phi1), st * np.sin(phi1), np.cos(theta1)), -1)
+
+
 def _sphere_nodes(pole, panels: int = 1, extra_levels: int = 0):
-    """Lab angles and weights of the sphere rule, u-major, read-only."""
+    """Lab angles, weights and unit vectors Omega of the sphere rule, u-major, read-only."""
     if pole is not None:
         pole = np.asarray(pole, dtype=float)
         if pole.shape != (3,) or not 0.0 < float(np.linalg.norm(pole)) < 1.0:
@@ -173,12 +182,19 @@ def _sphere_rule(pole: bytes | None, panels: int, extra_levels: int):
     x, y, z = (a * e1[i] + b * e2[i] + u[:, None] * n[i] for i in range(3))
     theta1 = np.arctan2(np.hypot(x, y), z).ravel()
     phi1 = np.arctan2(y, x).ravel()
-    w = np.repeat(wu / m, m)
-    theta1.flags.writeable = phi1.flags.writeable = w.flags.writeable = False
-    return theta1, phi1, w
+    rule = theta1, phi1, np.repeat(wu / m, m), _omega(theta1, phi1)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
-def _integrate_nodes(F, theta1, phi1, w):
+@np.errstate(invalid="ignore")
+def _integrate_nodes(F, rule):
+    """The weights are finite and > 0, so a non-finite value at a node makes
+    the sum non-finite (inf - inf unwarned); only then is the field scanned,
+    to name the first such node.  Finite values whose sum overflows give inf,
+    with numpy's overflow warning."""
+    theta1, phi1, w, _ = rule
     vals = np.asarray(F(theta1, phi1))
     if vals.shape[:1] != theta1.shape:
         if vals.shape not in ((), (2, 2)):
@@ -187,9 +203,10 @@ def _integrate_nodes(F, theta1, phi1, w):
                 f"got shape {vals.shape} for {theta1.shape[0]} nodes"
             )
         vals = np.broadcast_to(vals, theta1.shape + vals.shape)
-    _check_finite(vals, theta1)
-    res = np.tensordot(w, vals, axes=1)
-    return res.item() if res.ndim == 0 else res
+    res = np.dot(w, vals.reshape(w.size, -1))
+    if not np.isfinite(res).all():
+        _check_finite(vals, theta1)
+    return res.item() if vals.ndim == 1 else res.reshape(vals.shape[1:])
 
 
 def sphere_integrate(F, pole=None):
@@ -202,12 +219,12 @@ def sphere_integrate(F, pole=None):
     state-free integrands).  The rule for a pole is built once, and F gets
     its nodes as read-only arrays; see the module docstring.
     """
-    return _integrate_nodes(F, *_sphere_nodes(pole))
+    return _integrate_nodes(F, _sphere_nodes(pole))
 
 
 def doubling_residual_sphere(F, pole=None) -> float:
     """Max-abs change of the integral when every axis is refined: twice the
     panels per grading level, twice the azimuth nodes, one more level."""
     lo = np.asarray(sphere_integrate(F, pole))
-    hi = np.asarray(_integrate_nodes(F, *_sphere_nodes(pole, panels=2, extra_levels=1)))
+    hi = np.asarray(_integrate_nodes(F, _sphere_nodes(pole, panels=2, extra_levels=1)))
     return float(np.max(np.abs(lo - hi)))

@@ -37,11 +37,18 @@ class ParamIndex(enum.IntEnum):
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
+    """m as a complex 2x2 array; a defect max |m - m^dagger| above
+    HERMITIAN_ATOL, or not finite, raises ValueError naming `name`."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > HERMITIAN_ATOL:
+    (a, b), (c, d) = m.tolist()
+    # |c - conj(b)| = |b - conj(c)|; hypot gives inf, not an error, past the float range
+    diffs = (a - a.conjugate(), b - c.conjugate(), d - d.conjugate())
+    defects = [math.hypot(z.real, z.imag) for z in diffs]
+    # max() keeps a NaN only when it comes first; the sum is NaN if any is
+    defect = math.nan if math.isnan(sum(defects)) else max(defects)
+    if not defect <= HERMITIAN_ATOL:
         raise ValueError(
             f"{name} is not Hermitian: max |m - m^dagger| = {defect:.3e} > {HERMITIAN_ATOL:.1e}"
         )
@@ -136,3 +143,11 @@ def pauli_decomposition(h, name: str = "pauli_decomposition input") -> tuple[flo
     c = 0.5 * np.array([h[0, 0].real + h[1, 1].real, h[0, 1].real + h[1, 0].real,
                         h[1, 0].imag - h[0, 1].imag, h[0, 0].real - h[1, 1].real]) + 0.0
     return float(c[0]), c[1:]
+
+
+def pauli_operator(a0: float, a) -> np.ndarray:
+    """a0*I + a.sigma, the inverse of pauli_decomposition, from floats a0 and a."""
+    x, y, z = a
+    # + 0.0 makes a zero +0.0, as a sum of the Pauli matrices does
+    return np.array([[a0 + z + 0.0, complex(x + 0.0, 0.0 - y)],
+                     [complex(x + 0.0, y + 0.0), a0 - z + 0.0]], dtype=complex)

@@ -269,6 +269,13 @@ def test_gaussian_profile_whose_exponent_overflows_is_zero_without_a_warning():
     assert fam.elements(np.array([ctx.center - 3.0, ctx.center + 3.0]))[0].tolist() == [0.0, 0.0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tapered_profile_whose_exponent_overflows_raises_the_domain_error():
+    ctx = EstimationContext(QubitState(0.5, 1.0, 0.3))
+    with pytest.raises(DomainError, match="profile vanishes at every node"):
+        measurement.tapered_sharp_family(ctx, sigma=SMALLEST_SIGMA)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--r", "0.5", "--samples", "10"],
     ["audit", "--r", "0.5"],

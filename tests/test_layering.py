@@ -127,3 +127,23 @@ def test_the_sphere_side_takes_no_quadrature_spec():
                   metrics.husimi_classical_metric]
     with_spec = [fn.__qualname__ for fn in functions if "spec" in inspect.signature(fn).parameters]
     assert with_spec == []
+
+
+def tensordot_uses(path):
+    """`module.function` for every reference to tensordot in a module, the
+    function being the top-level definition that holds it."""
+    return [
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if "tensordot" in (getattr(node, "attr", None), getattr(node, "id", None),
+                           getattr(node, "name", None))
+    ]
+
+
+def test_the_kernel_is_the_only_tensordot():
+    # sphere fields are contracted with one dot, and inverse_weyl builds its
+    # operator from the entries through qubit.pauli_operator
+    package = Path(qbound.__file__).parent
+    uses = [use for path in sorted(package.glob("*.py")) for use in tensordot_uses(path)]
+    assert uses == ["phasespace.sw_kernel"]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,14 +238,53 @@ def test_doubling_residual_builds_its_refined_rule():
 
 
 def test_one_state_builds_one_pole_rule():
-    # three quadrature L_k and the quadrature Husimi metric share one rule
+    # three quadrature L_k and the quadrature Husimi metric share one rule;
+    # each L_k looks it up twice, for Omega and in sphere_integrate
     quadrature._sphere_rule.cache_clear()
     s = QubitState(0.7, 1.2, 0.4)
     for k in ParamIndex:
         new_log_derivative(s, k, "quadrature")
     husimi_classical_metric(s, "quadrature")
     info = quadrature._sphere_rule.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 6)
+
+
+def test_sphere_rule_holds_the_unit_vectors_of_its_nodes():
+    for pole in (None, QubitState(0.6, 1.1, 2.3).bloch):
+        theta1, phi1, _, omega = quadrature._sphere_nodes(pole)
+        assert omega.shape == theta1.shape + (3,)
+        assert omega.tobytes() == quadrature._omega(theta1, phi1).tobytes()
+        assert not omega.flags.writeable
+        again = quadrature._sphere_nodes(None if pole is None else pole.copy())
+        assert again[3] is omega
+
+
+@pytest.mark.parametrize("pole", [None, (0.3, -0.4, 0.5)], ids=["no pole", "pole"])
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf]],
+                         ids=["nan", "inf", "-inf", "inf and -inf"])
+@pytest.mark.parametrize("shape", [(), (4,), (3, 3)], ids=["scalar", "n x 4", "n x 3 x 3"])
+def test_sphere_names_the_first_node_of_a_non_finite_value(shape, bad, pole):
+    # the sum is taken first; a non-finite one is scanned for its node
+    theta1 = quadrature._sphere_nodes(pole)[0]
+    node = 137
+
+    def field(t, p):
+        vals = np.ones(t.shape + shape)
+        for i, value in enumerate(bad):
+            vals[(node + 5 * i,) + (-1,) * len(shape)] = value
+        return vals
+
+    where = re.escape(repr(float(theta1[node])))
+    with pytest.raises(QuadratureError, match=f"^integrand is not finite at abscissa {where}$"):
+        sphere_integrate(field, pole=pole)
+
+
+@pytest.mark.parametrize("shape", [(), (4,)])
+def test_sphere_sum_of_finite_values_that_overflows_is_inf(shape):
+    # numpy's dot warns of the overflow; no node is blamed
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        got = sphere_integrate(lambda t, p: np.full(t.shape + shape, 1.5e308))
+    assert np.all(got == math.inf)
 
 
 def test_sphere_total_measure():
@@ -284,7 +324,10 @@ def test_sphere_integrates_a_matrix_field_in_one_call():
 
 
 def test_sphere_rejects_bad_shapes():
-    with pytest.raises(TypeError, match="broadcast"):
+    n = quadrature._sphere_nodes(None)[0].size
+    message = ("sphere integrand must broadcast to a field with one value per node; "
+               f"got shape (3,) for {n} nodes")
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         sphere_integrate(lambda t, p: np.zeros(3))
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbound.qubit import (
     HERMITIAN_ATOL,
+    IDENTITY2,
     PAULI_Z,
     PAULIS,
     DomainError,
@@ -15,6 +16,8 @@ from qbound.qubit import (
     density_matrix,
     eig2,
     pauli_decomposition,
+    pauli_operator,
+    require_hermitian,
 )
 
 from conftest import PI, grid_36
@@ -139,6 +142,22 @@ def test_eig2_reconstruction():
         assert np.max(np.abs(recon - rho)) <= 1e-12
 
 
+@pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_require_hermitian_rejects_a_nan_in_any_entry(entry, value):
+    m = np.eye(2, dtype=complex)
+    m[entry] = value
+    with pytest.raises(ValueError, match=r"^probe is not Hermitian: max \|m - m\^dagger\| = nan"):
+        require_hermitian(m, name="probe")
+
+
+def test_require_hermitian_rejects_a_defect_beyond_the_float_range():
+    # |b - conj(c)| = 1.5e308 * sqrt(2) from finite parts
+    m = np.array([[0.0, 1e308 + 1e308j], [-0.5e308 + 0.5e308j, 0.0]])
+    with pytest.raises(ValueError, match=r"^probe is not Hermitian: .* = inf"):
+        require_hermitian(m, name="probe")
+
+
 def test_eig2_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         eig2(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
@@ -187,3 +206,16 @@ def test_pauli_decomposition_equals_the_trace_form_bit_for_bit():
         want0, want = _pauli_by_traces(h)
         assert np.float64(a0).tobytes() == np.float64(want0).tobytes(), h
         assert a.tobytes() == want.tobytes(), h
+
+
+def test_pauli_operator_equals_the_tensordot_form_bit_for_bit():
+    # inverse_weyl's 0.5 * (a0 I + c a.sigma), with zeros of either sign
+    rng = np.random.default_rng(19)
+    zero = (0.0, -0.0)
+    for _ in range(2000):
+        a0, *a = (float(rng.choice(zero)) if rng.random() < 0.4 else v
+                  for v in rng.normal(size=4).tolist())
+        for c in (1.0, 3.0):
+            want = 0.5 * (a0 * IDENTITY2 + c * np.tensordot(a, PAULIS, axes=1))
+            got = pauli_operator(0.5 * a0, [0.5 * c * v for v in a])
+            assert got.tobytes() == want.tobytes(), (a0, a, c)
