@@ -45,7 +45,6 @@ _SERIES_COLORS = {
     "B_Fisher": "#8e44ad",
     "B_Husimi": "#e67e22",
 }
-_SWEEP_SERIES = tuple(_SERIES_COLORS)
 
 
 def fmt(x) -> str:
@@ -116,7 +115,7 @@ def sweep_svg(rows, log_y: bool = False) -> str:
         raise ValueError("no successful sweep rows to plot")
     xs = [row.r for row in ok_rows]
     values = []
-    for name in _SWEEP_SERIES:
+    for name in _SERIES_COLORS:
         values.extend(getattr(row, name) for row in ok_rows)
     if log_y:
         values = [math.log10(v) for v in values if v > 0]
@@ -159,13 +158,12 @@ def sweep_svg(rows, log_y: bool = False) -> str:
         f'<text x="{ml + plot_w / 2:.2f}" y="{height - 12}" text-anchor="middle" '
         'font-size="13">r</text>'
     )
-    for idx, name in enumerate(_SWEEP_SERIES):
+    for idx, (name, color) in enumerate(_SERIES_COLORS.items()):
         pts = []
         for row in ok_rows:
             val = getattr(row, name)
             yv = math.log10(val) if log_y else val
             pts.append(f"{px(row.r):.2f},{py(yv):.2f}")
-        color = _SERIES_COLORS[name]
         parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
             'stroke-width="2"/>'
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("metrics", help="metric report at one state point")
-    p.set_defaults(run=_cmd_metrics)
+    p.set_defaults(run=_cmd_metrics, parser=p)
     _add_state_args(p)
     _add_common_args(p)
 
@@ -216,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(v)
     v.add_argument("--csv", default=None, help="tabulated family CSV (phi_hat,x11,x12,y12)")
     # None marks "not given", which --csv requires: a table carries its own window
-    v.set_defaults(eps=None, sigma=None, run=_cmd_povm_validate)
+    v.set_defaults(eps=None, sigma=None, run=_cmd_povm_validate, parser=v)
 
     p = sub.add_parser("bounds", help="estimation bound tools")
     bounds_sub = p.add_subparsers(dest="bounds_command", required=True)
     s = bounds_sub.add_parser("sweep", help="bound comparison over an r grid")
-    s.set_defaults(run=_cmd_bounds_sweep)
+    s.set_defaults(run=_cmd_bounds_sweep, parser=s)
     s.add_argument("--r-min", type=float, default=0.1)
     s.add_argument("--r-max", type=float, default=0.9)
     s.add_argument("--steps", type=int, default=9)
@@ -233,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--log-y", action="store_true", help="log-scale the SVG y axis")
 
     p = sub.add_parser("audit", help="derivation audit report")
-    p.set_defaults(run=_cmd_audit)
+    p.set_defaults(run=_cmd_audit, parser=p)
     _add_state_args(p)
     _add_common_args(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the estimator moments")
-    p.set_defaults(run=_cmd_simulate)
+    p.set_defaults(run=_cmd_simulate, parser=p)
     _add_state_args(p)
     _add_common_args(p)
     p.add_argument("--samples", type=int, default=100000)
@@ -246,20 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed (falls back to QBOUND_SEED, then 0)")
 
     p = sub.add_parser("selftest", help="run the built-in oracle/invariant suite")
-    p.set_defaults(run=_cmd_selftest)
+    p.set_defaults(run=_cmd_selftest, parser=p)
     return parser
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
-    """The (sub)parser of the command that `args` selected."""
-    while True:
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs:
-            return parser
-        parser = subs[0].choices[getattr(args, subs[0].dest)]
 
 
 def _config_value(action: argparse.Action, text: str):
@@ -276,13 +265,13 @@ def _config_value(action: argparse.Action, text: str):
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv; values from a --config file become the defaults of the
-    selected command, so any flag spelling argparse accepts wins over them."""
+    selected command's parser, which each command sets as `parser`, so any
+    flag spelling argparse accepts wins over them."""
     args = parser.parse_args(argv)
     path = getattr(args, "config", None)
     if not path:
         return args
-    leaf = _leaf_parser(parser, args)
-    actions = {a.dest: a for a in leaf._actions if a.dest in vars(args)}
+    actions = {a.dest: a for a in args.parser._actions if a.dest in vars(args)}
     defaults = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -299,7 +288,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                 defaults[key] = _config_value(actions[key], value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    leaf.set_defaults(**defaults)
+    args.parser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 

@@ -36,24 +36,23 @@ at |offdiag_scale| = 1), which is what "saturating" means.
 
 Every window integral of a family is a contraction over the `FamilyGrid`
 that `PovmFamily.grid(spec)` builds once per effective spec and keeps on the
-family; the window is always split at its center.  Integrals of
+family: the family's own `PovmFamily.spec` unless a spec is given, split at
+the family's discontinuities and always at its center.  Integrals of
 (phi_hat - mu)^j tr(M Pi), j <= 2, are scalar arithmetic on the grid's
 moment table (`FamilyGrid.moment`).  Traces tr(M Pi) are real arrays for
-Hermitian M, and an integral over nodes scans its values for a non-finite
-one only when its result is not finite.
+Hermitian M, and an integral over nodes is `quadrature._weighted_sum`.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_SPEC, QuadSpec, _check_finite, integrate_1d, nodes_1d
+from .quadrature import DEFAULT_SPEC, QuadSpec, _check_finite, _weighted_sum, integrate_1d, nodes_1d
 from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 COMPLETENESS_TOL = 1e-9
@@ -142,15 +141,9 @@ class FamilyGrid:
         """tr(M Pi) at every node; a real array when M is Hermitian."""
         return trace_with_elements(m, self.x11, self.x12, self.y12)
 
-    @np.errstate(invalid="ignore")
     def integrate(self, values):
-        """Window integral of per-node values.  Weights are finite and >= 0,
-        so only a non-finite result, unwarned, is scanned: a non-finite value
-        raises QuadratureError naming its first abscissa; an overflow is inf."""
-        out = self.w @ values
-        if not cmath.isfinite(out):
-            _check_finite(values[:, None], self.x)
-        return out
+        """Window integral of per-node values, by `quadrature._weighted_sum`."""
+        return _weighted_sum(self.w, values, self.x)
 
     def moment(self, name: str, j: int, side: int = 0) -> float:
         """The sum of w (x - center)^j e, e the element array `name`, over the
@@ -179,7 +172,8 @@ class PovmFamily:
     ELEMENT_NAMES order: x11, x12, y12 and their total parameter
     derivatives.  The outcome window is [center - half_width, center +
     half_width]; constructed families use the full half_width = pi,
-    tabulated ones infer it from their abscissa extremes.
+    tabulated ones infer it from their abscissa extremes.  `spec` sizes the
+    family's own rule: the 64 x 16 default, or 1 x 4 for a tabulated family.
     """
 
     center: float
@@ -187,9 +181,7 @@ class PovmFamily:
     discontinuities: tuple[float, ...] = ()
     label: str = ""
     half_width: float = math.pi
-    # quadrature sizing hint; tabulated families override it
-    panels_hint: int = DEFAULT_SPEC.panels
-    order_hint: int = DEFAULT_SPEC.order
+    spec: QuadSpec = DEFAULT_SPEC
     # FamilyGrid per effective QuadSpec; lives and dies with the family
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -199,14 +191,12 @@ class PovmFamily:
 
     def quad_spec(self, spec: QuadSpec | None = None) -> QuadSpec:
         """Spec for integrals over this family's window, split at its
-        discontinuities and its center.  An explicit spec keeps its
-        panel/order sizing."""
-        if spec is None:
-            spec = QuadSpec(self.panels_hint, self.order_hint)
+        discontinuities and its center, sized by `spec` or else by the
+        family's own."""
         splits = self.discontinuities
         if self.center not in splits:
             splits = (*splits, self.center)
-        return spec.with_splits(splits)
+        return replace(spec or self.spec, split_points=splits)
 
     def grid(self, spec: QuadSpec | None = None) -> FamilyGrid:
         """Nodes, weights and element arrays for window integrals, built
@@ -366,8 +356,7 @@ def tabulated_family(phi_hat, x11, x12, y12, label: str = "tabulated") -> PovmFa
         discontinuities=tuple(phi_hat[1:-1].tolist()),
         label=label,
         half_width=0.5 * (hi - lo),
-        panels_hint=1,
-        order_hint=4,
+        spec=QuadSpec(1, 4),
     )
 
 

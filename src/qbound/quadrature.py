@@ -30,20 +30,25 @@ per panel in u serves two cases:
   sees the pole at least half its half-width beyond its near end
   (rho >= 2.6), so O(log 1/(1 - r)) grading panels of 16 nodes suffice.
 
-The doubling residual refines every axis of either case: 2 panels per
-grading level (or over [-1, 1] without a pole), one more level, and twice
-the azimuth nodes.
+The refined rule, which only the doubling residual uses, refines every
+axis of either case: 2 panels per grading level (or over [-1, 1] without a
+pole), one more level, and twice the azimuth nodes.
 
 Both map their nodes back to the lab angles (theta1, phi1), so integrands
 are written once, in the lab frame, and the rule never looks inside them.
-A rule is built once per (pole, refinement) and passed on read-only: the
+A rule is built once per (pole, refined) and passed on read-only: the
 lab angles, the weights, and the unit vectors Omega(theta1, phi1), shape
 (nodes, 3), which integrands linear in Omega (`phasespace.inverse_weyl`)
 read from the rule instead of recomputing.
+
+Every integral, on an interval, the sphere or a POVM window, is one
+`_weighted_sum`: it sums first, and scans for the first non-finite node only
+when the sum is not finite.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,9 +76,6 @@ class QuadSpec:
         if self.order < 2:
             raise ValueError("order must be >= 2")
         object.__setattr__(self, "split_points", tuple(map(float, self.split_points)))
-
-    def with_splits(self, split_points) -> "QuadSpec":
-        return QuadSpec(self.panels, self.order, tuple(split_points))
 
     def doubled(self) -> "QuadSpec":
         return QuadSpec(2 * self.panels, self.order, self.split_points)
@@ -129,13 +131,24 @@ def _check_finite(values: np.ndarray, x: np.ndarray) -> None:
         raise QuadratureError(f"integrand is not finite at abscissa {where!r}")
 
 
+@np.errstate(invalid="ignore")
+def _weighted_sum(w: np.ndarray, values: np.ndarray, x: np.ndarray):
+    """np.dot(w, values), summing over the nodes x.  The weights are finite
+    and >= 0, so a non-finite value makes the sum non-finite (inf - inf
+    unwarned); only then are the values scanned, and a QuadratureError names
+    the first such node's x.  Finite values whose sum overflows give inf,
+    with numpy's overflow warning."""
+    out = np.dot(w, values)
+    if not all(map(cmath.isfinite, out.tolist() if out.ndim else [out])):
+        _check_finite(values, x)
+    return out
+
+
 def integrate_1d(f, a: float, b: float, spec: QuadSpec | None = None) -> float:
     """Composite quadrature of a real-valued f over [a, b]."""
-    spec = spec or DEFAULT_SPEC
-    x, w = nodes_1d(a, b, spec)
+    x, w = nodes_1d(a, b, spec or DEFAULT_SPEC)
     y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-    _check_finite(y[:, None], x)
-    return float(w @ y)
+    return float(_weighted_sum(w, y, x))
 
 
 def _omega(theta1, phi1) -> np.ndarray:
@@ -144,19 +157,20 @@ def _omega(theta1, phi1) -> np.ndarray:
     return np.stack(np.broadcast_arrays(st * np.cos(phi1), st * np.sin(phi1), np.cos(theta1)), -1)
 
 
-def _sphere_nodes(pole, panels: int = 1, extra_levels: int = 0):
-    """Lab angles, weights and unit vectors Omega of the sphere rule, u-major, read-only."""
+def _sphere_nodes(pole, refined: bool = False):
+    """Read-only lab angles, weights and unit vectors Omega of the (refined) rule, u-major."""
     if pole is not None:
         pole = np.asarray(pole, dtype=float)
         if pole.shape != (3,) or not 0.0 < float(np.linalg.norm(pole)) < 1.0:
             raise ValueError(f"pole must be a 3-vector of length in (0, 1), got {pole!r}")
-    return _sphere_rule(None if pole is None else pole.tobytes(), panels, extra_levels)
+    return _sphere_rule(None if pole is None else pole.tobytes(), refined)
 
 
 # keyed by the pole's float64 bytes, so a zero's sign counts; 4 rules hold a
 # state's rule, its refinement and the pole-free rule
 @lru_cache(maxsize=4)
-def _sphere_rule(pole: bytes | None, panels: int, extra_levels: int):
+def _sphere_rule(pole: bytes | None, refined: bool):
+    panels = 2 if refined else 1
     if pole is None:
         u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, SPHERE_ORDER))
         m = 2 * panels * SPHERE_ORDER
@@ -167,7 +181,7 @@ def _sphere_rule(pole: bytes | None, panels: int, extra_levels: int):
         levels = 1
         while 2.0 * GRADING ** levels >= GRADING * (1.0 - r):
             levels += 1
-        splits = [-1.0 + 2.0 * GRADING ** k for k in range(1, levels + extra_levels + 1)]
+        splits = [-1.0 + 2.0 * GRADING ** k for k in range(1, levels + refined + 1)]
         u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, SPHERE_ORDER, splits))
         m = 8 * panels
         # spherical frame of n: e1 toward increasing polar angle, e2 azimuthal
@@ -188,12 +202,8 @@ def _sphere_rule(pole: bytes | None, panels: int, extra_levels: int):
     return rule
 
 
-@np.errstate(invalid="ignore")
 def _integrate_nodes(F, rule):
-    """The weights are finite and > 0, so a non-finite value at a node makes
-    the sum non-finite (inf - inf unwarned); only then is the field scanned,
-    to name the first such node.  Finite values whose sum overflows give inf,
-    with numpy's overflow warning."""
+    """The field F summed entrywise over the rule's nodes, named by their theta1."""
     theta1, phi1, w, _ = rule
     vals = np.asarray(F(theta1, phi1))
     if vals.shape[:1] != theta1.shape:
@@ -203,9 +213,7 @@ def _integrate_nodes(F, rule):
                 f"got shape {vals.shape} for {theta1.shape[0]} nodes"
             )
         vals = np.broadcast_to(vals, theta1.shape + vals.shape)
-    res = np.dot(w, vals.reshape(w.size, -1))
-    if not np.isfinite(res).all():
-        _check_finite(vals, theta1)
+    res = _weighted_sum(w, vals.reshape(w.size, -1), theta1)
     return res.item() if vals.ndim == 1 else res.reshape(vals.shape[1:])
 
 
@@ -223,8 +231,7 @@ def sphere_integrate(F, pole=None):
 
 
 def doubling_residual_sphere(F, pole=None) -> float:
-    """Max-abs change of the integral when every axis is refined: twice the
-    panels per grading level, twice the azimuth nodes, one more level."""
+    """Max-abs change of the integral on the refined rule, which refines every axis."""
     lo = np.asarray(sphere_integrate(F, pole))
-    hi = np.asarray(_integrate_nodes(F, _sphere_nodes(pole, panels=2, extra_levels=1)))
+    hi = np.asarray(_integrate_nodes(F, _sphere_nodes(pole, refined=True)))
     return float(np.max(np.abs(lo - hi)))

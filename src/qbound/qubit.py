@@ -138,11 +138,11 @@ def eig2(h) -> tuple[np.ndarray, np.ndarray]:
 
 def pauli_decomposition(h, name: str = "pauli_decomposition input") -> tuple[float, np.ndarray]:
     """Coefficients (a0, a) of h = a0*I + a.sigma for Hermitian h, called `name` in errors."""
-    h = require_hermitian(h, name=name)
+    (a, b), (c, d) = require_hermitian(h, name=name).tolist()
     # tr(h) / 2 and tr(h sigma_k) / 2 from the entries; + 0.0 makes a zero +0.0, as trace does
-    c = 0.5 * np.array([h[0, 0].real + h[1, 1].real, h[0, 1].real + h[1, 0].real,
-                        h[1, 0].imag - h[0, 1].imag, h[0, 0].real - h[1, 1].real]) + 0.0
-    return float(c[0]), c[1:]
+    a0, x, y, z = (0.5 * v + 0.0 for v in (a.real + d.real, b.real + c.real,
+                                           c.imag - b.imag, a.real - d.real))
+    return a0, np.array([x, y, z])
 
 
 def pauli_operator(a0: float, a) -> np.ndarray:

@@ -10,7 +10,7 @@ the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,13 +57,9 @@ def _check_d_rho_fd() -> CheckResult:
     h = 1e-6
     worst = 0.0
     for k in qubit.ParamIndex:
-        args = {"r": s.r, "theta": s.theta, "phi": s.phi}
-        key = {qubit.ParamIndex.R: "r", qubit.ParamIndex.THETA: "theta",
-               qubit.ParamIndex.PHI: "phi"}[k]
-        up = dict(args, **{key: args[key] + h})
-        dn = dict(args, **{key: args[key] - h})
-        fd = (qubit.density_matrix(qubit.QubitState(**up))
-              - qubit.density_matrix(qubit.QubitState(**dn))) / (2 * h)
+        name = k.name.lower()
+        up, dn = (replace(s, **{name: getattr(s, name) + d}) for d in (h, -h))
+        fd = (qubit.density_matrix(up) - qubit.density_matrix(dn)) / (2 * h)
         worst = max(worst, float(np.max(np.abs(fd - qubit.d_rho(s, k)))))
     return CheckResult("analytic state derivatives vs finite differences", worst <= 1e-9,
                        f"worst residual {worst:.2e}")

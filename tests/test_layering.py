@@ -147,3 +147,27 @@ def test_the_kernel_is_the_only_tensordot():
     package = Path(qbound.__file__).parent
     uses = [use for path in sorted(package.glob("*.py")) for use in tensordot_uses(path)]
     assert uses == ["phasespace.sw_kernel"]
+
+
+def weight_contractions(path):
+    """Lines where a module contracts a `.w` weight array: `X.w @ ...` or
+    `np.dot(X.w, ...)`."""
+    def left_operand(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            return node.left
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dot" and node.args:
+            return node.args[0]
+        return None
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(left_operand(node), ast.Attribute) and left_operand(node).attr == "w"
+    ]
+
+
+def test_only_quadrature_contracts_weights():
+    # every quadrature sum is quadrature._weighted_sum, which holds the
+    # non-finite contract once
+    sums = {path.stem: weight_contractions(path) for path in MODULES if path.stem != "quadrature"}
+    assert {stem: lines for stem, lines in sums.items() if lines} == {}

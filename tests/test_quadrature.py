@@ -9,6 +9,7 @@ from numpy.polynomial.legendre import leggauss
 
 from qbound import quadrature
 from qbound.derivatives import R_MAX, new_log_derivative
+from qbound.measurement import FamilyGrid
 from qbound.metrics import husimi_classical_metric
 from qbound.phasespace import husimi, husimi_partial, sw_kernel
 from qbound.quadrature import (
@@ -214,7 +215,7 @@ def test_sphere_rule_keys_the_sign_of_a_zero_pole_component():
     rules = [quadrature._sphere_nodes(plus), quadrature._sphere_nodes(minus)]
     assert rules[0][1].tobytes() != rules[1][1].tobytes()
     for pole, rule in zip((plus, minus), rules):
-        fresh = quadrature._sphere_rule.__wrapped__(pole.tobytes(), 1, 0)
+        fresh = quadrature._sphere_rule.__wrapped__(pole.tobytes(), False)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(rule, fresh))
 
 
@@ -234,7 +235,7 @@ def test_doubling_residual_builds_its_refined_rule():
     doubling_residual_sphere(lambda t, p: seen.append(t.size) or np.ones_like(t), pole=pole)
     base, refined = seen
     assert refined > 4 * base
-    assert quadrature._sphere_nodes(pole, panels=2, extra_levels=1)[0].size == refined
+    assert quadrature._sphere_nodes(pole, refined=True)[0].size == refined
 
 
 def test_one_state_builds_one_pole_rule():
@@ -285,6 +286,39 @@ def test_sphere_sum_of_finite_values_that_overflows_is_inf(shape):
     with pytest.warns(RuntimeWarning, match="overflow"):
         got = sphere_integrate(lambda t, p: np.full(t.shape + shape, 1.5e308))
     assert np.all(got == math.inf)
+
+
+ONE_D = QuadSpec(3, 8)
+
+
+def _family_grid_integral(values):
+    x, w = nodes_1d(-1.0, 1.0, ONE_D)
+    return FamilyGrid(x, w, *[np.zeros_like(x)] * 6).integrate(values)
+
+
+# each integral's node abscissae, and the integral of a given array of node values
+INTEGRALS = {
+    "integrate_1d": (nodes_1d(0.0, 2.0, ONE_D)[0],
+                     lambda values: integrate_1d(lambda x: values, 0.0, 2.0, ONE_D)),
+    "sphere_integrate": (quadrature._sphere_nodes(None)[0],
+                         lambda values: sphere_integrate(lambda t, p: values)),
+    "FamilyGrid.integrate": (nodes_1d(-1.0, 1.0, ONE_D)[0], _family_grid_integral),
+}
+
+
+@pytest.mark.parametrize("name", INTEGRALS)
+def test_every_integral_treats_non_finite_values_alike(name):
+    # one weighted sum: the same error text for a non-finite value, and inf
+    # for finite values whose sum overflows
+    x, integral = INTEGRALS[name]
+    where = re.escape(repr(float(x[5])))
+    for bad in ([math.nan], [math.inf], [math.inf, -math.inf]):
+        values = np.ones(x.size)
+        values[5:5 + len(bad)] = bad
+        with pytest.raises(QuadratureError, match=f"^integrand is not finite at abscissa {where}$"):
+            integral(values)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert integral(np.full(x.size, 1.7e308)) == math.inf
 
 
 def test_sphere_total_measure():
