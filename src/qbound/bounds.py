@@ -21,7 +21,7 @@ the sign conditions on the off-diagonals is
 
 I1 and I2 being half-window moments of x11.  Every integral here is a
 contraction over the family's `FamilyGrid`, which is split at the window
-center; a, b, v, I1, I2 and C's integrals are read from its moment table.
+center; a, b, v, I1, I2 and C's integrals are read from its element moments.
 
 Two routes evaluate the bracket, kept apart: the closed one above,
 `_squared_bracket` over `_r_free_integrals`, for `bound_Cmax` and
@@ -141,9 +141,10 @@ def bound_Cmax(
     pattern are preconditions of the maximization step; violations are
     flagged, in which case C_max is not an upper bound for C.
     """
-    a, b = ab_coefficients(ctx, p, spec)
+    g = p.grid(spec)
+    a, b = _moment_integrals(g, ctx.state)(ctx.state.r)[:2]
     c = a + b
-    I1, I2, offdiag = _r_free_integrals(ctx, p.grid(spec))
+    I1, I2, offdiag = _r_free_integrals(ctx, g)
     h3 = coeff_h3r(ctx.state.r)
     st = math.sin(ctx.state.theta)
     return {

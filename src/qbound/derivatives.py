@@ -109,14 +109,19 @@ def new_log_derivative(state: QubitState, k: ParamIndex, method: str = "closed")
     return 3.0 * coeff_k(r) / (2.0 * r ** 3) * drho
 
 
+def _require_invertible(r: float, what: str) -> None:
+    """Reject the pure-state edge r > R_MAX, where rho is singular."""
+    if r > R_MAX:
+        raise DomainError(f"{what} requires r <= {R_MAX:g} (rho must be invertible)")
+
+
 def sld(state: QubitState, k: ParamIndex) -> np.ndarray:
     """Symmetric logarithmic derivative: solves d_rho = (rho L + L rho)/2.
 
     Built in the eigenbasis of rho via L_ab = 2 (d_rho)_ab / (lam_a + lam_b),
     which stays exact at r = 0.  The pure-state edge r = 1 is rejected.
     """
-    if state.r > R_MAX:
-        raise DomainError(f"sld requires r <= {R_MAX:g} (rho must not be singular)")
+    _require_invertible(state.r, "sld")
     rho = density_matrix(state)
     drho = d_rho(state, k)
     w, v = eig2(rho)
@@ -134,8 +139,7 @@ def _rho_inverse(rho: np.ndarray) -> np.ndarray:
 
 def rld(state: QubitState, k: ParamIndex) -> np.ndarray:
     """Right logarithmic derivative L = rho^{-1} d_rho (generally non-Hermitian)."""
-    if state.r > R_MAX:
-        raise DomainError(f"rld requires r <= {R_MAX:g} (rho must be invertible)")
+    _require_invertible(state.r, "rld")
     return _rho_inverse(density_matrix(state)) @ d_rho(state, k)
 
 

@@ -34,12 +34,12 @@ maximized bound an equality.  Measured, not asserted: its B_Fisher = B_SLD
 (8.6e-16 relative over 608 random sweep rows; 5.1e-16 for tapered families
 at |offdiag_scale| = 1), which is what "saturating" means.
 
-Every window integral of a family is a contraction over the `FamilyGrid`
-that `PovmFamily.grid(spec)` builds once per effective spec and keeps on the
-family: the family's own `PovmFamily.spec` unless a spec is given, split at
-the family's discontinuities and always at its center.  Integrals of
+Every window integral of a family is a contraction over a `FamilyGrid`,
+which `PovmFamily.grid(spec)` builds anew on each call: the family's own
+`PovmFamily.spec` unless a spec is given, split at the family's
+discontinuities and always at its center.  Integrals of
 (phi_hat - mu)^j tr(M Pi), j <= 2, are scalar arithmetic on the grid's
-moment table (`FamilyGrid.moment`).  Traces tr(M Pi) are real arrays for
+element moments (`FamilyGrid.moment`).  Traces tr(M Pi) are real arrays for
 Hermitian M, and an integral over nodes is `quadrature._weighted_sum`.
 """
 
@@ -123,8 +123,9 @@ VALUES, DERIVATIVES = ELEMENT_NAMES[:3], ELEMENT_NAMES[3:]
 @dataclass(frozen=True, eq=False)
 class FamilyGrid:
     """A family's quadrature nodes and weights on its window, with its
-    element arrays and their parameter derivatives at every node, and a
-    table of element moments, each computed on first use and kept."""
+    element arrays and their parameter derivatives at every node.  The
+    weight powers w (x - center)^j, j <= 2, and the index that splits the
+    nodes at the center are computed when the grid is built."""
 
     x: np.ndarray
     w: np.ndarray
@@ -135,7 +136,14 @@ class FamilyGrid:
     d_x12: np.ndarray
     d_y12: np.ndarray
     center: float = 0.0
-    _table: dict = field(default_factory=dict, init=False, repr=False)
+    _split: int = field(init=False, repr=False)
+    _powers: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d = self.x - self.center
+        wd = self.w * d
+        object.__setattr__(self, "_split", int(np.searchsorted(self.x, self.center)))
+        object.__setattr__(self, "_powers", (self.w, wd, wd * d))
 
     def trace(self, m: np.ndarray) -> np.ndarray:
         """tr(M Pi) at every node; a real array when M is Hermitian."""
@@ -146,22 +154,11 @@ class FamilyGrid:
         return _weighted_sum(self.w, values, self.x)
 
     def moment(self, name: str, j: int, side: int = 0) -> float:
-        """The sum of w (x - center)^j e, e the element array `name`, over the
-        window (side 0) or its nodes below (-1) or above (+1) the center."""
-        key = (name, j, side)
-        if key not in self._table:
-            part, wj = self._weights(j, side)
-            self._table[key] = float(wj @ getattr(self, name)[part])
-        return self._table[key]
-
-    def _weights(self, j: int, side: int) -> tuple[slice, np.ndarray]:
-        key = (None, j, side)
-        if key not in self._table:
-            k = int(np.searchsorted(self.x, self.center))
-            part = (slice(None), slice(k, None), slice(None, k))[side]
-            wj = self._weights(j - 1, side)[1] * (self.x[part] - self.center) if j else self.w[part]
-            self._table[key] = part, wj
-        return self._table[key]
+        """The sum of w (x - center)^j e, j <= 2, e the element array `name`,
+        over the window (side 0) or its nodes below (-1) or above (+1) the
+        center."""
+        part = (slice(None), slice(self._split, None), slice(None, self._split))[side]
+        return float(self._powers[j][part] @ getattr(self, name)[part])
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,6 @@ class PovmFamily:
     label: str = ""
     half_width: float = math.pi
     spec: QuadSpec = DEFAULT_SPEC
-    # FamilyGrid per effective QuadSpec; lives and dies with the family
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -199,20 +194,16 @@ class PovmFamily:
         return replace(spec or self.spec, split_points=splits)
 
     def grid(self, spec: QuadSpec | None = None) -> FamilyGrid:
-        """Nodes, weights and element arrays for window integrals, built
-        once per effective spec.  A non-finite element value raises
-        QuadratureError naming the first abscissa that has one."""
-        qspec = self.quad_spec(spec)
-        grid = self._grids.get(qspec)
-        if grid is None:
-            x, w = nodes_1d(*self.window, qspec)
-            stacked = np.array(np.broadcast_arrays(x, *self.elements(x))[1:], dtype=float)
-            if not np.isfinite(stacked).all():
-                _check_finite(stacked.T, x)
-            for a in (x, w, stacked):
-                a.flags.writeable = False
-            grid = self._grids[qspec] = FamilyGrid(x, w, *stacked, center=self.center)
-        return grid
+        """A new read-only grid of nodes, weights and element arrays for
+        window integrals at the effective spec.  A non-finite element value
+        raises QuadratureError naming the first abscissa that has one."""
+        x, w = nodes_1d(*self.window, self.quad_spec(spec))
+        stacked = np.array(np.broadcast_arrays(x, *self.elements(x))[1:], dtype=float)
+        if not np.isfinite(stacked).all():
+            _check_finite(stacked.T, x)
+        for a in (x, w, stacked):
+            a.flags.writeable = False
+        return FamilyGrid(x, w, *stacked, center=self.center)
 
     def eigenvalues(self, phi_hat) -> tuple[np.ndarray, np.ndarray]:
         """(lam1, lam2) with lam1 <= lam2, elementwise over phi_hat."""
@@ -594,7 +585,7 @@ def estimator_moments(
     spec: QuadSpec | None = None,
 ) -> tuple[float, float]:
     """Mean of phi_hat and the second moment about the true parameter, by
-    scalar arithmetic on the grid's moment table (`_moment_integrals`).
+    scalar arithmetic on the grid's element moments (`_moment_integrals`).
 
     The variance is E[(phi_hat - phi)^2], phi the state's azimuth: the
     deviation from the true value, not from the mean; equal when eps = 0.
@@ -606,7 +597,7 @@ def estimator_moments(
 def _moment_integrals(g: FamilyGrid, state: QubitState):
     """(a, b, E[phi_hat], E[(phi_hat - phi)^2]) as a function of r at the
     state's angles.  As rho = I/2 + r d_r rho, the moments m_j of tr(rho Pi)
-    and t_j of tr(rho dPi) about the center mu are table moments of x11 and
+    and t_j of tr(rho dPi) about the center mu are grid moments of x11 and
     d_x11 plus r times those of tr(d_r rho Pi) and tr(d_r rho dPi).  The
     variance m2 + 2 d m1 + d^2 m0, d = mu - phi, can cancel for large |d|."""
     dr = d_rho(state, ParamIndex.R)

@@ -31,7 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .derivatives import (
-    R_MAX,
+    _check_method,
+    _require_invertible,
     _rho_inverse,
     coeff_k,
     coeff_k_tilde,
@@ -71,8 +72,7 @@ def new_metric(state: QubitState, method: str = "closed") -> np.ndarray:
     `method="trace"` assembles g_ij = tr(rho (L_i L_j + L_j L_i)/2); the
     closed form is diagonal in (r, theta, phi).
     """
-    if method not in ("closed", "trace"):
-        raise ValueError(f"method must be 'closed' or 'trace', got {method!r}")
+    _check_method(method, ("closed", "trace"))
     require_working_r(state.r, "new_metric")
     r, th = state.r, state.theta
     if method == "trace":
@@ -88,8 +88,7 @@ def sld_metric(state: QubitState) -> np.ndarray:
     """Metric of the symmetric logarithmic derivative: diag(1/(1-r^2), r^2,
     r^2 sin^2 theta)."""
     r = state.r
-    if r > R_MAX:
-        raise DomainError(f"sld_metric requires r <= {R_MAX:g}")
+    _require_invertible(r, "sld_metric")
     return _angular_block(r, state.theta, 1.0 / (1.0 - r * r), 1.0)
 
 
@@ -100,8 +99,7 @@ def sld_metric_trace(state: QubitState) -> np.ndarray:
 
 def rld_metric(state: QubitState) -> np.ndarray:
     """Real part of tr(d_i rho rho^{-1} d_j rho), assembled entrywise."""
-    if state.r > R_MAX:
-        raise DomainError(f"rld_metric requires r <= {R_MAX:g}")
+    _require_invertible(state.r, "rld_metric")
     inv = _rho_inverse(density_matrix(state))
     dr = [d_rho(state, k) for k in _PARAMS]
     g = np.empty((3, 3))
@@ -154,8 +152,7 @@ def husimi_classical_metric(state: QubitState, method: str = "closed") -> np.nda
 
     `method="quadrature"` evaluates E_Q[d_i log Q d_j log Q] directly.
     """
-    if method not in ("closed", "quadrature"):
-        raise ValueError(f"method must be 'closed' or 'quadrature', got {method!r}")
+    _check_method(method, ("closed", "quadrature"))
     require_working_r(state.r, "husimi_classical_metric")
     r, th = state.r, state.theta
     if method == "quadrature":

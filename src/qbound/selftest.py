@@ -133,13 +133,8 @@ def _check_closed_vs_quadrature() -> CheckResult:
 def _check_hierarchy() -> CheckResult:
     worst = -math.inf
     for st in _state_grid():
-        fisher = metrics.sld_metric(st)[2, 2]  # frozen sharp family attains it
-        try:
-            ctx = measurement.EstimationContext(st)
-            fam = measurement.gaussian_sharp_family(ctx)
-            fisher = metrics.measurement_fisher(st, fam)
-        except qubit.DomainError:
-            pass
+        fam = measurement.gaussian_sharp_family(measurement.EstimationContext(st))
+        fisher = metrics.measurement_fisher(st, fam)
         g_sld = metrics.sld_metric(st)[2, 2]
         g_rld = metrics.rld_metric(st)[2, 2]
         worst = max(worst, fisher - g_sld, g_sld - g_rld)

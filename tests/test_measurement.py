@@ -13,6 +13,7 @@ from qbound import measurement
 from qbound.bounds import _r_free_integrals, ab_coefficients, audit_derivation
 from qbound.derivatives import deviation_h, new_log_derivative
 from qbound.measurement import (
+    ELEMENT_NAMES,
     EstimationContext,
     FamilyGrid,
     _invert_cdf,
@@ -250,14 +251,19 @@ def test_outcome_distribution_rejects_negative_density():
 
 
 # ----------------------------------------------------------------- family grid
-def test_family_grid_is_built_once_per_spec():
+GRID_ARRAYS = ("x", "w", *ELEMENT_NAMES)
+
+
+def test_family_grid_is_built_afresh_bit_equal_and_read_only():
     fam = gaussian_sharp_family(standard_ctx())
     spec = fam.quad_spec()
-    assert fam.grid(spec) is fam.grid(spec)
-    assert fam.grid() is fam.grid(spec)
-    doubled = fam.grid(spec.doubled())
-    assert doubled is not fam.grid(spec)
-    assert doubled.x.size == 2 * fam.grid(spec).x.size
+    one, two, default = fam.grid(spec), fam.grid(spec), fam.grid()
+    assert one is not two
+    for name in GRID_ARRAYS:
+        arrays = [getattr(g, name) for g in (one, two, default)]
+        assert len({a.tobytes() for a in arrays}) == 1, name
+        assert not any(a.flags.writeable for a in arrays), name
+    assert fam.grid(spec.doubled()).x.size == 2 * one.x.size
 
 
 def test_family_grid_integral_names_the_first_non_finite_abscissa():
@@ -344,13 +350,30 @@ def test_moment_table_matches_the_node_level_reference():
                     assert abs(got - want) <= TABLE_RTOL * scale, (fam.label, eps, key, got, want)
 
 
-def test_moment_table_fills_only_the_entries_read():
-    fam = tabulated_family(
-        np.linspace(-PI, PI, 9), np.full(9, 0.5 / PI), np.zeros(9), np.zeros(9))
-    ctx = EstimationContext(QubitState(0.5, 1.0, 0.0))
-    validate_povm(fam, ctx)
-    entries = {key for key in fam.grid()._table if key[0] is not None}
-    assert entries == {(name, j, 0) for name in ("x11", "x12", "y12") for j in (0, 1)}
+def _iterated_moment(g, name, j, side):
+    """The moment as the product w (x - center)^j built up factor by factor
+    on the side's own slice of the nodes."""
+    k = int(np.searchsorted(g.x, g.center))
+    part = (slice(None), slice(k, None), slice(None, k))[side]
+    wj = g.w[part]
+    for _ in range(j):
+        wj = wj * (g.x[part] - g.center)
+    return float(wj @ getattr(g, name)[part])
+
+
+def test_moment_is_the_iterated_per_side_product_bit_for_bit():
+    ctx = standard_ctx(eps=0.3)
+    base = gaussian_sharp_family(ctx, sigma=0.8)
+    nodes = np.linspace(*base.window, 401)
+    families = (base, tapered_sharp_family(ctx, taper_power=2, offdiag_scale=0.7),
+                tabulated_family(nodes, *base.elements(nodes)[:3]))
+    for fam in families:
+        g = fam.grid()
+        for name in ELEMENT_NAMES:
+            for j in range(3):
+                for side in (-1, 0, 1):
+                    want = _iterated_moment(g, name, j, side)
+                    assert g.moment(name, j, side) == want, (fam.label, name, j, side)
 
 
 # ----------------------------------------------------------------- trace kernel
