@@ -54,7 +54,7 @@ measurement-Fisher entry of the Gaussian family the sweep uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,23 +83,21 @@ from .metrics import (
     sld_metric,
 )
 from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
-from .quadrature import QuadSpec
+from .quadrature import DEFAULT_SPEC, QuadSpec
 
 E3 = np.array([0.0, 0.0, 1.0])
 
 UNBIASEDNESS_PRECHECK_TOL = 1e-6
 
 
-def ab_coefficients(
-    ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None
-) -> tuple[float, float]:
+def ab_coefficients(ctx: EstimationContext, p: PovmFamily) -> tuple[float, float]:
     """The unbiasedness coefficients (a, b) by quadrature.
 
     The derivative is the total parameter derivative of the matrix elements;
     the window limits are held fixed, so for edge-supported families b picks
     up the edge value of x11 through integration by parts.
     """
-    return _moment_integrals(p.grid(spec), ctx.state)(ctx.state.r)[:2]
+    return _moment_integrals(p.grid(), ctx.state)(ctx.state.r)[:2]
 
 
 def _r_free_integrals(ctx: EstimationContext, g: FamilyGrid):
@@ -131,9 +129,7 @@ def _operator_bracket(g: FamilyGrid, state: QubitState, c: float, Y, Z):
     return yz - Y[2] * g.integrate((g.x - state.phi) * g.trace(t_h))
 
 
-def bound_Cmax(
-    ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None
-) -> dict:
+def bound_Cmax(ctx: EstimationContext, p: PovmFamily) -> dict:
     """Maximized bound with its half-window moments I1 and I2.
 
     Returns the dict a, b, c = a + b, I1, I2, h3r, C, C_max,
@@ -141,7 +137,7 @@ def bound_Cmax(
     pattern are preconditions of the maximization step; violations are
     flagged, in which case C_max is not an upper bound for C.
     """
-    g = p.grid(spec)
+    g = p.grid()
     a, b = _moment_integrals(g, ctx.state)(ctx.state.r)[:2]
     c = a + b
     I1, I2, offdiag = _r_free_integrals(ctx, g)
@@ -161,13 +157,7 @@ def bound_Cmax(
     }
 
 
-def theorem_general(
-    ctx: EstimationContext,
-    p: PovmFamily,
-    Y=None,
-    Z=None,
-    spec: QuadSpec | None = None,
-) -> dict:
+def theorem_general(ctx: EstimationContext, p: PovmFamily, Y=None, Z=None) -> dict:
     """Evaluate (Y^t V Y)(Z^t G Z) and |Y^t (A+B) Z - tr int T_xi T_h Pi|^2,
     G the phase-space metric, the bracket from `_operator_bracket`.
 
@@ -189,7 +179,7 @@ def theorem_general(
         raise ValueError("Y and Z must not both be zero")
     state = ctx.state
 
-    grid = p.grid(spec)
+    grid = p.grid()
     a, b, mean, variance = _moment_integrals(grid, state)(state.r)
     if abs(mean - ctx.center) > UNBIASEDNESS_PRECHECK_TOL:
         raise DomainError(
@@ -206,9 +196,7 @@ def theorem_general(
     }
 
 
-def audit_derivation(
-    ctx: EstimationContext, p: PovmFamily, spec: QuadSpec | None = None
-) -> dict:
+def audit_derivation(ctx: EstimationContext, p: PovmFamily) -> dict:
     """Evaluate every identity of the 1-D derivation chain numerically, for
     Y = Z = e3.
 
@@ -234,7 +222,7 @@ def audit_derivation(
     phi = state.phi
     lo, hi = p.window
 
-    g = p.grid(spec)
+    g = p.grid()
     rho = density_matrix(state)
     drho = d_rho(state, ParamIndex.PHI)
 
@@ -305,7 +293,7 @@ def bounds_sweep(
     phi: float = 3.0 * math.pi / 4,
     eps: float = 0.0,
     sigma: float = 3.0,
-    spec: QuadSpec | None = None,
+    spec: QuadSpec = DEFAULT_SPEC,
 ) -> list[SweepRow]:
     """Variance bounds versus r for the Gaussian sharp family.
 
@@ -318,12 +306,12 @@ def bounds_sweep(
     pi has sin = 1.2e-16, and its huge bounds are the true ones for that input.
 
     Once per sweep, at the first valid state: the family (it reads only
-    phi, eps and sigma), its grid, I1, I2, C's off-diagonal integral and
-    the r-free parts of a, b, v and Fisher; a failed build is retried, and so
-    reported, on every valid row.  Per row: the closed-form metrics
-    (phase-space first, so r = 1 names its range), the RLD (phi, phi) entry,
-    a, b and v as scalar arithmetic, and one node pass for Fisher, each bit
-    for bit what the single-state functions give.
+    phi, eps and sigma, and `spec` becomes its rule), its grid, I1, I2, C's
+    off-diagonal integral and the r-free parts of a, b, v and Fisher; a
+    failed build is retried, and so reported, on every valid row.  Per row:
+    the closed-form metrics (phase-space first, so r = 1 names its range),
+    the RLD (phi, phi) entry, a, b and v as scalar arithmetic, and one node
+    pass for Fisher, each bit for bit what the single-state functions give.
     """
     rows = []
     grid = None
@@ -333,7 +321,7 @@ def bounds_sweep(
             state = QubitState(r, theta, phi)
             ctx = EstimationContext(state, eps=eps)
             if grid is None:
-                family_grid = gaussian_sharp_family(ctx, sigma=sigma).grid(spec)
+                family_grid = replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec).grid()
                 I1, I2, offdiag = _r_free_integrals(ctx, family_grid)
                 integrals = _moment_integrals(family_grid, state)
                 fisher_of = _fisher_integral(family_grid, state)
@@ -370,7 +358,7 @@ def metric_report(
     state: QubitState,
     eps: float = 0.0,
     sigma: float = 3.0,
-    spec: QuadSpec | None = None,
+    spec: QuadSpec = DEFAULT_SPEC,
 ) -> dict:
     """Every metric at one point, as a dict: r, theta, phi, the new, SLD,
     RLD and Husimi-classical metrics as nested lists, monotone_<name> as the
@@ -378,10 +366,10 @@ def metric_report(
     measurement_fisher_phiphi.
 
     The measurement-Fisher entry uses the Gaussian sharp family at the
-    state's azimuth, integrated with `spec`; it is omitted (None) when
-    cos(phi) ~ 0, where that construction is undefined.  A bad sigma or eps
-    raises at every phi, and so does any other error of the family or the
-    integral.
+    state's azimuth, with `spec` as the family's rule; it is omitted (None)
+    when cos(phi) ~ 0, where that construction is undefined.  A bad sigma or
+    eps raises at every phi, and so does any other error of the family or
+    the integral.
     """
     # in the order the family itself checks them
     _check_window(state.phi, eps)
@@ -389,7 +377,7 @@ def metric_report(
     fisher = None
     if abs(math.cos(state.phi)) >= _COS_MIN:
         ctx = EstimationContext(state, eps=eps)
-        fisher = measurement_fisher(state, gaussian_sharp_family(ctx, sigma=sigma), spec)
+        fisher = measurement_fisher(state, replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec))
     out = {
         "r": state.r,
         "theta": state.theta,

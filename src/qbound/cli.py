@@ -5,8 +5,10 @@ All numeric cells in CSV output carry 12 significant digits with a '.'
 decimal separator; identical configurations produce byte-identical output.
 Angles are radians only.
 
-Exit codes: 0 success, 1 domain or validation failure, 2 I/O failure,
-3 self-test failure.
+Exit codes: 0 success; 1 a domain error, a bad table or config value, or a
+failed sweep row; 2 an I/O failure or a command-line usage error; 3 a
+self-test failure.  `povm validate` is diagnostic: it exits 0 whatever its
+checks report, all_ok false included.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .measurement import (
     sample_outcomes,
     validate_povm,
 )
-from .quadrature import QuadSpec
+from .quadrature import DEFAULT_SPEC, QuadSpec
 from .qubit import DomainError, QubitState
 
 EXIT_OK = 0
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("povm", help="POVM family tools")
     povm_sub = p.add_subparsers(dest="povm_command", required=True)
-    v = povm_sub.add_parser("validate", help="validation report for a family")
+    v = povm_sub.add_parser("validate", help="diagnostic validation report for a family; exits 0")
     _add_state_args(v)
     _add_common_args(v)
     v.add_argument("--csv", default=None, help="tabulated family CSV (phi_hat,x11,x12,y12)")
@@ -298,10 +301,10 @@ def _state(args) -> QubitState:
     return QubitState(args.r, args.theta, args.phi)
 
 
-def _quad_spec(args) -> QuadSpec | None:
-    """QuadSpec of the flags given, the rest defaulted; None keeps a family's own sizing."""
+def _quad_spec(args, own: QuadSpec = DEFAULT_SPEC) -> QuadSpec:
+    """QuadSpec of the flags given, the rest defaulted; `own` when neither is given."""
     given = {k: v for k, v in (("panels", args.panels), ("order", args.order)) if v is not None}
-    return QuadSpec(**given) if given else None
+    return QuadSpec(**given) if given else own
 
 
 def _emit(args, data: dict | None = None, csv_text: str | None = None) -> None:
@@ -328,7 +331,8 @@ def _cmd_povm_validate(args) -> int:
         family = load_tabulated_csv(args.csv)
     else:
         family = gaussian_sharp_family(ctx, sigma=given.get("sigma", 3.0))
-    report = validate_povm(family, ctx, _quad_spec(args))
+    family = replace(family, spec=_quad_spec(args, family.spec))
+    report = validate_povm(family, ctx)
     data = {"family": family.label, **report.as_dict()}
     _emit(args, data)
     return EXIT_OK
@@ -359,8 +363,8 @@ def _cmd_bounds_sweep(args) -> int:
 
 def _cmd_audit(args) -> int:
     ctx = EstimationContext(_state(args), eps=args.eps)
-    family = gaussian_sharp_family(ctx, sigma=args.sigma)
-    report = audit_derivation(ctx, family, _quad_spec(args))
+    family = replace(gaussian_sharp_family(ctx, sigma=args.sigma), spec=_quad_spec(args))
+    report = audit_derivation(ctx, family)
     _emit(args, {"family": family.label, **report})
     return EXIT_OK
 
@@ -371,8 +375,8 @@ def _cmd_simulate(args) -> int:
         seed = int(os.environ.get("QBOUND_SEED", "0"))
     state = _state(args)
     ctx = EstimationContext(state, eps=args.eps)
-    family = gaussian_sharp_family(ctx, sigma=args.sigma)
-    mean_q, var_q = estimator_moments(ctx, family, _quad_spec(args))
+    family = replace(gaussian_sharp_family(ctx, sigma=args.sigma), spec=_quad_spec(args))
+    mean_q, var_q = estimator_moments(ctx, family)
     dist = outcome_distribution(ctx, family)
     draws = sample_outcomes(dist, args.samples, seed=seed)
     n = draws.size

@@ -35,12 +35,13 @@ maximized bound an equality.  Measured, not asserted: its B_Fisher = B_SLD
 at |offdiag_scale| = 1), which is what "saturating" means.
 
 Every window integral of a family is a contraction over a `FamilyGrid`,
-which `PovmFamily.grid(spec)` builds anew on each call: the family's own
-`PovmFamily.spec` unless a spec is given, split at the family's
-discontinuities and always at its center.  Integrals of
-(phi_hat - mu)^j tr(M Pi), j <= 2, are scalar arithmetic on the grid's
-element moments (`FamilyGrid.moment`).  Traces tr(M Pi) are real arrays for
-Hermitian M, and an integral over nodes is `quadrature._weighted_sum`.
+which `PovmFamily.grid()` builds anew on each call with the family's one
+rule, `PovmFamily.spec`, split at the family's discontinuities and always at
+its center; a caller resizes a family with `dataclasses.replace(family,
+spec=...)`.  Integrals of (phi_hat - mu)^j tr(M Pi), j <= 2, are scalar
+arithmetic on the grid's element moments (`FamilyGrid.moment`).  Traces
+tr(M Pi) are real arrays for Hermitian M, and an integral over nodes is
+`quadrature._weighted_sum`.
 """
 
 from __future__ import annotations
@@ -169,8 +170,9 @@ class PovmFamily:
     ELEMENT_NAMES order: x11, x12, y12 and their total parameter
     derivatives.  The outcome window is [center - half_width, center +
     half_width]; constructed families use the full half_width = pi,
-    tabulated ones infer it from their abscissa extremes.  `spec` sizes the
-    family's own rule: the 64 x 16 default, or 1 x 4 for a tabulated family.
+    tabulated ones infer it from their abscissa extremes.  `spec` is the
+    rule of every window integral of the family: the 64 x 16 default, or
+    1 x 4 for a tabulated family.
     """
 
     center: float
@@ -184,20 +186,19 @@ class PovmFamily:
     def window(self) -> tuple[float, float]:
         return (self.center - self.half_width, self.center + self.half_width)
 
-    def quad_spec(self, spec: QuadSpec | None = None) -> QuadSpec:
-        """Spec for integrals over this family's window, split at its
-        discontinuities and its center, sized by `spec` or else by the
-        family's own."""
+    def quad_spec(self) -> QuadSpec:
+        """The family's `spec`, split at its discontinuities and its center:
+        the rule of its window integrals."""
         splits = self.discontinuities
         if self.center not in splits:
             splits = (*splits, self.center)
-        return replace(spec or self.spec, split_points=splits)
+        return replace(self.spec, split_points=splits)
 
-    def grid(self, spec: QuadSpec | None = None) -> FamilyGrid:
+    def grid(self) -> FamilyGrid:
         """A new read-only grid of nodes, weights and element arrays for
-        window integrals at the effective spec.  A non-finite element value
+        window integrals at `quad_spec()`.  A non-finite element value
         raises QuadratureError naming the first abscissa that has one."""
-        x, w = nodes_1d(*self.window, self.quad_spec(spec))
+        x, w = nodes_1d(*self.window, self.quad_spec())
         stacked = np.array(np.broadcast_arrays(x, *self.elements(x))[1:], dtype=float)
         if not np.isfinite(stacked).all():
             _check_finite(stacked.T, x)
@@ -495,16 +496,12 @@ class ValidationReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def validate_povm(
-    p: PovmFamily,
-    ctx: EstimationContext,
-    spec: QuadSpec | None = None,
-) -> ValidationReport:
+def validate_povm(p: PovmFamily, ctx: EstimationContext) -> ValidationReport:
     """Check completeness, positivity, the symmetry and zero-mean element
     conditions, the shifted unbiasedness integral, and the off-diagonal sign
     pattern.  Purely diagnostic: nothing raises or warns, and an overflow
     reads inf."""
-    g = p.grid(spec)
+    g = p.grid()
     mu = p.center
 
     comp_diag = g.moment("x11", 0) - 1.0
@@ -579,19 +576,14 @@ def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistri
     return OutcomeDistribution(pdf=pdf, window=(lo, hi), split_points=p.discontinuities)
 
 
-def estimator_moments(
-    ctx: EstimationContext,
-    p: PovmFamily,
-    spec: QuadSpec | None = None,
-) -> tuple[float, float]:
+def estimator_moments(ctx: EstimationContext, p: PovmFamily) -> tuple[float, float]:
     """Mean of phi_hat and the second moment about the true parameter, by
     scalar arithmetic on the grid's element moments (`_moment_integrals`).
 
     The variance is E[(phi_hat - phi)^2], phi the state's azimuth: the
     deviation from the true value, not from the mean; equal when eps = 0.
     """
-    g = p.grid(spec)
-    return _moment_integrals(g, ctx.state)(ctx.state.r)[2:]
+    return _moment_integrals(p.grid(), ctx.state)(ctx.state.r)[2:]
 
 
 def _moment_integrals(g: FamilyGrid, state: QubitState):

@@ -41,7 +41,7 @@ from .derivatives import (
     sld,
 )
 from .phasespace import husimi, husimi_partial
-from .quadrature import QuadSpec, sphere_integrate
+from .quadrature import sphere_integrate
 from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 _PARAMS = (ParamIndex.R, ParamIndex.THETA, ParamIndex.PHI)
@@ -169,15 +169,15 @@ def husimi_classical_metric(state: QubitState, method: str = "closed") -> np.nda
     return _angular_block(r, th, radial, angular)
 
 
-def measurement_fisher(state: QubitState, povm, spec: QuadSpec | None = None) -> float:
+def measurement_fisher(state: QubitState, povm) -> float:
     """Classical Fisher information of the frozen measurement for phi.
 
     `povm` is a `measurement.PovmFamily`.  Its elements are held at
     the family's construction point; the phi-derivative acts through the
-    state only.  The integral runs over the family's grid, split at its
-    discontinuities.
+    state only.  The integral runs over the family's grid: its own `spec`,
+    split at its discontinuities.
     """
-    return _fisher_integral(povm.grid(spec), state)(state.r)
+    return _fisher_integral(povm.grid(), state)(state.r)
 
 
 def _fisher_integral(g, state: QubitState):

@@ -83,11 +83,10 @@ def _check_quadrature_basics() -> CheckResult:
 def _check_quadrature_doubling() -> CheckResult:
     ctx = _ctx()
     fam = measurement.gaussian_sharp_family(ctx)
-    spec = fam.quad_spec()
     vals = []
-    for sp in (spec, spec.doubled()):
-        breakdown = bounds.bound_Cmax(ctx, fam, sp)
-        _, v = measurement.estimator_moments(ctx, fam, sp)
+    for f in (fam, replace(fam, spec=fam.spec.doubled())):
+        breakdown = bounds.bound_Cmax(ctx, f)
+        _, v = measurement.estimator_moments(ctx, f)
         vals.append((breakdown["b"], breakdown["C"], v))
     worst = max(abs(p - q) for p, q in zip(vals[0], vals[1]))
     q_state = phasespace.husimi(ctx.state)

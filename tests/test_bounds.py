@@ -400,12 +400,12 @@ def _sweep_row_by_row(r_values, theta, phi, eps, sigma, spec):
         try:
             state = QubitState(r, theta, phi)
             ctx = EstimationContext(state, eps=eps)
-            family = gaussian_sharp_family(ctx, sigma=sigma)
-            family.grid(spec)
+            family = dataclasses.replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec)
+            family.grid()
             g = float(new_metric(state)[2, 2])
-            breakdown = bound_Cmax(ctx, family, spec)
-            _, variance = estimator_moments(ctx, family, spec)
-            fisher = measurement_fisher(state, family, spec)
+            breakdown = bound_Cmax(ctx, family)
+            _, variance = estimator_moments(ctx, family)
+            fisher = measurement_fisher(state, family)
             rows.append(
                 SweepRow(
                     r=r,
@@ -434,7 +434,7 @@ def test_sweep_matches_row_by_row_oracle():
         phi = float(rng.uniform(-7.0, 7.0))
         eps = float(rng.uniform(-0.5, 0.5))
         sigma = float(rng.uniform(0.5, 5.0))
-        spec = QuadSpec(8, 6) if case % 4 == 0 else None
+        spec = QuadSpec(8, 6) if case % 4 == 0 else QuadSpec()
         for r_values in grids:
             args = (r_values, theta, phi, eps, sigma, spec)
             assert repr(bounds_sweep(*args)) == repr(_sweep_row_by_row(*args)), args

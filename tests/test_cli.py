@@ -3,12 +3,21 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qbound import cli
+from qbound.bounds import audit_derivation
 from qbound.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, fmt, main
-from qbound.measurement import EstimationContext, gaussian_sharp_family
+from qbound.measurement import (
+    EstimationContext,
+    estimator_moments,
+    gaussian_sharp_family,
+    load_tabulated_csv,
+    validate_povm,
+)
 from qbound.metrics import measurement_fisher
 from qbound.quadrature import QuadSpec
 from qbound.qubit import QubitState
@@ -47,11 +56,57 @@ def test_metrics_quadrature_flags_reach_fisher(tmp_path):
         out = tmp_path / "metrics.json"
         assert run(["metrics", "--r", "0.5", *flags, "--out", str(out)]) == EXIT_OK
         values.append(json.loads(out.read_text())["measurement_fisher_phiphi"])
-    assert values[1] == measurement_fisher(state, family, QuadSpec(2, 2))
+    assert values[1] == measurement_fisher(state, replace(family, spec=QuadSpec(2, 2)))
     assert values[1] != values[0]
     # one flag alone keeps the default of the other
-    assert values[2] == measurement_fisher(state, family, QuadSpec(8, 16))
-    assert values[3] == measurement_fisher(state, family, QuadSpec(64, 6))
+    assert values[2] == measurement_fisher(state, replace(family, spec=QuadSpec(8, 16)))
+    assert values[3] == measurement_fisher(state, replace(family, spec=QuadSpec(64, 6)))
+
+
+def _json_of(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert run([*argv, "--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("given", [{"panels": 2, "order": 3}, {"panels": 8}, {"order": 6}], ids=str)
+def test_family_commands_integrate_on_the_flagged_rule(given, tmp_path):
+    # one flag alone keeps the default of the other
+    ctx = EstimationContext(QubitState(0.5, PI / 2, 3 * PI / 4), eps=0.1)
+    family = replace(gaussian_sharp_family(ctx, sigma=2.0), spec=QuadSpec(**given))
+    flags = [f"--{k}={v}" for k, v in given.items()]
+    common = ["--r", "0.5", "--eps", "0.1", "--sigma", "2", *flags]
+    assert _json_of(tmp_path, ["povm", "validate", *common]) == {
+        "family": family.label, **validate_povm(family, ctx).as_dict()}
+    assert _json_of(tmp_path, ["audit", *common]) == {
+        "family": family.label, **audit_derivation(ctx, family)}
+    sim = _json_of(tmp_path, ["simulate", *common, "--samples", "10"])
+    assert (sim["mean_quadrature"], sim["variance_quadrature"]) == estimator_moments(ctx, family)
+
+
+def test_povm_validate_csv_flags_replace_the_table_rule(tmp_path, monkeypatch):
+    # without flags a table keeps its own 1 x 4 rule; a lone flag defaults
+    # the other value, not the table's
+    table = tmp_path / "fam.csv"
+    grid = np.linspace(3 * PI / 4 - PI, 3 * PI / 4 + PI, 41)
+    rows = [f"{g!r},{(1 + 0.3 * math.cos(g)) / (2 * PI)!r},{0.05 * math.sin(g)!r},0.0"
+            for g in grid.tolist()]
+    table.write_text("\n".join(["phi_hat,x11,x12,y12", *rows]) + "\n", encoding="utf-8")
+    family, ctx = load_tabulated_csv(table), EstimationContext(QubitState(0.5, PI / 2, 3 * PI / 4))
+    seen = []
+    monkeypatch.setattr(cli, "validate_povm", lambda p, c: seen.append(p.spec) or validate_povm(p, c))
+    cases = {(): QuadSpec(1, 4), ("--panels", "2"): QuadSpec(2, 16),
+             ("--order", "6"): QuadSpec(64, 6), ("--panels", "2", "--order", "3"): QuadSpec(2, 3)}
+    for flags, spec in cases.items():
+        data = _json_of(tmp_path, ["povm", "validate", "--r", "0.5", "--csv", str(table), *flags])
+        assert data == {"family": str(table), **validate_povm(replace(family, spec=spec), ctx).as_dict()}
+    assert seen == list(cases.values())
+
+
+def test_povm_validate_is_diagnostic_and_exits_0_on_failed_checks(tmp_path):
+    data = _json_of(tmp_path, ["povm", "validate", "--r", "0.5", "--panels", "2", "--order", "3"])
+    assert data["completeness_ok"] is False
+    assert data["all_ok"] is False
 
 
 def test_metrics_csv_cells_are_formatted(tmp_path):

@@ -129,6 +129,22 @@ def test_the_sphere_side_takes_no_quadrature_spec():
     assert with_spec == []
 
 
+def test_a_povm_family_carries_its_own_quadrature_spec():
+    # a family's window rule is its `spec` field, resized by dataclasses.replace;
+    # only the two functions that build their own Gaussian family take a spec
+    from qbound import bounds, measurement, metrics
+
+    functions = [
+        fn for mod in (measurement, metrics, bounds)
+        for name, fn in vars(mod).items()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_")
+    ]
+    functions += [fn for name, fn in vars(measurement.PovmFamily).items()
+                  if inspect.isfunction(fn) and not name.startswith("_")]
+    with_spec = [fn.__qualname__ for fn in functions if "spec" in inspect.signature(fn).parameters]
+    assert sorted(with_spec) == ["bounds_sweep", "metric_report"]
+
+
 def tensordot_uses(path):
     """`module.function` for every reference to tensordot in a module, the
     function being the top-level definition that holds it."""

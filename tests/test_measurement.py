@@ -256,14 +256,13 @@ GRID_ARRAYS = ("x", "w", *ELEMENT_NAMES)
 
 def test_family_grid_is_built_afresh_bit_equal_and_read_only():
     fam = gaussian_sharp_family(standard_ctx())
-    spec = fam.quad_spec()
-    one, two, default = fam.grid(spec), fam.grid(spec), fam.grid()
+    one, two, default = fam.grid(), fam.grid(), dataclasses.replace(fam, spec=QuadSpec()).grid()
     assert one is not two
     for name in GRID_ARRAYS:
         arrays = [getattr(g, name) for g in (one, two, default)]
         assert len({a.tobytes() for a in arrays}) == 1, name
         assert not any(a.flags.writeable for a in arrays), name
-    assert fam.grid(spec.doubled()).x.size == 2 * one.x.size
+    assert dataclasses.replace(fam, spec=fam.spec.doubled()).grid().x.size == 2 * one.x.size
 
 
 def test_family_grid_integral_names_the_first_non_finite_abscissa():
