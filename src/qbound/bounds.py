@@ -58,7 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .derivatives import _rho_inverse, coeff_h3r, deviation_h, new_log_derivative
+from .derivatives import coeff_h3r, deviation_h, new_log_derivative, require_working_r
 from .measurement import (
     EstimationContext,
     FamilyGrid,
@@ -74,7 +74,10 @@ from .measurement import (
 from .metrics import (
     MONOTONE_SPECS,
     _fisher_integral,
-    _rld_entry,
+    _husimi_angular,
+    _inv_one_minus_r2,
+    _new_angular,
+    _phiphi,
     husimi_classical_metric,
     measurement_fisher,
     monotone_metric,
@@ -308,10 +311,11 @@ def bounds_sweep(
     Once per sweep, at the first valid state: the family (it reads only
     phi, eps and sigma, and `spec` becomes its rule), its grid, I1, I2, C's
     off-diagonal integral and the r-free parts of a, b, v and Fisher; a
-    failed build is retried, and so reported, on every valid row.  Per row:
-    the closed-form metrics (phase-space first, so r = 1 names its range),
-    the RLD (phi, phi) entry, a, b and v as scalar arithmetic, and one node
-    pass for Fisher, each bit for bit what the single-state functions give.
+    failed build is retried, and so reported, on every valid row.  Per row,
+    with no matrix built: the phase-space range check (so r = 1 names it),
+    each closed-form phi-phi entry through the metrics' own `_phiphi`, a, b
+    and v as scalar arithmetic, and one node pass for Fisher; each cell is
+    bit for bit what the single-state functions give.
     """
     rows = []
     grid = None
@@ -326,14 +330,13 @@ def bounds_sweep(
                 integrals = _moment_integrals(family_grid, state)
                 fisher_of = _fisher_integral(family_grid, state)
                 grid = family_grid
-            g = float(new_metric(state)[2, 2])
+            require_working_r(r, "new_metric")
             st = math.sin(state.theta)
+            g = _phiphi(_new_angular(r), r, st)
             if st == 0.0:
                 raise DomainError(
                     "sin(theta) = 0: the phi-phi metric entries vanish, so the phi bounds are undefined"
                 )
-            rho = density_matrix(state)
-            drho = d_rho(state, ParamIndex.PHI)
             a, b, _, variance = integrals(r)
             fisher = fisher_of(r)
             h3 = coeff_h3r(r)
@@ -341,10 +344,10 @@ def bounds_sweep(
                 SweepRow(
                     r=r,
                     B_max=_squared_bracket(a + b, h3, st, I1 - I2) / g,
-                    B_SLD=1.0 / float(sld_metric(state)[2, 2]),
-                    B_RLD=1.0 / float(_rld_entry(_rho_inverse(rho), drho, drho)),
+                    B_SLD=1.0 / _phiphi(1.0, r, st),
+                    B_RLD=1.0 / _phiphi(_inv_one_minus_r2(r), r, st),
                     B_Fisher=1.0 / fisher,
-                    B_Husimi=1.0 / float(husimi_classical_metric(state)[2, 2]),
+                    B_Husimi=1.0 / _phiphi(_husimi_angular(r), r, st),
                     v=variance,
                     vg_minus_C=variance * g - _squared_bracket(a + b, h3, st, offdiag),
                 )

@@ -6,9 +6,9 @@ decimal separator; identical configurations produce byte-identical output.
 Angles are radians only.
 
 Exit codes: 0 success; 1 a domain error, a bad table or config value, or a
-failed sweep row; 2 an I/O failure or a command-line usage error; 3 a
-self-test failure.  `povm validate` is diagnostic: it exits 0 whatever its
-checks report, all_ok false included.
+failed sweep row; 2 a command-line usage error (argparse's own code); 3 a
+self-test failure; 4 an I/O failure.  `povm validate` is diagnostic: it
+exits 0 whatever its checks report, all_ok false included.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .qubit import DomainError, QubitState
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_IO = 2
+EXIT_IO = 4
 EXIT_SELFTEST = 3
 
 _SWEEP_COLUMNS = ("r", "B_max", "B_SLD", "B_RLD", "B_Fisher", "B_Husimi", "v", "vg_minus_C")

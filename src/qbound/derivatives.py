@@ -131,16 +131,14 @@ def sld(state: QubitState, k: ParamIndex) -> np.ndarray:
     return v @ L_eig @ v.conj().T
 
 
-def _rho_inverse(rho: np.ndarray) -> np.ndarray:
-    """rho^{-1} of a 2x2 density matrix by the adjugate formula."""
-    det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
-    return np.array([[rho[1, 1], -rho[0, 1]], [-rho[1, 0], rho[0, 0]]], dtype=complex) / det
-
-
 def rld(state: QubitState, k: ParamIndex) -> np.ndarray:
-    """Right logarithmic derivative L = rho^{-1} d_rho (generally non-Hermitian)."""
+    """Right logarithmic derivative L = rho^{-1} d_rho (generally
+    non-Hermitian), with rho^{-1} by the adjugate formula."""
     _require_invertible(state.r, "rld")
-    return _rho_inverse(density_matrix(state)) @ d_rho(state, k)
+    rho = density_matrix(state)
+    det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
+    inv = np.array([[rho[1, 1], -rho[0, 1]], [-rho[1, 0], rho[0, 0]]], dtype=complex) / det
+    return inv @ d_rho(state, k)
 
 
 def deviation_h(state: QubitState, k: ParamIndex, method: str = "closed") -> np.ndarray:

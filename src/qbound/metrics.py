@@ -18,6 +18,9 @@ Closed forms, with K = coeff_k(r) and Kt = coeff_k_tilde(r):
     SLD:    diag(1/(1-r^2), r^2, r^2 sin^2 theta)
     RLD:    SLD scaled by 1/(1-r^2) on the angular block as well.
 
+Every 1/(1-r^2) is 1/((1-r)(1+r)), exact to rounding as r -> 1, and
+`_phiphi` is the one phi-phi expression, shared with `bounds.bounds_sweep`.
+
 The monotone family is evaluated as the coefficient pair
 (1/(1-r^2), g((1-r)/(1+r)) / (1+r)) multiplying (dr^2, dn^2), where
 g(t) = 1/f(t) and f is the operator-monotone function of the chosen kind.
@@ -33,7 +36,6 @@ import numpy as np
 from .derivatives import (
     _check_method,
     _require_invertible,
-    _rho_inverse,
     coeff_k,
     coeff_k_tilde,
     new_log_derivative,
@@ -47,13 +49,29 @@ from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 _PARAMS = (ParamIndex.R, ParamIndex.THETA, ParamIndex.PHI)
 
 
+def _phiphi(angular: float, r: float, st: float) -> float:
+    """The phi-phi entry angular * r^2 sin^2 theta, with st = sin(theta): the
+    one expression both `_angular_block` and `bounds.bounds_sweep` read."""
+    return angular * r * r * st ** 2
+
+
 def _angular_block(r: float, theta: float, radial: float, angular: float) -> np.ndarray:
     """diag(radial, angular*r^2, angular*r^2 sin^2 theta)."""
-    g = np.zeros((3, 3))
-    g[0, 0] = radial
-    g[1, 1] = angular * r * r
-    g[2, 2] = g[1, 1] * math.sin(theta) ** 2
-    return g
+    return np.diag([radial, angular * r * r, _phiphi(angular, r, math.sin(theta))])
+
+
+def _inv_one_minus_r2(r: float) -> float:
+    """1/(1 - r^2); 1 - r is exact near r = 1, where 1 - r*r is not."""
+    return 1.0 / ((1.0 - r) * (1.0 + r))
+
+
+# the angular coefficients of the new and Husimi closed forms
+def _new_angular(r: float) -> float:
+    return 9.0 * coeff_k(r) ** 2 / (16.0 * r ** 6)
+
+
+def _husimi_angular(r: float) -> float:
+    return coeff_k(r) / (4.0 * r ** 3)
 
 
 def _gram(rho: np.ndarray, ls) -> np.ndarray:
@@ -80,8 +98,7 @@ def new_metric(state: QubitState, method: str = "closed") -> np.ndarray:
         return _gram(density_matrix(state), ls)
     kt2 = coeff_k_tilde(r) ** 2
     radial = (9.0 - 5.0 * r * r) * kt2 / (4.0 * r ** 6)
-    angular = 9.0 * coeff_k(r) ** 2 / (16.0 * r ** 6)
-    return _angular_block(r, th, radial, angular)
+    return _angular_block(r, th, radial, _new_angular(r))
 
 
 def sld_metric(state: QubitState) -> np.ndarray:
@@ -89,7 +106,7 @@ def sld_metric(state: QubitState) -> np.ndarray:
     r^2 sin^2 theta)."""
     r = state.r
     _require_invertible(r, "sld_metric")
-    return _angular_block(r, state.theta, 1.0 / (1.0 - r * r), 1.0)
+    return _angular_block(r, state.theta, _inv_one_minus_r2(r), 1.0)
 
 
 def sld_metric_trace(state: QubitState) -> np.ndarray:
@@ -98,28 +115,12 @@ def sld_metric_trace(state: QubitState) -> np.ndarray:
 
 
 def rld_metric(state: QubitState) -> np.ndarray:
-    """Real part of tr(d_i rho rho^{-1} d_j rho), assembled entrywise."""
+    """Metric of the right logarithmic derivative, Re tr(d_i rho rho^{-1} d_j rho)
+    = d_i n . d_j n / (1 - r^2), in closed form diag(c, c r^2, c r^2 sin^2 theta)
+    with c = 1/((1 - r)(1 + r)): the SLD metric, its angular block scaled by c."""
     _require_invertible(state.r, "rld_metric")
-    inv = _rho_inverse(density_matrix(state))
-    dr = [d_rho(state, k) for k in _PARAMS]
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            g[i, j] = g[j, i] = _rld_entry(inv, dr[i], dr[j])
-    return g
-
-
-def _rld_entry(rho_inv: np.ndarray, dri: np.ndarray, drj: np.ndarray) -> float:
-    """One RLD metric entry, Re tr(d_i rho rho^{-1} d_j rho)."""
-    return np.trace(dri @ rho_inv @ drj).real
-
-
-def _f_sld(t: float) -> float:
-    return 0.5 * (1.0 + t)
-
-
-def _f_rld(t: float) -> float:
-    return 2.0 * t / (1.0 + t)
+    c = _inv_one_minus_r2(state.r)
+    return _angular_block(state.r, state.theta, c, c)
 
 
 def _f_kubo_mori(t: float) -> float:
@@ -132,8 +133,8 @@ def _f_kubo_mori(t: float) -> float:
 
 # each name's operator-monotone function f, with f(1) = 1 and f(t) = t f(1/t)
 MONOTONE_SPECS: dict[str, Callable[[float], float]] = {
-    "SLD": _f_sld,
-    "RLD": _f_rld,
+    "SLD": lambda t: 0.5 * (1.0 + t),
+    "RLD": lambda t: 2.0 * t / (1.0 + t),
     "KuboMori": _f_kubo_mori,
 }
 
@@ -144,7 +145,7 @@ def monotone_metric(f: Callable[[float], float], r: float) -> tuple[float, float
     if not 0.0 < r < 1.0:
         raise DomainError(f"monotone_metric requires 0 < r < 1, got {float(r)!r}")
     t = (1.0 - r) / (1.0 + r)
-    return 1.0 / (1.0 - r * r), 1.0 / f(t) / (1.0 + r)
+    return _inv_one_minus_r2(r), 1.0 / f(t) / (1.0 + r)
 
 
 def husimi_classical_metric(state: QubitState, method: str = "closed") -> np.ndarray:
@@ -164,9 +165,7 @@ def husimi_classical_metric(state: QubitState, method: str = "closed") -> np.nda
             return d[..., :, None] * d[..., None, :] / q(t1, p1)[..., None, None]
 
         return sphere_integrate(integrand, state.bloch)
-    radial = -coeff_k_tilde(r) / (2.0 * r ** 3)
-    angular = coeff_k(r) / (4.0 * r ** 3)
-    return _angular_block(r, th, radial, angular)
+    return _angular_block(r, th, -coeff_k_tilde(r) / (2.0 * r ** 3), _husimi_angular(r))
 
 
 def measurement_fisher(state: QubitState, povm) -> float:

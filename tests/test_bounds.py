@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -352,6 +353,18 @@ def test_sweep_reference_row():
     assert abs(row.B_max - oracle_bmax) <= 1e-8
     assert abs(row.B_max - 7.453) <= 1e-2
     assert abs(row.v - ORACLE.variance) <= 1e-9
+
+
+def test_sweep_rld_bound_is_exact_to_rounding_near_the_pure_state_edge():
+    # B_RLD = (1 - r)(1 + r) / r^2 at theta = pi/2, where 1 - r*r would lose
+    # the last bits of r*r
+    rows = bounds_sweep([0.999, 0.99999, 0.9999985, R_MAX], theta=PI / 2)
+    for row in rows:
+        assert row.error is None, row
+        with mpmath.workdps(50):
+            r = mpmath.mpf(row.r)
+            want = (1 - r) * (1 + r) / (r * r)
+            assert abs(row.B_RLD - want) <= 1e-15 * want, row
 
 
 def test_sweep_ratio_strictly_increasing():

@@ -406,9 +406,16 @@ def test_config_file_value_is_checked_like_its_flag(tmp_path, capsys):
         assert f"{cfg}:1" in capsys.readouterr().err, text
 
 
-def test_io_error_exit_code(tmp_path):
+def test_io_error_exit_code(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
     assert run(["metrics", "--r", "0.5", "--out", str(missing_dir)]) == EXIT_IO
+    assert "qbound: i/o error" in capsys.readouterr().err
+    # argparse exits 2 on a usage error; an I/O failure must be told apart
+    assert EXIT_IO not in (EXIT_OK, EXIT_DOMAIN, 2)
+    for argv in (["metrics", "--r", "abc"], ["metrics", "--r", "0.5", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_selftest_passes(capsys):
@@ -424,7 +431,9 @@ def test_selftest_passes(capsys):
 # differ on another platform.  The povm validate and selftest hashes were
 # recorded again when window integrals moved to the grid's moment table,
 # which moved only rounding-level cells (unbiasedness_residual, and
-# selftest's worst change, worst violation and var residual).
+# selftest's worst change, worst violation and var residual).  The metrics
+# hash was recorded again when rld_metric became a closed form: its six
+# off-diagonal cells went from rounding noise (about 1e-17) to exact zeros.
 PINNED_SHA256 = {
     ("audit", "--r", "0.5", "--format", "csv"):
         "e768f3da77c886c7f9b4ba667048ad12f550dbd34ae5d92f0377e0392d3724ee",
@@ -435,7 +444,7 @@ PINNED_SHA256 = {
     ("povm", "validate", "--r", "0.5", "--format", "csv"):
         "ecf6e2216510abf047b7f18fc676e1fd57303ebcaf6f8e4faf5f9896c5add8f6",
     ("metrics", "--r", "0.5", "--format", "csv"):
-        "22e765b0541f2c2c4d265192c9c30deaa4ffdadf7ddd1ba705d294f4447b082b",
+        "e1026ab780d3255525fba624972e10e94e512d6e36449e50322fdff1e91faf62",
     ("selftest",):
         "4835067383cc68f7b4514d3a4d8df06287211a65d4f0c1980db2f080ae0b2118",
 }

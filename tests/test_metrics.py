@@ -2,13 +2,14 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbound.bounds import metric_report
+from qbound.bounds import bounds_sweep, metric_report
 from qbound import metrics
-from qbound.derivatives import R_MAX, R_MIN, _rho_inverse, new_log_derivative
+from qbound.derivatives import R_MAX, R_MIN, new_log_derivative
 from qbound.measurement import EstimationContext, gaussian_sharp_family, tapered_sharp_family
 from qbound.metrics import (
     MONOTONE_SPECS,
@@ -86,20 +87,54 @@ def test_rld_metric_closed_form():
         s = QubitState(r, th, ph)
         g = rld_metric(s)
         assert abs(g[2, 2] - r * r * math.sin(th) ** 2 / (1.0 - r * r)) <= 1e-12
-        # inverse-matrix oracle
+        # inverse-matrix oracle, every entry
         rho_inv = np.linalg.inv(density_matrix(s))
-        for i, k in enumerate(ParamIndex):
-            di = d_rho(s, k)
-            assert abs(g[i, i] - np.trace(di @ rho_inv @ di).real) <= 1e-12
+        for i, ki in enumerate(ParamIndex):
+            for j, kj in enumerate(ParamIndex):
+                entry = np.trace(d_rho(s, ki) @ rho_inv @ d_rho(s, kj)).real
+                assert abs(g[i, j] - entry) <= 1e-12, (i, j)
 
 
-def test_rld_entry_equals_the_full_metric_entry():
-    for r in (R_MIN, 0.3, 0.5, 0.9, R_MAX):
-        for theta in (0.0, 0.3, PI / 2, 2.9):
+# 50-digit oracle of the closed forms with c = 1/(1 - r^2): SLD diag(c, r^2,
+# r^2 s^2) and RLD diag(c, c r^2, c r^2 s^2), s = sin(theta), and every
+# monotone metric's radial coefficient c.  The states are log-spaced toward
+# both edges of the working range.
+CLOSED_FORM_RTOL = 4e-15
+EDGE_R = tuple(map(float, (*np.geomspace(R_MIN, 0.5, 12), *(1.0 - np.geomspace(1.0 - R_MAX, 0.5, 12)))))
+EDGE_THETA = (0.05, 0.7, PI / 2, 2.9)
+
+
+def _mp_closed_forms(r, theta):
+    with mpmath.workdps(50):
+        r, s2 = mpmath.mpf(r), mpmath.sin(mpmath.mpf(theta)) ** 2
+        c = 1 / (1 - r * r)
+        return {"sld": (c, r * r, r * r * s2), "rld": (c, c * r * r, c * r * r * s2)}
+
+
+def _assert_close(got, want, what):
+    err = abs((mpmath.mpf(float(got)) - want) / want)
+    assert err <= CLOSED_FORM_RTOL, (what, float(err))
+
+
+def test_sld_rld_and_monotone_radial_match_a_50_digit_oracle_up_to_both_edges():
+    for r in EDGE_R:
+        for theta in EDGE_THETA:
+            want = _mp_closed_forms(r, theta)
             s = QubitState(r, theta, 1.2)
-            d_phi = d_rho(s, ParamIndex.PHI)
-            entry = metrics._rld_entry(_rho_inverse(density_matrix(s)), d_phi, d_phi)
-            assert entry == rld_metric(s)[2, 2], (r, theta)
+            for name, g in (("sld", sld_metric(s)), ("rld", rld_metric(s))):
+                for i in range(3):
+                    _assert_close(g[i, i], want[name][i], (name, i, r, theta))
+        for name, f in MONOTONE_SPECS.items():
+            _assert_close(monotone_metric(f, r)[0], want["sld"][0], (name, r))
+
+
+def test_sweep_sld_and_rld_bounds_match_a_50_digit_oracle_up_to_both_edges():
+    for theta in EDGE_THETA:
+        for row in bounds_sweep(EDGE_R, theta=theta):
+            assert row.error is None, row
+            want = _mp_closed_forms(row.r, theta)
+            _assert_close(row.B_SLD, 1 / want["sld"][2], ("B_SLD", row.r, theta))
+            _assert_close(row.B_RLD, 1 / want["rld"][2], ("B_RLD", row.r, theta))
 
 
 def test_rld_phiphi_reference_point():
