@@ -370,9 +370,16 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     if seed is None:
-        seed = int(os.environ.get("QBOUND_SEED", "0"))
+        source, text = "QBOUND_SEED", os.environ.get("QBOUND_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"{source}: expected a non-negative integer, got {text!r}") from None
+    for name, value in ((source, seed), ("--samples", args.samples)):
+        if value < 0:
+            raise ValueError(f"{name}: expected a non-negative integer, got {value}")
     state = _state(args)
     ctx = EstimationContext(state, eps=args.eps)
     family = replace(gaussian_sharp_family(ctx, sigma=args.sigma), spec=_quad_spec(args))

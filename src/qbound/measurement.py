@@ -36,12 +36,12 @@ at |offdiag_scale| = 1), which is what "saturating" means.
 
 Every window integral of a family is a contraction over a `FamilyGrid`,
 which `PovmFamily.grid()` builds anew on each call with the family's one
-rule, `PovmFamily.spec`, split at the family's discontinuities and always at
-its center; a caller resizes a family with `dataclasses.replace(family,
-spec=...)`.  Integrals of (phi_hat - mu)^j tr(M Pi), j <= 2, are scalar
-arithmetic on the grid's element moments (`FamilyGrid.moment`).  Traces
-tr(M Pi) are real arrays for Hermitian M, and an integral over nodes is
-`quadrature._weighted_sum`.
+rule, `PovmFamily.spec`, split at its own split points, the family's
+discontinuities and always at its center; a caller resizes a family with
+`dataclasses.replace(family, spec=...)`.  Integrals of (phi_hat - mu)^j
+tr(M Pi), j <= 2, are scalar arithmetic on the grid's element moments
+(`FamilyGrid.moment`).  Traces tr(M Pi) are real arrays for Hermitian M,
+and an integral over nodes is `quadrature._weighted_sum`.
 """
 
 from __future__ import annotations
@@ -63,9 +63,7 @@ DENSITY_NEG_TOL = 1e-12
 
 # interior scan of validate_povm's eigenvalue and sign-pattern checks
 VALIDATION_SCAN = 2001
-# scan of outcome_distribution's negativity check
-DENSITY_SCAN = 4097
-# nodes of the tabulated CDF that sample_outcomes inverts
+# window nodes of the grid that outcome_distribution tabulates and sample_outcomes inverts
 SAMPLING_NODES = 8192
 
 _COS_MIN = 1e-12
@@ -187,11 +185,12 @@ class PovmFamily:
         return (self.center - self.half_width, self.center + self.half_width)
 
     def quad_spec(self) -> QuadSpec:
-        """The family's `spec`, split at its discontinuities and its center:
-        the rule of its window integrals."""
+        """The family's `spec`, split at its discontinuities, at the spec's
+        own split points and at its center: the rule of its window integrals."""
         splits = self.discontinuities
-        if self.center not in splits:
-            splits = (*splits, self.center)
+        for s in (*self.spec.split_points, self.center):
+            if s not in splits:
+                splits = (*splits, s)
         return replace(self.spec, split_points=splits)
 
     def grid(self) -> FamilyGrid:
@@ -543,37 +542,43 @@ def _scan_checks(p: PovmFamily, ctx: EstimationContext) -> tuple[float, bool]:
     return min_eig, sign_ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Outcome density q(phi_hat) = tr[rho Pi(phi_hat)] on the family window."""
+    """Outcome density q(phi_hat) = tr[rho Pi(phi_hat)] on the family window,
+    tabulated once: `grid` is SAMPLING_NODES equispaced window nodes plus the
+    family's discontinuities, and `cdf` the normalized trapezoid accumulation of
+    the density, clipped at 0, on it.  Both arrays are read-only."""
 
     pdf: Callable
-    window: tuple[float, float]
-    split_points: tuple[float, ...]
-
-    def grid(self) -> np.ndarray:
-        """SAMPLING_NODES equispaced window nodes plus the split points."""
-        lo, hi = self.window
-        pts = np.linspace(lo, hi, SAMPLING_NODES)
-        return np.unique(np.concatenate([pts, np.asarray(self.split_points)]))
+    grid: np.ndarray
+    cdf: np.ndarray
 
 
 def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistribution:
-    """Build the outcome density, rejecting families that go genuinely negative."""
-    lo, hi = p.window
+    """Tabulate the outcome density with one evaluation of the family on
+    the sampling grid.  A density below -DENSITY_NEG_TOL raises DomainError
+    naming the grid abscissa of its least value; one that does not
+    integrate to a positive finite mass raises ValueError."""
     rho = density_matrix(ctx.state)
 
     def pdf(phi_hat):
         return trace_with_elements(rho, *p.elements(phi_hat)[:3])
 
-    scan = np.linspace(lo, hi, DENSITY_SCAN)
-    vals = pdf(scan)
+    grid = np.unique(np.concatenate([np.linspace(*p.window, SAMPLING_NODES), p.discontinuities]))
+    vals = np.asarray(pdf(grid), dtype=float)
     worst = int(np.argmin(vals))
     if vals[worst] < -DENSITY_NEG_TOL:
         raise DomainError(
-            f"outcome density is negative ({vals[worst]:.3e}) at phi_hat = {float(scan[worst])!r}"
+            f"outcome density is negative ({vals[worst]:.3e}) at phi_hat = {float(grid[worst])!r}"
         )
-    return OutcomeDistribution(pdf=pdf, window=(lo, hi), split_points=p.discontinuities)
+    dens = np.maximum(vals, 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    total = cdf[-1]
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError("density does not integrate to a positive finite mass")
+    cdf /= total
+    grid.flags.writeable = cdf.flags.writeable = False
+    return OutcomeDistribution(pdf, grid, cdf)
 
 
 def estimator_moments(ctx: EstimationContext, p: PovmFamily) -> tuple[float, float]:
@@ -607,28 +612,12 @@ def _moment_integrals(g: FamilyGrid, state: QubitState):
 
 
 def sample_outcomes(dist: OutcomeDistribution, n: int, seed: int) -> np.ndarray:
-    """Draw n outcomes by inverse-CDF on a tabulated cumulative grid.
-
-    The CDF is a trapezoid accumulation on `dist.grid()`, inverted by linear
-    interpolation through a guide table: the draws are identical, bit for
-    bit, to np.interp(u, cdf, grid) on the same uniforms.  Identical
-    (seed, n) give identical output.
-    """
+    """Draw n outcomes by inverting `dist.cdf` on `dist.grid` through a guide
+    table: the draws are identical, bit for bit, to np.interp(u, cdf, grid)
+    on the same uniforms.  Identical (seed, n) give identical output."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    grid = dist.grid()
-    dens = np.maximum(np.asarray(dist.pdf(grid), dtype=float), 0.0)
-    steps = np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * steps)])
-    total = cdf[-1]
-    if not (np.isfinite(total) and total > 0):
-        raise ValueError("density does not integrate to a positive finite mass")
-    cdf /= total
-    if n == 0:
-        return np.empty(0, dtype=float)
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    return _invert_cdf(u, cdf, grid)
+    return _invert_cdf(np.random.default_rng(seed).random(n), dist.cdf, dist.grid)
 
 
 # draws per pass of the guide-table search; keeps its temporaries in cache

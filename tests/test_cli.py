@@ -356,6 +356,26 @@ def test_simulate_env_seed_fallback(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["seed"] == 123
 
 
+@pytest.mark.parametrize(
+    "env, flags, err",
+    [
+        ("abc", [], "qbound: QBOUND_SEED: expected a non-negative integer, got 'abc'\n"),
+        ("-5", [], "qbound: QBOUND_SEED: expected a non-negative integer, got -5\n"),
+        (None, ["--seed", "-3"], "qbound: --seed: expected a non-negative integer, got -3\n"),
+        (None, ["--samples", "-1"], "qbound: --samples: expected a non-negative integer, got -1\n"),
+    ],
+    ids=["env-not-int", "env-negative", "seed-negative", "samples-negative"],
+)
+def test_simulate_input_errors_name_their_source(env, flags, err, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("QBOUND_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QBOUND_SEED", env)
+    assert run(["simulate", "--r", "0.5", *flags]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("r=0.4\ntheta=1.0\nsigma=3.0\n", encoding="utf-8")
@@ -447,11 +467,16 @@ PINNED_SHA256 = {
         "e1026ab780d3255525fba624972e10e94e512d6e36449e50322fdff1e91faf62",
     ("selftest",):
         "4835067383cc68f7b4514d3a4d8df06287211a65d4f0c1980db2f080ae0b2118",
+    ("simulate", "--r", "0.5", "--samples", "1000", "--format", "csv"):
+        "f3c1c0f91b0949e17b4c5a62ff35471b23eb8321d08624a199e45a9af26baa0b",
+    ("simulate", "--r", "0.9", "--eps", "0.3", "--samples", "1000", "--format", "json"):
+        "1f5f727d6d42a274b7d82042ec59df82537c7b4ff4b00bc2bdd16a63732f0bd9",
 }
 
 
 @pytest.mark.parametrize("argv", PINNED_SHA256, ids=" ".join)
-def test_cli_output_bytes_are_pinned(argv, capsys):
+def test_cli_output_bytes_are_pinned(argv, capsys, monkeypatch):
+    monkeypatch.delenv("QBOUND_SEED", raising=False)
     assert run(list(argv)) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[argv]

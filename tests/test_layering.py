@@ -187,3 +187,46 @@ def test_only_quadrature_contracts_weights():
     # non-finite contract once
     sums = {path.stem: weight_contractions(path) for path in MODULES if path.stem != "quadrature"}
     assert {stem: lines for stem, lines in sums.items() if lines} == {}
+
+
+def private_definitions(tree):
+    """(name, statement) for every private top-level function, class and
+    constant of a module; dunders such as __all__ are not private."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [top.name]
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, top) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def name_reads(tree):
+    """(name, top-level statement) for every name or attribute a module reads."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, top
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, top
+
+
+def test_every_private_definition_is_used_outside_itself():
+    # a private name that only its own definition reads is dead code; a read
+    # counts from any module of the package, matched by name
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(qbound.__file__).parent.glob("*.py")}
+    reads = {}
+    for stem, tree in trees.items():
+        for name, top in name_reads(tree):
+            reads.setdefault(name, set()).add((stem, id(top)))
+    unused = sorted(
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name, top in private_definitions(tree)
+        if not reads.get(name, set()) - {(stem, id(top))}
+    )
+    assert unused == []

@@ -246,8 +246,44 @@ def test_outcome_distribution_rejects_negative_density():
         return (x11, 3.0 * np.asarray(x11), *rest)
 
     bogus = dataclasses.replace(base, elements=big_offdiag)
-    with pytest.raises(DomainError, match=r"phi_hat = -?\d[\d.e+-]*$"):
+    with pytest.raises(DomainError, match=r"phi_hat = -?\d[\d.e+-]*$") as exc:
         outcome_distribution(ctx, bogus)
+    # the abscissa named is a node of the sampling grid, where the least value is
+    where = float(str(exc.value).rsplit("= ", 1)[1])
+    lo, hi = base.window
+    grid = np.union1d(np.linspace(lo, hi, measurement.SAMPLING_NODES), base.discontinuities)
+    assert where in grid
+    vals = trace_with_elements(density_matrix(ctx.state), *bogus.elements(grid)[:3])
+    assert where == grid[np.argmin(vals)]
+
+
+def test_outcome_distribution_rejects_a_density_without_mass():
+    ctx = standard_ctx()
+    base = gaussian_sharp_family(ctx)
+
+    def vanishing(u):
+        return tuple(np.zeros_like(np.asarray(u, dtype=float)) for _ in ELEMENT_NAMES)
+
+    with pytest.raises(ValueError, match="positive finite mass"):
+        outcome_distribution(ctx, dataclasses.replace(base, elements=vanishing))
+
+
+def test_a_distribution_evaluates_its_family_once_and_sampling_never():
+    ctx = standard_ctx()
+    base = gaussian_sharp_family(ctx)
+    calls = []
+
+    def spy(u):
+        calls.append(np.size(u))
+        return base.elements(u)
+
+    dist = outcome_distribution(ctx, dataclasses.replace(base, elements=spy))
+    assert calls == [dist.grid.size]
+    for n in (0, 1000):
+        sample_outcomes(dist, n, seed=1)
+    assert calls == [dist.grid.size]
+    assert not dist.grid.flags.writeable and not dist.cdf.flags.writeable
+    assert dist.cdf[0] == 0.0 and dist.cdf[-1] == 1.0
 
 
 # ----------------------------------------------------------------- family grid
@@ -263,6 +299,19 @@ def test_family_grid_is_built_afresh_bit_equal_and_read_only():
         assert len({a.tobytes() for a in arrays}) == 1, name
         assert not any(a.flags.writeable for a in arrays), name
     assert dataclasses.replace(fam, spec=fam.spec.doubled()).grid().x.size == 2 * one.x.size
+
+
+def test_family_grid_keeps_the_spec_split_points():
+    fam = gaussian_sharp_family(standard_ctx())
+    split = dataclasses.replace(fam, spec=QuadSpec(64, 16, (1.0,)))
+    assert split.quad_spec().split_points == (fam.center, 1.0)
+    x = split.grid().x
+    # three pieces of 64 panels x 16 nodes; the first ends at the spec's split
+    assert x.size == 3 * 64 * 16
+    assert x[1023] < 1.0 < x[1024]
+    # a split that is already a discontinuity adds no piece
+    same = dataclasses.replace(fam, spec=QuadSpec(64, 16, (fam.center,)))
+    assert same.grid().x.tobytes() == fam.grid().x.tobytes()
 
 
 def test_family_grid_integral_names_the_first_non_finite_abscissa():
@@ -480,7 +529,7 @@ def test_sampling_empty_and_validation():
 
 def interp_sampler(dist, n, seed):
     """Reference sampler: the trapezoid CDF inverted by np.interp."""
-    grid = dist.grid()
+    grid = dist.grid
     dens = np.maximum(np.asarray(dist.pdf(grid), dtype=float), 0.0)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
     cdf /= cdf[-1]

@@ -185,6 +185,35 @@ def test_monotone_functional_symmetry(t):
         assert abs(f(1.0) - 1.0) <= 1e-12
 
 
+# relative tolerance of the proven orderings; the bench's correctness gate uses the same
+ORDERING_RTOL = 1e-9
+
+
+def at_most(a, b):
+    return a <= b + ORDERING_RTOL * abs(b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    r=st.floats(R_MIN, R_MAX),
+    theta=st.floats(0.05, PI - 0.05),
+    phi=st.floats(-PI, PI).filter(lambda p: abs(math.cos(p)) >= 1e-3),
+    eps=st.floats(-0.5, 0.5),
+    sigma=st.floats(0.05, 100.0),
+)
+def test_proven_orderings_hold_on_the_default_rule(r, theta, phi, eps, sigma):
+    # Braunstein-Caves for the frozen measurement, the Husimi coarse-graining,
+    # and SLD <= Kubo-Mori <= RLD among the monotone metrics
+    state = QubitState(r, theta, phi)
+    sld_phiphi = sld_metric(state)[2, 2]
+    family = gaussian_sharp_family(EstimationContext(state, eps=eps), sigma=sigma)
+    assert at_most(measurement_fisher(state, family), sld_phiphi)
+    assert at_most(husimi_classical_metric(state)[2, 2], sld_phiphi)
+    sld, kubo_mori, rld = (monotone_metric(MONOTONE_SPECS[k], r)[1]
+                           for k in ("SLD", "KuboMori", "RLD"))
+    assert at_most(sld, kubo_mori) and at_most(kubo_mori, rld)
+
+
 def test_kubo_mori_removable_singularity():
     f = MONOTONE_SPECS["KuboMori"]
     for t in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
