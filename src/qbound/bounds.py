@@ -58,30 +58,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .derivatives import coeff_h3r, deviation_h, new_log_derivative, require_working_r
+from .derivatives import coeff_h3r, deviation_h, new_log_derivative
 from .measurement import (
     EstimationContext,
     FamilyGrid,
     PovmFamily,
-    _COS_MIN,
-    _check_window,
-    _inv_square,
-    _moment_integrals,
-    _scan_checks,
+    gaussian_inputs,
     gaussian_sharp_family,
+    interior_scan,
+    moment_integrals,
     trace_with_elements,
 )
 from .metrics import (
     MONOTONE_SPECS,
-    _fisher_integral,
-    _husimi_angular,
-    _inv_one_minus_r2,
-    _new_angular,
-    _phiphi,
+    fisher_integral,
     husimi_classical_metric,
     measurement_fisher,
     monotone_metric,
     new_metric,
+    phiphi_entries,
     rld_metric,
     sld_metric,
 )
@@ -100,7 +95,7 @@ def ab_coefficients(ctx: EstimationContext, p: PovmFamily) -> tuple[float, float
     the window limits are held fixed, so for edge-supported families b picks
     up the edge value of x11 through integration by parts.
     """
-    return _moment_integrals(p.grid(), ctx.state)(ctx.state.r)[:2]
+    return moment_integrals(p.grid(), ctx.state)(ctx.state.r)[:2]
 
 
 def _r_free_integrals(ctx: EstimationContext, g: FamilyGrid):
@@ -141,7 +136,7 @@ def bound_Cmax(ctx: EstimationContext, p: PovmFamily) -> dict:
     flagged, in which case C_max is not an upper bound for C.
     """
     g = p.grid()
-    a, b = _moment_integrals(g, ctx.state)(ctx.state.r)[:2]
+    a, b = moment_integrals(g, ctx.state)(ctx.state.r)[:2]
     c = a + b
     I1, I2, offdiag = _r_free_integrals(ctx, g)
     h3 = coeff_h3r(ctx.state.r)
@@ -155,7 +150,7 @@ def bound_Cmax(ctx: EstimationContext, p: PovmFamily) -> dict:
         "h3r": h3,
         "C": _squared_bracket(c, h3, st, offdiag),
         "C_max": _squared_bracket(c, h3, st, I1 - I2),
-        "sign_conditions_ok": _scan_checks(p, ctx)[1],
+        "sign_conditions_ok": interior_scan(p, ctx)[1],
         "c_nonneg": c >= 0.0,
     }
 
@@ -183,7 +178,7 @@ def theorem_general(ctx: EstimationContext, p: PovmFamily, Y=None, Z=None) -> di
     state = ctx.state
 
     grid = p.grid()
-    a, b, mean, variance = _moment_integrals(grid, state)(state.r)
+    a, b, mean, variance = moment_integrals(grid, state)(state.r)
     if abs(mean - ctx.center) > UNBIASEDNESS_PRECHECK_TOL:
         raise DomainError(
             f"family is not unbiased at this context: E[phi_hat] = {float(mean)!r}, "
@@ -191,7 +186,7 @@ def theorem_general(ctx: EstimationContext, p: PovmFamily, Y=None, Z=None) -> di
         )
 
     bracket = _operator_bracket(grid, state, a + b, Y, Z)
-    g = new_metric(state, method="closed")
+    g = new_metric(state)
     return {
         "lhs": float(Y[2] ** 2 * variance * float(Z @ g @ Z)),
         "rhs": float(abs(bracket) ** 2),
@@ -229,7 +224,7 @@ def audit_derivation(ctx: EstimationContext, p: PovmFamily) -> dict:
     rho = density_matrix(state)
     drho = d_rho(state, ParamIndex.PHI)
 
-    a, b, _, variance = _moment_integrals(g, state)(state.r)
+    a, b, _, variance = moment_integrals(g, state)(state.r)
     c = a + b
 
     # identity from differentiating unbiasedness with fixed limits
@@ -245,7 +240,7 @@ def audit_derivation(ctx: EstimationContext, p: PovmFamily) -> dict:
     cross_real = float(cross.real)
 
     quad_tl = float(g.integrate(g.trace(l3 @ rho @ l3)).real)
-    g_phiphi = float(new_metric(state, method="closed")[2, 2])
+    g_phiphi = float(new_metric(state)[2, 2])
 
     schwarz_lhs = variance * quad_tl
     schwarz_mid = float(abs(cross) ** 2)
@@ -308,31 +303,35 @@ def bounds_sweep(
     working range fails.  Only that exact zero fails a row: the float nearest
     pi has sin = 1.2e-16, and its huge bounds are the true ones for that input.
 
-    Once per sweep, at the first valid state: the family (it reads only
-    phi, eps and sigma, and `spec` becomes its rule), its grid, I1, I2, C's
-    off-diagonal integral and the r-free parts of a, b, v and Fisher; a
-    failed build is retried, and so reported, on every valid row.  Per row,
-    with no matrix built: the phase-space range check (so r = 1 names it),
-    each closed-form phi-phi entry through the metrics' own `_phiphi`, a, b
-    and v as scalar arithmetic, and one node pass for Fisher; each cell is
-    bit for bit what the single-state functions give.
+    Once per sweep, before any row, the fixed inputs: one context at
+    (theta, phi, eps), the family (`spec` becomes its rule), its grid, I1, I2,
+    C's off-diagonal integral and the r-free parts of a, b, v and Fisher.  A
+    failed build is captured once, and every row whose own state (r, theta,
+    phi) is valid reports it.  Per row, with no matrix built: the state's
+    checks, the four phi-phi entries of `metrics.phiphi_entries` (whose range
+    check names r = 1), a, b and v as scalar arithmetic, and one node pass
+    for Fisher; each cell is bit for bit what the single-state functions give.
     """
+    try:
+        # every fixed-input integral reads the state's angles, never its r
+        ctx = EstimationContext(QubitState(0.0, theta, phi), eps=eps)
+        grid = replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec).grid()
+        I1, I2, offdiag = _r_free_integrals(ctx, grid)
+        integrals = moment_integrals(grid, ctx.state)
+        fisher_of = fisher_integral(grid, ctx.state)
+        st = math.sin(ctx.state.theta)
+        fixed_error = None
+    except (DomainError, ValueError) as exc:
+        fixed_error = str(exc)
     rows = []
-    grid = None
     for r in r_values:
         r = float(r)
         try:
-            state = QubitState(r, theta, phi)
-            ctx = EstimationContext(state, eps=eps)
-            if grid is None:
-                family_grid = replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec).grid()
-                I1, I2, offdiag = _r_free_integrals(ctx, family_grid)
-                integrals = _moment_integrals(family_grid, state)
-                fisher_of = _fisher_integral(family_grid, state)
-                grid = family_grid
-            require_working_r(r, "new_metric")
-            st = math.sin(state.theta)
-            g = _phiphi(_new_angular(r), r, st)
+            QubitState(r, theta, phi)  # the row's own checks: finiteness, r, then theta
+            if fixed_error is not None:
+                rows.append(SweepRow(r=r, error=fixed_error))
+                continue
+            g, g_sld, g_rld, g_husimi = phiphi_entries(r, st)
             if st == 0.0:
                 raise DomainError(
                     "sin(theta) = 0: the phi-phi metric entries vanish, so the phi bounds are undefined"
@@ -340,18 +339,11 @@ def bounds_sweep(
             a, b, _, variance = integrals(r)
             fisher = fisher_of(r)
             h3 = coeff_h3r(r)
-            rows.append(
-                SweepRow(
-                    r=r,
-                    B_max=_squared_bracket(a + b, h3, st, I1 - I2) / g,
-                    B_SLD=1.0 / _phiphi(1.0, r, st),
-                    B_RLD=1.0 / _phiphi(_inv_one_minus_r2(r), r, st),
-                    B_Fisher=1.0 / fisher,
-                    B_Husimi=1.0 / _phiphi(_husimi_angular(r), r, st),
-                    v=variance,
-                    vg_minus_C=variance * g - _squared_bracket(a + b, h3, st, offdiag),
-                )
-            )
+            c_max = _squared_bracket(a + b, h3, st, I1 - I2)
+            c = _squared_bracket(a + b, h3, st, offdiag)
+            rows.append(SweepRow(
+                r=r, B_max=c_max / g, B_SLD=1.0 / g_sld, B_RLD=1.0 / g_rld, B_Fisher=1.0 / fisher,
+                B_Husimi=1.0 / g_husimi, v=variance, vg_minus_C=variance * g - c))
         except (DomainError, ValueError) as exc:
             rows.append(SweepRow(r=r, error=str(exc)))
     return rows
@@ -374,11 +366,8 @@ def metric_report(
     eps raises at every phi, and so does any other error of the family or
     the integral.
     """
-    # in the order the family itself checks them
-    _check_window(state.phi, eps)
-    _inv_square(sigma)
     fisher = None
-    if abs(math.cos(state.phi)) >= _COS_MIN:
+    if gaussian_inputs(state.phi, eps, sigma) is not None:
         ctx = EstimationContext(state, eps=eps)
         fisher = measurement_fisher(state, replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec))
     out = {

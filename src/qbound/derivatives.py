@@ -7,9 +7,9 @@ The phase-space-derived logarithmic derivative for parameter xi^k is
 i.e. the log-derivative of the Husimi function (the s = -1 symbol of rho)
 mapped back to an operator by the inverse map `phasespace.inverse_weyl`.
 Closed forms exist for all three parameters and are the default evaluation
-path; `method="quadrature"` evaluates the integral directly so the two
-routes can be cross-checked.  The closed forms, like those of h_k, are
-built from `qubit.d_rho` (with K = coeff_k, Kt = coeff_k_tilde):
+path; `method="quadrature"` (see `check_method`) evaluates the integral
+directly so the two routes can be cross-checked.  The closed forms, like
+those of h_k, are built from `qubit.d_rho` (with K = coeff_k, Kt = coeff_k_tilde):
 
     L_r = Kt / (2 r^3) (r I - 6 d_r rho),
     L_k = 3 K / (2 r^3) d_k rho    for k = theta, phi,
@@ -52,6 +52,18 @@ def require_working_r(r: float, what: str = "operation") -> None:
         raise _working_r_error(r, what)
 
 
+def require_invertible(r: float, what: str) -> None:
+    """Reject the pure-state edge r > R_MAX, where rho is singular."""
+    if r > R_MAX:
+        raise DomainError(f"{what} requires r <= {R_MAX:g} (rho must be invertible)")
+
+
+def check_method(method: str) -> None:
+    """A closed form's evaluation route: "closed" or its sphere "quadrature"."""
+    if method not in ("closed", "quadrature"):
+        raise ValueError(f"method must be one of ('closed', 'quadrature'), got {method!r}")
+
+
 def _log_ratio(r: float, what: str) -> float:
     """log((1-r)/(1+r)), which diverges at r = 1; r >= 1 and NaN raise
     DomainError naming the working range."""
@@ -87,14 +99,9 @@ def coeff_h3r(r: float) -> float:
     return (3.0 * coeff_k(r) - 4.0 * r ** 3) / (8.0 * r * r)
 
 
-def _check_method(method: str, allowed: tuple[str, ...]) -> None:
-    if method not in allowed:
-        raise ValueError(f"method must be one of {allowed}, got {method!r}")
-
-
 def new_log_derivative(state: QubitState, k: ParamIndex, method: str = "closed") -> np.ndarray:
     """Phase-space-derived logarithmic derivative for parameter xi^k."""
-    _check_method(method, ("closed", "quadrature"))
+    check_method(method)
     require_working_r(state.r, "new_log_derivative")
     k = ParamIndex(k)
     if method == "quadrature":
@@ -109,19 +116,13 @@ def new_log_derivative(state: QubitState, k: ParamIndex, method: str = "closed")
     return 3.0 * coeff_k(r) / (2.0 * r ** 3) * drho
 
 
-def _require_invertible(r: float, what: str) -> None:
-    """Reject the pure-state edge r > R_MAX, where rho is singular."""
-    if r > R_MAX:
-        raise DomainError(f"{what} requires r <= {R_MAX:g} (rho must be invertible)")
-
-
 def sld(state: QubitState, k: ParamIndex) -> np.ndarray:
     """Symmetric logarithmic derivative: solves d_rho = (rho L + L rho)/2.
 
     Built in the eigenbasis of rho via L_ab = 2 (d_rho)_ab / (lam_a + lam_b),
     which stays exact at r = 0.  The pure-state edge r = 1 is rejected.
     """
-    _require_invertible(state.r, "sld")
+    require_invertible(state.r, "sld")
     rho = density_matrix(state)
     drho = d_rho(state, k)
     w, v = eig2(rho)
@@ -134,31 +135,22 @@ def sld(state: QubitState, k: ParamIndex) -> np.ndarray:
 def rld(state: QubitState, k: ParamIndex) -> np.ndarray:
     """Right logarithmic derivative L = rho^{-1} d_rho (generally
     non-Hermitian), with rho^{-1} by the adjugate formula."""
-    _require_invertible(state.r, "rld")
+    require_invertible(state.r, "rld")
     rho = density_matrix(state)
     det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
     inv = np.array([[rho[1, 1], -rho[0, 1]], [-rho[1, 0], rho[0, 0]]], dtype=complex) / det
     return inv @ d_rho(state, k)
 
 
-def deviation_h(state: QubitState, k: ParamIndex, method: str = "closed") -> np.ndarray:
+def deviation_h(state: QubitState, k: ParamIndex) -> np.ndarray:
     """Deviation operator h_k = d_rho - (rho L_k + L_k rho)/2 with the
-    phase-space L_k.
-
-    `method="definitional"` evaluates that expression with the closed-form
-    L_k; `method="closed"` returns the multiples of d_rho
+    phase-space L_k, in closed form as multiples of d_rho:
 
         h_r = c_iso I + 2 c_dir d_r rho,
         h_k = -(2 coeff_h3r(r) / r) d_k rho    for k = theta, phi.
     """
-    _check_method(method, ("closed", "definitional"))
     require_working_r(state.r, "deviation_h")
     k = ParamIndex(k)
-    if method == "definitional":
-        rho = density_matrix(state)
-        L = new_log_derivative(state, k, method="closed")
-        return d_rho(state, k) - 0.5 * (rho @ L + L @ rho)
-
     r = state.r
     drho = d_rho(state, k)
     if k is ParamIndex.R:

@@ -114,6 +114,18 @@ def _inv_square(sigma: float) -> float:
     return inv
 
 
+def gaussian_inputs(phi: float, eps: float, sigma: float) -> tuple[float, float] | None:
+    """The Gaussian sharp family's checks, in its order: eps's window, sigma too
+    small for 1/sigma^2, too large for the normalization.  Then (1/sigma^2,
+    norm), or None where cos(phi) ~ 0 leaves the construction undefined."""
+    _check_window(phi, eps)
+    inv_s2 = _inv_square(sigma)
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * math.erf(math.pi / (sigma * math.sqrt(2.0))))
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"sigma = {sigma!r} is too large: the normalization overflows")
+    return (inv_s2, norm) if abs(math.cos(phi)) >= _COS_MIN else None
+
+
 # PovmFamily.elements order and FamilyGrid fields; tr(M Pi) reads the VALUES, tr(M dPi) the rest
 ELEMENT_NAMES = ("x11", "x12", "y12", "d_x11", "d_x12", "d_y12")
 VALUES, DERIVATIVES = ELEMENT_NAMES[:3], ELEMENT_NAMES[3:]
@@ -236,9 +248,8 @@ def _sharp_family(ctx: EstimationContext, x11, d_profile, scale: float, label: s
 
 def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFamily:
     """The saturating Gaussian family (default sigma = 3)."""
-    inv_s2 = _inv_square(sigma)
+    inv_s2, norm = gaussian_inputs(ctx.state.phi, ctx.eps, sigma)
     mu = ctx.center
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi) * math.erf(math.pi / (sigma * math.sqrt(2.0))))
 
     @np.errstate(over="ignore")  # the exponent may overflow to -inf; exp(-inf) = 0 is exact
     def x11(u):
@@ -508,7 +519,7 @@ def validate_povm(p: PovmFamily, ctx: EstimationContext) -> ValidationReport:
     comp_y = g.moment("y12", 0)
     completeness = max(abs(comp_diag), math.hypot(comp_x, comp_y))
 
-    min_eig, sign_ok = _scan_checks(p, ctx)
+    min_eig, sign_ok = interior_scan(p, ctx)
 
     half = np.linspace(0.0, p.half_width, VALIDATION_SCAN // 2)[1:-1]
     above, below = np.split(np.asarray(p.elements(np.concatenate([mu + half, mu - half]))[0]), 2)
@@ -528,7 +539,7 @@ def validate_povm(p: PovmFamily, ctx: EstimationContext) -> ValidationReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _scan_checks(p: PovmFamily, ctx: EstimationContext) -> tuple[float, bool]:
+def interior_scan(p: PovmFamily, ctx: EstimationContext) -> tuple[float, bool]:
     """From one evaluation on an interior grid, avoiding the edges, and at mu:
     the least eigenvalue on the grid, and the off-diagonal sign pattern (y12 /
     cos(phi) has the sign of mu - phi_hat on the grid, and y12(mu) vanishes)."""
@@ -546,19 +557,22 @@ def _scan_checks(p: PovmFamily, ctx: EstimationContext) -> tuple[float, bool]:
 class OutcomeDistribution:
     """Outcome density q(phi_hat) = tr[rho Pi(phi_hat)] on the family window,
     tabulated once: `grid` is SAMPLING_NODES equispaced window nodes plus the
-    family's discontinuities, and `cdf` the normalized trapezoid accumulation of
-    the density, clipped at 0, on it.  Both arrays are read-only."""
+    family's discontinuities, `cdf` the normalized trapezoid accumulation of
+    the density, clipped at 0, on it, and `inverse_cdf` its inverse, which
+    holds the guide table built with it.  Both arrays are read-only."""
 
     pdf: Callable
     grid: np.ndarray
     cdf: np.ndarray
+    inverse_cdf: Callable[[np.ndarray], np.ndarray]
 
 
 def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistribution:
     """Tabulate the outcome density with one evaluation of the family on
-    the sampling grid.  A density below -DENSITY_NEG_TOL raises DomainError
-    naming the grid abscissa of its least value; one that does not
-    integrate to a positive finite mass raises ValueError."""
+    the sampling grid, and build the guide table of its inverse CDF.  A
+    density below -DENSITY_NEG_TOL raises DomainError naming the grid
+    abscissa of its least value; one that does not integrate to a positive
+    finite mass raises ValueError."""
     rho = density_matrix(ctx.state)
 
     def pdf(phi_hat):
@@ -578,20 +592,20 @@ def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistri
         raise ValueError("density does not integrate to a positive finite mass")
     cdf /= total
     grid.flags.writeable = cdf.flags.writeable = False
-    return OutcomeDistribution(pdf, grid, cdf)
+    return OutcomeDistribution(pdf, grid, cdf, _inverse_cdf(cdf, grid))
 
 
 def estimator_moments(ctx: EstimationContext, p: PovmFamily) -> tuple[float, float]:
     """Mean of phi_hat and the second moment about the true parameter, by
-    scalar arithmetic on the grid's element moments (`_moment_integrals`).
+    scalar arithmetic on the grid's element moments (`moment_integrals`).
 
     The variance is E[(phi_hat - phi)^2], phi the state's azimuth: the
     deviation from the true value, not from the mean; equal when eps = 0.
     """
-    return _moment_integrals(p.grid(), ctx.state)(ctx.state.r)[2:]
+    return moment_integrals(p.grid(), ctx.state)(ctx.state.r)[2:]
 
 
-def _moment_integrals(g: FamilyGrid, state: QubitState):
+def moment_integrals(g: FamilyGrid, state: QubitState):
     """(a, b, E[phi_hat], E[(phi_hat - phi)^2]) as a function of r at the
     state's angles.  As rho = I/2 + r d_r rho, the moments m_j of tr(rho Pi)
     and t_j of tr(rho dPi) about the center mu are grid moments of x11 and
@@ -612,21 +626,21 @@ def _moment_integrals(g: FamilyGrid, state: QubitState):
 
 
 def sample_outcomes(dist: OutcomeDistribution, n: int, seed: int) -> np.ndarray:
-    """Draw n outcomes by inverting `dist.cdf` on `dist.grid` through a guide
-    table: the draws are identical, bit for bit, to np.interp(u, cdf, grid)
-    on the same uniforms.  Identical (seed, n) give identical output."""
+    """Draw n outcomes by `dist.inverse_cdf`: the draws are identical, bit
+    for bit, to np.interp(u, cdf, grid) on the same uniforms.  Identical
+    (seed, n) give identical output."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _invert_cdf(np.random.default_rng(seed).random(n), dist.cdf, dist.grid)
+    return dist.inverse_cdf(np.random.default_rng(seed).random(n))
 
 
 # draws per pass of the guide-table search; keeps its temporaries in cache
 _CHUNK = 1 << 15
 
 
-def _invert_cdf(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """np.interp(u, cdf, grid), bit for bit, for u in [0, 1) and a
-    nondecreasing cdf from cdf[0] = 0 to cdf[-1] = 1.
+def _inverse_cdf(cdf: np.ndarray, grid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> np.interp(u, cdf, grid), bit for bit, for u in [0, 1) and a
+    nondecreasing cdf from cdf[0] = 0 to cdf[-1] = 1, through a table built here.
 
     A guide table (Chen & Asau 1974) of G = 2 len(cdf) equal u-buckets gives
     each draw a start node at or below the last node j with cdf[j] <= u,
@@ -647,12 +661,15 @@ def _invert_cdf(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
     span = int((np.searchsorted(node_bucket, buckets, side="right") - 1 - start).max())
     steps = [1 << k for k in reversed(range(span.bit_length()))]
     cdf_ext = np.concatenate([cdf, np.full(span, np.inf)])
-    out = np.empty_like(u)
     # np.interp raises no floating-point warnings.  Slopes over flat
     # stretches (inf or nan) are never read; an inf slope times u - cdf[j] = 0
     # is replaced by the u == cdf[j] branch; an overflow is np.interp's inf.
     with np.errstate(all="ignore"):
         slope = (grid[1:] - grid[:-1]) / (cdf[1:] - cdf[:-1])
+
+    @np.errstate(all="ignore")
+    def invert(u: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
         for s in range(0, u.size, _CHUNK):
             uc = u[s : s + _CHUNK]
             j = start[(uc * n_buckets).astype(np.intp)]
@@ -660,4 +677,6 @@ def _invert_cdf(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
                 j += step * (cdf_ext[j + step] <= uc)
             c, g = cdf[j], grid[j]
             out[s : s + _CHUNK] = np.where(uc == c, g, slope[j] * (uc - c) + g)
-    return out
+        return out
+
+    return invert

@@ -18,8 +18,9 @@ Closed forms, with K = coeff_k(r) and Kt = coeff_k_tilde(r):
     SLD:    diag(1/(1-r^2), r^2, r^2 sin^2 theta)
     RLD:    SLD scaled by 1/(1-r^2) on the angular block as well.
 
-Every 1/(1-r^2) is 1/((1-r)(1+r)), exact to rounding as r -> 1, and
-`_phiphi` is the one phi-phi expression, shared with `bounds.bounds_sweep`.
+Every 1/(1-r^2) is 1/((1-r)(1+r)), exact to rounding as r -> 1.  `_phiphi`
+is the one phi-phi expression, of the 3x3 builders and of `phiphi_entries`.
+The *_trace and *_definitional functions are operator-algebra cross-checks.
 
 The monotone family is evaluated as the coefficient pair
 (1/(1-r^2), g((1-r)/(1+r)) / (1+r)) multiplying (dr^2, dn^2), where
@@ -34,11 +35,11 @@ from typing import Callable
 import numpy as np
 
 from .derivatives import (
-    _check_method,
-    _require_invertible,
+    check_method,
     coeff_k,
     coeff_k_tilde,
     new_log_derivative,
+    require_invertible,
     require_working_r,
     sld,
 )
@@ -51,7 +52,7 @@ _PARAMS = (ParamIndex.R, ParamIndex.THETA, ParamIndex.PHI)
 
 def _phiphi(angular: float, r: float, st: float) -> float:
     """The phi-phi entry angular * r^2 sin^2 theta, with st = sin(theta): the
-    one expression both `_angular_block` and `bounds.bounds_sweep` read."""
+    one expression both `_angular_block` and `phiphi_entries` read."""
     return angular * r * r * st ** 2
 
 
@@ -84,18 +85,11 @@ def _gram(rho: np.ndarray, ls) -> np.ndarray:
     return g
 
 
-def new_metric(state: QubitState, method: str = "closed") -> np.ndarray:
-    """Metric built from the phase-space logarithmic derivatives.
-
-    `method="trace"` assembles g_ij = tr(rho (L_i L_j + L_j L_i)/2); the
-    closed form is diagonal in (r, theta, phi).
-    """
-    _check_method(method, ("closed", "trace"))
+def new_metric(state: QubitState) -> np.ndarray:
+    """Metric built from the phase-space logarithmic derivatives, in closed
+    form: diagonal in (r, theta, phi)."""
     require_working_r(state.r, "new_metric")
     r, th = state.r, state.theta
-    if method == "trace":
-        ls = [new_log_derivative(state, k, method="closed") for k in _PARAMS]
-        return _gram(density_matrix(state), ls)
     kt2 = coeff_k_tilde(r) ** 2
     radial = (9.0 - 5.0 * r * r) * kt2 / (4.0 * r ** 6)
     return _angular_block(r, th, radial, _new_angular(r))
@@ -105,7 +99,7 @@ def sld_metric(state: QubitState) -> np.ndarray:
     """Metric of the symmetric logarithmic derivative: diag(1/(1-r^2), r^2,
     r^2 sin^2 theta)."""
     r = state.r
-    _require_invertible(r, "sld_metric")
+    require_invertible(r, "sld_metric")
     return _angular_block(r, state.theta, _inv_one_minus_r2(r), 1.0)
 
 
@@ -114,11 +108,33 @@ def sld_metric_trace(state: QubitState) -> np.ndarray:
     return _gram(density_matrix(state), [sld(state, k) for k in _PARAMS])
 
 
+def new_metric_trace(state: QubitState) -> np.ndarray:
+    """new_metric assembled as g_ij = tr(rho (L_i L_j + L_j L_i)/2) from the
+    closed-form L_k (cross-check path)."""
+    return _gram(density_matrix(state), [new_log_derivative(state, k) for k in _PARAMS])
+
+
+def deviation_h_definitional(state: QubitState, k: ParamIndex) -> np.ndarray:
+    """derivatives.deviation_h evaluated as d_rho - (rho L_k + L_k rho)/2
+    with the closed-form L_k (cross-check path)."""
+    rho, L = density_matrix(state), new_log_derivative(state, k)
+    return d_rho(state, k) - 0.5 * (rho @ L + L @ rho)
+
+
+def phiphi_entries(r: float, st: float) -> tuple[float, float, float, float]:
+    """The phi-phi entries of the new, SLD, RLD and Husimi metrics at r, with
+    st = sin(theta), bit for bit those of the 3x3 closed forms.  r must lie in
+    the new metric's working range, which holds the other three's."""
+    require_working_r(r, "new_metric")
+    new, rld, husimi = _new_angular(r), _inv_one_minus_r2(r), _husimi_angular(r)
+    return _phiphi(new, r, st), _phiphi(1.0, r, st), _phiphi(rld, r, st), _phiphi(husimi, r, st)
+
+
 def rld_metric(state: QubitState) -> np.ndarray:
     """Metric of the right logarithmic derivative, Re tr(d_i rho rho^{-1} d_j rho)
     = d_i n . d_j n / (1 - r^2), in closed form diag(c, c r^2, c r^2 sin^2 theta)
     with c = 1/((1 - r)(1 + r)): the SLD metric, its angular block scaled by c."""
-    _require_invertible(state.r, "rld_metric")
+    require_invertible(state.r, "rld_metric")
     c = _inv_one_minus_r2(state.r)
     return _angular_block(state.r, state.theta, c, c)
 
@@ -153,7 +169,7 @@ def husimi_classical_metric(state: QubitState, method: str = "closed") -> np.nda
 
     `method="quadrature"` evaluates E_Q[d_i log Q d_j log Q] directly.
     """
-    _check_method(method, ("closed", "quadrature"))
+    check_method(method)
     require_working_r(state.r, "husimi_classical_metric")
     r, th = state.r, state.theta
     if method == "quadrature":
@@ -176,10 +192,10 @@ def measurement_fisher(state: QubitState, povm) -> float:
     state only.  The integral runs over the family's grid: its own `spec`,
     split at its discontinuities.
     """
-    return _fisher_integral(povm.grid(), state)(state.r)
+    return fisher_integral(povm.grid(), state)(state.r)
 
 
-def _fisher_integral(g, state: QubitState):
+def fisher_integral(g, state: QubitState):
     """The Fisher integral over grid g's nodes as a function of r at the
     state's angles.  As rho = I/2 + r d_r rho, the outcome density is
     p = x11 + r B, B = tr(d_r rho Pi), and its phi-derivative r E, with

@@ -117,11 +117,10 @@ def _check_closed_vs_quadrature() -> CheckResult:
             d = derivatives.new_log_derivative(st, k, "quadrature") - \
                 derivatives.new_log_derivative(st, k, "closed")
             worst = max(worst, float(np.max(np.abs(d))))
-            d = derivatives.deviation_h(st, k, "definitional") - \
-                derivatives.deviation_h(st, k, "closed")
+            d = metrics.deviation_h_definitional(st, k) - derivatives.deviation_h(st, k)
             worst = max(worst, float(np.max(np.abs(d))))
         worst = max(worst, float(np.max(np.abs(
-            metrics.new_metric(st, "trace") - metrics.new_metric(st, "closed")))))
+            metrics.new_metric_trace(st) - metrics.new_metric(st)))))
         worst = max(worst, float(np.max(np.abs(
             metrics.husimi_classical_metric(st, "quadrature")
             - metrics.husimi_classical_metric(st, "closed")))))

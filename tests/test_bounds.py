@@ -403,6 +403,26 @@ def test_sweep_builds_one_grid_per_sweep(monkeypatch):
     assert len(calls) == 1
 
 
+def test_sweep_validates_its_fixed_inputs_once(monkeypatch):
+    # only r changes between rows: one context and one family per sweep
+    contexts, families = [], []
+    post_init = measurement.EstimationContext.__post_init__
+
+    def counted_post_init(self):
+        contexts.append(self)
+        post_init(self)
+
+    def counted_family(*args, **kwargs):
+        families.append(args)
+        return gaussian_sharp_family(*args, **kwargs)
+
+    monkeypatch.setattr(measurement.EstimationContext, "__post_init__", counted_post_init)
+    monkeypatch.setattr(bounds, "gaussian_sharp_family", counted_family)
+    rows = bounds_sweep(np.linspace(0.02, 0.98, 200))
+    assert all(row.error is None for row in rows)
+    assert (len(contexts), len(families)) == (1, 1)
+
+
 def _sweep_row_by_row(r_values, theta, phi, eps, sigma, spec):
     """bounds_sweep as one call of each public function per row, with the
     family rebuilt on every row.  The phase-space metric's range check runs
@@ -481,19 +501,22 @@ def test_sweep_rows_at_sin_theta_zero_name_it():
 
 def test_sweep_family_error_reaches_every_valid_row():
     # invalid states keep their own errors; every valid row, r = 0 included,
-    # carries the family's
+    # carries the one error of the sweep's fixed inputs
     r_values = [1.5, 0.5, math.nan, 0.0, 0.7, -0.1]
     state_errors = {
         0: "r must lie in [0, 1], got 1.5",
         2: "state parameters must be finite",
         5: "r must lie in [0, 1], got -0.1",
     }
-    for sigma, message in ((-1.0, "sigma must be positive"),
-                           (math.inf, "integrand is not finite at abscissa")):
-        rows = bounds_sweep(r_values, sigma=sigma)
+    for kwargs, message in (({"sigma": -1.0}, "sigma must be positive"),
+                            ({"sigma": math.inf}, "sigma = inf is too large"),
+                            ({"sigma": 1e308}, "sigma = 1e+308 is too large"),
+                            ({"eps": 1e300}, "eps = 1e+300 collapses the window"),
+                            ({"phi": PI / 2}, "construction angle has cos(phi) ~ 0")):
+        rows = bounds_sweep(r_values, **kwargs)
         assert all(math.isnan(row.B_max) for row in rows)
         for i, row in enumerate(rows):
-            assert row.error == state_errors.get(i, rows[1].error), (sigma, i)
+            assert row.error == state_errors.get(i, rows[1].error), (kwargs, i)
         assert rows[1].error.startswith(message)
 
 

@@ -17,6 +17,7 @@ from qbound.derivatives import (
     sld,
 )
 from qbound.measurement import EstimationContext, gaussian_sharp_family
+from qbound.metrics import deviation_h_definitional
 from qbound.qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 from conftest import PI, grid_36, h3_amplitude, k_coeff, k_tilde_coeff
@@ -222,7 +223,7 @@ def test_deviation_h_closed_vs_definitional():
     for r, th, ph in grid_36():
         s = QubitState(r, th, ph)
         for k in ParamIndex:
-            diff = deviation_h(s, k, "definitional") - deviation_h(s, k, "closed")
+            diff = deviation_h_definitional(s, k) - deviation_h(s, k)
             assert np.max(np.abs(diff)) <= 1e-8
 
 
@@ -233,7 +234,7 @@ def test_deviation_h_series_branch_matches_definitional():
         for th, ph in ((0.0, 0.4), (PI / 3, 2.0), (PI / 2, 3 * PI / 4)):
             s = QubitState(r, th, ph)
             for k in ParamIndex:
-                diff = deviation_h(s, k, "definitional") - deviation_h(s, k, "closed")
+                diff = deviation_h_definitional(s, k) - deviation_h(s, k)
                 assert np.max(np.abs(diff)) <= 1e-12, (r, th, k)
 
 

@@ -35,6 +35,8 @@ MODULES = (bounds, metrics, measurement, derivatives)
 # the keys a None is documented for: the Fisher entry where cos(phi) ~ 0, and
 # the error of a sweep row that succeeded
 NONE_KEYS = {"measurement_fisher_phiphi", "error"}
+# the functions that check their input and return None, or None where cos(phi) ~ 0
+NONE_RESULTS = {"require_working_r", "require_invertible", "check_method", "gaussian_inputs"}
 
 
 def _family(state, build=measurement.gaussian_sharp_family):
@@ -72,7 +74,12 @@ def edge_calls(tmp_path):
         "audit_derivation": lambda s, u: b.audit_derivation(*_family(s)),
         "bounds_sweep": lambda s, u: b.bounds_sweep([s.r], theta=s.theta, phi=s.phi),
         "metric_report": lambda s, u: b.metric_report(s),
-        "new_metric": lambda s, u: [m.new_metric(s, k) for k in ("closed", "trace")],
+        "new_metric": lambda s, u: m.new_metric(s),
+        "new_metric_trace": lambda s, u: m.new_metric_trace(s),
+        "deviation_h_definitional": lambda s, u: [
+            m.deviation_h_definitional(s, k) for k in ParamIndex],
+        "phiphi_entries": lambda s, u: m.phiphi_entries(s.r, math.sin(s.theta)),
+        "fisher_integral": lambda s, u: m.fisher_integral(_family(s)[1].grid(), s)(s.r),
         "sld_metric": lambda s, u: m.sld_metric(s),
         "sld_metric_trace": lambda s, u: m.sld_metric_trace(s),
         "rld_metric": lambda s, u: m.rld_metric(s),
@@ -91,9 +98,14 @@ def edge_calls(tmp_path):
         "validate_povm": lambda s, u: me.validate_povm(_family(s)[1], EstimationContext(s)),
         "outcome_distribution": lambda s, u: me.outcome_distribution(*_family(s)).pdf(u),
         "estimator_moments": lambda s, u: me.estimator_moments(*_family(s)),
+        "moment_integrals": lambda s, u: me.moment_integrals(_family(s)[1].grid(), s)(s.r),
+        "interior_scan": lambda s, u: me.interior_scan(_family(s)[1], EstimationContext(s)),
+        "gaussian_inputs": lambda s, u: me.gaussian_inputs(s.phi, 0.0, 3.0),
         "sample_outcomes": lambda s, u: me.sample_outcomes(
             me.outcome_distribution(*_family(s)), 64, seed=0),
         "require_working_r": lambda s, u: d.require_working_r(s.r),
+        "require_invertible": lambda s, u: d.require_invertible(s.r, "rho"),
+        "check_method": lambda s, u: d.check_method("quadrature"),
         "coeff_k": lambda s, u: d.coeff_k(s.r),
         "coeff_k_tilde": lambda s, u: d.coeff_k_tilde(s.r),
         "coeff_h3r": lambda s, u: d.coeff_h3r(s.r),
@@ -102,8 +114,7 @@ def edge_calls(tmp_path):
             for k in ParamIndex for meth in ("closed", "quadrature")],
         "sld": lambda s, u: [d.sld(s, k) for k in ParamIndex],
         "rld": lambda s, u: [d.rld(s, k) for k in ParamIndex],
-        "deviation_h": lambda s, u: [
-            d.deviation_h(s, k, meth) for k in ParamIndex for meth in ("closed", "definitional")],
+        "deviation_h": lambda s, u: [d.deviation_h(s, k) for k in ParamIndex],
     }
 
 
@@ -152,13 +163,16 @@ def test_public_functions_on_domain_edges(tmp_path, name):
                 result = call(state, state.phi + side)
             except DomainError:
                 continue
-        if result is None and name == "require_working_r":
+        if result is None and name in NONE_RESULTS:
             continue
         assert _bad_parts(result) == [], (state, side)
 
 
 # ------------------------------------------------- family width and window edges
 TINY_SIGMA = 1e-300  # sigma^2 underflows to 0
+# the Gaussian normalization overflows: to 0 where sigma sqrt(2 pi) does, to
+# nan where sigma sqrt(2) does too
+HUGE_SIGMAS = (1e308, 1.7e308, math.inf)
 HUGE_EPS = 1e300  # mu - pi, mu and mu + pi round to one float
 
 
@@ -178,6 +192,14 @@ def test_families_name_a_sigma_whose_square_underflows():
     # a profile narrower than every node spacing cannot be normalized
     with pytest.raises(DomainError, match=r"^sigma = 1e-06 is too small"):
         measurement.tapered_sharp_family(ctx, sigma=1e-6)
+    for sigma in HUGE_SIGMAS:
+        with pytest.raises(DomainError, match="^" + re.escape(f"sigma = {sigma!r} is too large")):
+            measurement.gaussian_sharp_family(ctx, sigma=sigma)
+    # the tapered profile is normalized by quadrature: a flat one is a valid family
+    assert measurement.validate_povm(measurement.tapered_sharp_family(ctx, sigma=math.inf), ctx).all_ok
+    # just below the overflow, the Gaussian is the flat 1/(2 pi) to rounding
+    flat = measurement.gaussian_sharp_family(ctx, sigma=7e307).grid().x11
+    assert np.max(np.abs(flat * 2.0 * PI - 1.0)) <= 1e-15
 
 
 def test_context_names_an_eps_that_collapses_the_window():
@@ -192,6 +214,7 @@ def test_context_names_an_eps_that_collapses_the_window():
 def test_width_and_window_errors_reach_reports_and_sweep_rows():
     state = QubitState(0.5, 1.0, 0.3)
     for kwargs, message in (({"sigma": TINY_SIGMA}, "sigma = 1e-300 is too small"),
+                            *(({"sigma": s}, f"sigma = {s!r} is too large") for s in HUGE_SIGMAS),
                             ({"eps": HUGE_EPS}, "eps = 1e+300 collapses the window")):
         # the Fisher entry is skipped at cos(phi) ~ 0, but the flags are still checked
         for phi in (0.3, PI / 2):
@@ -206,9 +229,12 @@ def test_width_and_window_errors_reach_reports_and_sweep_rows():
     ["bounds", "sweep", "--steps", "2"],
     ["simulate", "--r", "0.5", "--samples", "10"],
     ["audit", "--r", "0.5"],
+    ["povm", "validate", "--r", "0.5"],
 ], ids=" ".join)
 def test_cli_exits_1_naming_the_width_or_window(argv, capsys):
     for flags, message in ((["--sigma", "1e-300"], "sigma = 1e-300 is too small"),
+                           (["--sigma", "1.7e308"], "sigma = 1.7e+308 is too large"),
+                           (["--sigma", "inf"], "sigma = inf is too large"),
                            (["--eps", "1e300"], "eps = 1e+300 collapses the window")):
         code, captured = _cli(argv + flags, capsys)
         assert code == 1, flags

@@ -230,3 +230,33 @@ def test_every_private_definition_is_used_outside_itself():
         if not reads.get(name, set()) - {(stem, id(top))}
     )
     assert unused == []
+
+
+# quadrature shares its non-finite check, weighted sum and sphere rule with
+# the modules that integrate; every other name crossing a module line is public
+SHARED_PRIVATE = {"quadrature._check_finite", "quadrature._weighted_sum",
+                  "quadrature._omega", "quadrature._sphere_nodes"}
+
+
+def private_imports(path):
+    """`module._name` for every private name a module imports from a sibling,
+    or reads as an attribute of a sibling it imports whole."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import a, b
+                siblings.update(alias.asname or alias.name for alias in node.names)
+            else:
+                yield from (f"{node.module}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            yield f"{node.value.id}.{node.attr}"
+
+
+def test_modules_meet_at_public_names():
+    crossing = sorted(f"{path.stem} <- {name}" for path in MODULES
+                      for name in private_imports(path) if name not in SHARED_PRIVATE)
+    assert crossing == []

@@ -13,11 +13,12 @@ from qbound.derivatives import R_MAX, R_MIN, new_log_derivative
 from qbound.measurement import EstimationContext, gaussian_sharp_family, tapered_sharp_family
 from qbound.metrics import (
     MONOTONE_SPECS,
-    _fisher_integral,
+    fisher_integral,
     husimi_classical_metric,
     measurement_fisher,
     monotone_metric,
     new_metric,
+    new_metric_trace,
     rld_metric,
     sld_metric,
     sld_metric_trace,
@@ -39,13 +40,13 @@ def test_new_metric_phiphi_reference_point():
 def test_new_metric_trace_equals_closed():
     for r, th, ph in grid_36():
         s = QubitState(r, th, ph)
-        diff = new_metric(s, "trace") - new_metric(s, "closed")
+        diff = new_metric_trace(s) - new_metric(s)
         assert np.max(np.abs(diff)) <= 1e-8
 
 
 def test_new_metric_off_diagonals_vanish():
     for r, th, ph in grid_36():
-        g = new_metric(QubitState(r, th, ph), "trace")
+        g = new_metric_trace(QubitState(r, th, ph))
         off = g - np.diag(np.diag(g))
         assert np.max(np.abs(off)) <= 1e-10
 
@@ -64,7 +65,7 @@ def test_new_metric_phiphi_limit():
 def test_metrics_positive_semidefinite():
     for r, th, ph in grid_36():
         s = QubitState(r, th, ph)
-        for g in (new_metric(s, "trace"), sld_metric(s), rld_metric(s),
+        for g in (new_metric_trace(s), sld_metric(s), rld_metric(s),
                   husimi_classical_metric(s, "quadrature")):
             assert np.max(np.abs(g - g.T)) <= 1e-12
             assert np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) >= -1e-10
@@ -332,7 +333,7 @@ def test_fisher_integral_equals_the_masked_integral_bit_for_bit():
         r = state.r
         for g in (fam.grid(), _with_vanishing_elements(fam.grid())):
             b, e = _affine_parts(g, state)
-            assert _fisher_integral(g, state)(r) == r * r * _masked_fisher(g, g.x11 + r * b, e)
+            assert fisher_integral(g, state)(r) == r * r * _masked_fisher(g, g.x11 + r * b, e)
 
 
 def _with_vanishing_elements(g):
@@ -353,7 +354,7 @@ def test_fisher_integral_matches_the_trace_of_rho_and_its_derivative():
         g = tapered_sharp_family(EstimationContext(state, eps=0.2), **kwargs).grid()
         p, dp = g.trace(density_matrix(state)), g.trace(d_rho(state, ParamIndex.PHI))
         want = _masked_fisher(g, p, dp)
-        assert abs(_fisher_integral(g, state)(state.r) - want) <= 1e-14 * want
+        assert abs(fisher_integral(g, state)(state.r) - want) <= 1e-14 * want
 
 
 def test_fisher_integral_names_where_the_density_vanishes():
@@ -367,7 +368,7 @@ def test_fisher_integral_names_where_the_density_vanishes():
     bad = dataclasses.replace(g, x11=x11)
     assert bad.x11[40] + state.r * b[40] == 0.0 and e[40] != 0.0
     with pytest.raises(DomainError, match=f"^outcome density vanishes at phi_hat = {re.escape(repr(float(g.x[40])))}$"):
-        _fisher_integral(bad, state)(state.r)
+        fisher_integral(bad, state)(state.r)
 
 
 # ---------------------------------------------------------------- metric report
