@@ -77,6 +77,7 @@ from .metrics import (
     monotone_metric,
     new_metric,
     phiphi_entries,
+    require_braunstein_caves,
     rld_metric,
     sld_metric,
 )
@@ -310,7 +311,8 @@ def bounds_sweep(
     phi) is valid reports it.  Per row, with no matrix built: the state's
     checks, the four phi-phi entries of `metrics.phiphi_entries` (whose range
     check names r = 1), a, b and v as scalar arithmetic, and one node pass
-    for Fisher; each cell is bit for bit what the single-state functions give.
+    for Fisher, which must pass `require_braunstein_caves`; each cell is bit
+    for bit what the single-state functions give.
     """
     try:
         # every fixed-input integral reads the state's angles, never its r
@@ -338,6 +340,7 @@ def bounds_sweep(
                 )
             a, b, _, variance = integrals(r)
             fisher = fisher_of(r)
+            require_braunstein_caves(fisher, g_sld)
             h3 = coeff_h3r(r)
             c_max = _squared_bracket(a + b, h3, st, I1 - I2)
             c = _squared_bracket(a + b, h3, st, offdiag)
@@ -363,8 +366,8 @@ def metric_report(
     The measurement-Fisher entry uses the Gaussian sharp family at the
     state's azimuth, with `spec` as the family's rule; it is omitted (None)
     when cos(phi) ~ 0, where that construction is undefined.  A bad sigma or
-    eps raises at every phi, and so does any other error of the family or
-    the integral.
+    eps raises at every phi, and so does any other error of the family, the
+    integral or `require_braunstein_caves` on the entry.
     """
     fisher = None
     if gaussian_inputs(state.phi, eps, sigma) is not None:
@@ -382,4 +385,6 @@ def metric_report(
     for name, f in MONOTONE_SPECS.items():
         out[f"monotone_{name}"] = list(monotone_metric(f, state.r))
     out["measurement_fisher_phiphi"] = fisher
+    if fisher is not None:
+        require_braunstein_caves(fisher, out["sld_metric"][2][2])
     return out

@@ -18,11 +18,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
-from .bounds import audit_derivation, bounds_sweep, metric_report
+from .bounds import SweepRow, audit_derivation, bounds_sweep, metric_report
 from .measurement import (
     EstimationContext,
     estimator_moments,
@@ -40,7 +40,6 @@ EXIT_DOMAIN = 1
 EXIT_IO = 4
 EXIT_SELFTEST = 3
 
-_SWEEP_COLUMNS = ("r", "B_max", "B_SLD", "B_RLD", "B_Fisher", "B_Husimi", "v", "vg_minus_C")
 _SERIES_COLORS = {
     "B_max": "#c0392b",
     "B_SLD": "#2980b9",
@@ -51,29 +50,24 @@ _SERIES_COLORS = {
 
 
 def fmt(x) -> str:
-    """12-significant-digit, locale-independent rendering of one cell."""
+    """One cell, locale-independent: None as empty, a bool as true or false,
+    a list, tuple or array as its cells joined by ';', an int or a str as
+    written, and any other number to 12 significant digits."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return ";".join(fmt(v) for v in np.asarray(x).ravel())
+    if isinstance(x, (int, str)):
+        return str(x)
     return f"{float(x):.11e}"
-
-
-def _render_value(value):
-    if value is None:
-        return ""
-    if isinstance(value, (bool, float)):
-        return fmt(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        flat = np.asarray(value).ravel()
-        return ";".join(fmt(v) for v in flat)
-    return str(value)
 
 
 def dict_to_csv(data: dict) -> str:
     lines = ["quantity,value"]
     for key, value in data.items():
-        lines.append(f"{key},{_render_value(value)}")
+        lines.append(f"{key},{fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -117,11 +111,9 @@ def sweep_svg(rows, log_y: bool = False) -> str:
     if not ok_rows:
         raise ValueError("no successful sweep rows to plot")
     xs = [row.r for row in ok_rows]
-    values = []
-    for name in _SERIES_COLORS:
-        values.extend(getattr(row, name) for row in ok_rows)
-    if log_y:
-        values = [math.log10(v) for v in values if v > 0]
+    scale = math.log10 if log_y else float
+    series = {name: [scale(getattr(row, name)) for row in ok_rows] for name in _SERIES_COLORS}
+    values = [y for ys in series.values() for y in ys]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(values), max(values)
     span_x = hi_x - lo_x or 1.0
@@ -162,11 +154,7 @@ def sweep_svg(rows, log_y: bool = False) -> str:
         'font-size="13">r</text>'
     )
     for idx, (name, color) in enumerate(_SERIES_COLORS.items()):
-        pts = []
-        for row in ok_rows:
-            val = getattr(row, name)
-            yv = math.log10(val) if log_y else val
-            pts.append(f"{px(row.r):.2f},{py(yv):.2f}")
+        pts = [f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, series[name])]
         parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
             'stroke-width="2"/>'
@@ -350,7 +338,8 @@ def _cmd_bounds_sweep(args) -> int:
     if args.format == "json":
         _emit(args, {"rows": table})
     else:
-        _emit(args, csv_text=rows_to_csv(_SWEEP_COLUMNS, table))
+        columns = [f.name for f in fields(SweepRow) if f.name != "error"]
+        _emit(args, csv_text=rows_to_csv(columns, table))
     if args.svg:
         write_output(sweep_svg(rows, log_y=args.log_y), args.svg)
     failed = [row for row in rows if row.error is not None]

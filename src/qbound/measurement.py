@@ -229,17 +229,16 @@ def _eigenvalues(x11, x12, y12) -> tuple[np.ndarray, np.ndarray]:
     return a - root, a + root
 
 
-def _sharp_family(ctx: EstimationContext, x11, d_profile, scale: float, label: str) -> PovmFamily:
-    """Sharp construction on the diagonal profile x11: the off-diagonals are
-    scale * (sin, cos)(phi) * x11 * sgn(mu - phi_hat), and d_profile(u, p) the
-    profile's total parameter derivative at u, p = x11(u)."""
+def _sharp_family(ctx: EstimationContext, profile, scale: float, label: str) -> PovmFamily:
+    """Sharp construction on a diagonal profile: profile(v), v = phi_hat - mu,
+    returns x11 and its total parameter derivative; the off-diagonals are
+    scale * (sin, cos)(phi) * x11 * sgn(mu - phi_hat)."""
     mu = ctx.center
     sin_c, cos_c = math.sin(ctx.state.phi), math.cos(ctx.state.phi)
 
     def elements(u):
         u = np.asarray(u, dtype=float)
-        p, s = x11(u), np.sign(mu - u)
-        dp = d_profile(u, p)
+        (p, dp), s = profile(u - mu), np.sign(mu - u)
         return (p, scale * sin_c * p * s, scale * cos_c * p * s, dp,
                 scale * (cos_c * p + sin_c * dp) * s, scale * (-sin_c * p + cos_c * dp) * s)
 
@@ -249,16 +248,13 @@ def _sharp_family(ctx: EstimationContext, x11, d_profile, scale: float, label: s
 def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFamily:
     """The saturating Gaussian family (default sigma = 3)."""
     inv_s2, norm = gaussian_inputs(ctx.state.phi, ctx.eps, sigma)
-    mu = ctx.center
 
     @np.errstate(over="ignore")  # the exponent may overflow to -inf; exp(-inf) = 0 is exact
-    def x11(u):
-        return norm * np.exp(-0.5 * (u - mu) ** 2 * inv_s2)
+    def profile(v):
+        p = norm * np.exp(-0.5 * v ** 2 * inv_s2)
+        return p, p * v * inv_s2
 
-    def d_profile(u, p):
-        return p * (u - mu) * inv_s2
-
-    return _sharp_family(ctx, x11, d_profile, 1.0, f"gaussian-sharp(sigma={sigma:g})")
+    return _sharp_family(ctx, profile, 1.0, f"gaussian-sharp(sigma={sigma:g})")
 
 
 def tapered_sharp_family(
@@ -273,43 +269,33 @@ def tapered_sharp_family(
     renormalized; the off-diagonals follow the sharp construction scaled by
     |offdiag_scale| <= 1, so the small eigenvalue is (1 - |scale|) x11 >= 0.
     Because the elements vanish at the edges, the moving-window boundary term
-    vanishes for this family.
+    vanishes for this family.  Its profile callable evaluates the exponential
+    and the cosine once for x11 and its derivative, and is normalized by
+    integrating its x11.
     """
     inv_s2 = _inv_square(sigma)
     if not (math.isfinite(taper_power) and taper_power >= 1 and taper_power == int(taper_power)):
         raise DomainError("taper_power must be an integer >= 1")
     if not abs(offdiag_scale) <= 1.0:
         raise DomainError("|offdiag_scale| must be <= 1 to keep the POVM positive")
-    mu = ctx.center
     k = int(taper_power)
+    norm = 1.0  # read at each call: 1 while the profile is normalized
 
-    # profile as a function of u = phi_hat - mu; the exponent may overflow
-    # to -inf, and exp(-inf) = 0 is exact
+    # the exponent may overflow to -inf, and exp(-inf) = 0 is exact
     @np.errstate(over="ignore")
-    def shape(u):
-        return np.exp(-0.5 * u * u * inv_s2) * np.cos(0.5 * u) ** (2 * k)
+    def profile(v):
+        e, cos_half = np.exp(-0.5 * v * v * inv_s2), np.cos(0.5 * v)
+        slope = -v * inv_s2 * cos_half ** (2 * k) - k * cos_half ** (2 * k - 1) * np.sin(0.5 * v)
+        return norm * (e * cos_half ** (2 * k)), -norm * (e * slope)
 
-    @np.errstate(over="ignore")
-    def shape_prime(u):
-        cos_half = np.cos(0.5 * u)
-        return np.exp(-0.5 * u * u * inv_s2) * (
-            -u * inv_s2 * cos_half ** (2 * k)
-            - k * cos_half ** (2 * k - 1) * np.sin(0.5 * u)
-        )
-
-    total = integrate_1d(shape, -math.pi, math.pi)
+    # the slope, unused here, reads 0 * inf where v / sigma^2 overflows too
+    with np.errstate(invalid="ignore"):
+        total = integrate_1d(lambda v: profile(v)[0], -math.pi, math.pi)
     if not total > 0:
         raise DomainError(f"sigma = {sigma!r} is too small: the profile vanishes at every node")
     norm = 1.0 / total
-
-    def x11(u):
-        return norm * shape(u - mu)
-
-    def d_profile(u, p):
-        return -norm * shape_prime(u - mu)
-
     return _sharp_family(
-        ctx, x11, d_profile, offdiag_scale,
+        ctx, profile, offdiag_scale,
         f"tapered-sharp(sigma={sigma:g},k={k},scale={offdiag_scale:g})",
     )
 

@@ -195,6 +195,14 @@ def measurement_fisher(state: QubitState, povm) -> float:
     return fisher_integral(povm.grid(), state)(state.r)
 
 
+def require_braunstein_caves(fisher: float, sld: float) -> None:
+    """Braunstein & Caves (1994): a measurement's Fisher entry is at most the SLD
+    entry, so an excess over 1e-9 relative is a quadrature error: DomainError."""
+    if not fisher <= sld + 1e-9 * abs(sld):
+        raise DomainError(f"Braunstein-Caves fails: the measured Fisher entry {fisher!r} exceeds the "
+                          f"SLD entry {sld!r} by {(fisher - sld) / sld if sld else math.inf:.3e} relative")
+
+
 def fisher_integral(g, state: QubitState):
     """The Fisher integral over grid g's nodes as a function of r at the
     state's angles.  As rho = I/2 + r d_r rho, the outcome density is

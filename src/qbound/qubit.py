@@ -69,8 +69,9 @@ class QubitState:
 
     def __post_init__(self):
         r, theta, phi = float(self.r), float(self.theta), float(self.phi)
-        if not (math.isfinite(r) and math.isfinite(theta) and math.isfinite(phi)):
-            raise DomainError("state parameters must be finite")
+        for name, value in (("r", r), ("theta", theta), ("phi", phi)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"r must lie in [0, 1], got {r}")
         if not 0.0 <= theta <= math.pi:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -24,7 +25,7 @@ from qbound.measurement import (
     tapered_sharp_family,
     validate_povm,
 )
-from qbound.derivatives import R_MAX, R_MIN
+from qbound.derivatives import R_MAX, R_MIN, coeff_k
 from qbound.metrics import (
     husimi_classical_metric,
     measurement_fisher,
@@ -188,6 +189,60 @@ def test_cmax_breakdown_serializes():
     assert list(data) == ["a", "b", "c", "I1", "I2", "h3r", "C", "C_max",
                           "sign_conditions_ok", "c_nonneg"]
     json.dumps(data)
+
+
+# ------------------------------------------------------- the bias decomposition
+# B_max = C_max / g_new splits as (dm + (a + beta) / sqrt(kappa))^2 / g_SLD, with
+# dm = r sin(theta) (I2 - I1) the slope of E[phi_hat] in phi, beta = b - dm
+# the moving-window boundary term, and sqrt(kappa) = 3K/(4 r^3) = 1 + 2 h3/r
+# the square root of g_new / g_SLD; for a = 0 and beta = 0 the paper's bound is
+# the SLD Cramer-Rao bound dm^2 / g_SLD of an estimator with this bias.
+def _bias_parts(ctx, family):
+    """(bound_Cmax's dict, dm, beta, sqrt(kappa)) of family at ctx."""
+    breakdown = bound_Cmax(ctx, family)
+    r, st = ctx.state.r, math.sin(ctx.state.theta)
+    dm = r * st * (breakdown["I2"] - breakdown["I1"])
+    return breakdown, dm, breakdown["b"] - dm, 3.0 * coeff_k(r) / (4.0 * r ** 3)
+
+
+def test_maximized_bound_is_the_bias_decomposition():
+    rng = np.random.default_rng(20261020)
+    builds = (lambda ctx, sigma: gaussian_sharp_family(ctx, sigma=sigma),
+              lambda ctx, sigma: tapered_sharp_family(ctx, sigma=sigma, taper_power=2),
+              lambda ctx, sigma: tapered_sharp_family(ctx, sigma=sigma, offdiag_scale=-0.6))
+    for case in range(300):
+        # r log-spaced toward both edges of the working range
+        t = 10.0 ** rng.uniform(math.log10(R_MIN), math.log10(0.5))
+        r = min(max(t if case % 2 else 1.0 - t, R_MIN), R_MAX)
+        theta = rng.uniform(0.2, PI - 0.2)
+        phi = rng.uniform(-1.3, 1.3) + PI * rng.integers(2)
+        eps, sigma = rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(math.log10(0.3), math.log10(20.0))
+        state = QubitState(r, theta, phi)
+        ctx = EstimationContext(state, eps=eps)
+        breakdown, dm, beta, sqrt_kappa = _bias_parts(ctx, builds[case % 3](ctx, sigma))
+        a = breakdown["a"]
+        b_max = breakdown["C_max"] / new_metric(state)[2, 2]
+        decomposed = (dm + (a + beta) / sqrt_kappa) ** 2 / sld_metric(state)[2, 2]
+        assert abs(b_max - decomposed) <= 1e-12 * b_max, (case, b_max, decomposed)
+        assert abs(sqrt_kappa - (1.0 + 2.0 * breakdown["h3r"] / r)) <= 1e-12 * sqrt_kappa, case
+        assert abs(a) <= 1e-14, (case, a)
+
+
+@pytest.mark.parametrize("build", [gaussian_sharp_family, tapered_sharp_family,
+                                   lambda ctx: tapered_sharp_family(ctx, taper_power=3)],
+                         ids=("gaussian", "tapered", "tapered-k3"))
+@pytest.mark.parametrize("r", [0.3, 1e-3])
+def test_bias_slope_is_the_phi_derivative_of_the_mean(build, r):
+    # with the family held fixed, at offdiag_scale = 1 only: at scale s the
+    # difference quotient reads s dm at eps = 0
+    h, phi = 1e-4, 2.0
+    for theta, eps in itertools.product((1.0, PI / 2, 2.5), (0.0, 0.3)):
+        ctx = EstimationContext(QubitState(r, theta, phi), eps=eps)
+        family = build(ctx)
+        mean_plus, mean_minus = (estimator_moments(EstimationContext(QubitState(r, theta, phi + d)),
+                                                   family)[0] for d in (h, -h))
+        dm = _bias_parts(ctx, family)[1]
+        assert abs((mean_plus - mean_minus) / (2.0 * h) - dm) <= 2e-8 * abs(dm), (theta, eps)
 
 
 # ----------------------------------------------------------- general theorem
@@ -482,7 +537,7 @@ def test_sweep_rows_outside_the_working_range_name_it():
         working + "0.9999999",
         working + "1.0",
         "r must lie in [0, 1], got 1.5",
-        "state parameters must be finite",
+        "r must be finite, got nan",
     ]
 
 
@@ -505,7 +560,7 @@ def test_sweep_family_error_reaches_every_valid_row():
     r_values = [1.5, 0.5, math.nan, 0.0, 0.7, -0.1]
     state_errors = {
         0: "r must lie in [0, 1], got 1.5",
-        2: "state parameters must be finite",
+        2: "r must be finite, got nan",
         5: "r must lie in [0, 1], got -0.1",
     }
     for kwargs, message in (({"sigma": -1.0}, "sigma must be positive"),

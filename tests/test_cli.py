@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -7,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbound import cli
 from qbound.bounds import audit_derivation
@@ -480,3 +483,88 @@ def test_cli_output_bytes_are_pinned(argv, capsys, monkeypatch):
     assert run(list(argv)) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[argv]
+
+
+# sha256 of the --svg chart of the default 9-row sweep, linear and log-scaled,
+# recorded with numpy 2.4 on x86-64 before each series was built once for
+# both its y range and its polyline.
+SVG_SHA256 = {
+    (): "9e75de80eb4916469c4682b4feb7e3a6a14470df1ac77ff3e1c40688186d6bdb",
+    ("--log-y",): "8666aa93b43c1f1f7abcb148c4fa9577e14ba8f7f97985a8fd87bcb1e39eff56",
+}
+
+
+@pytest.mark.parametrize("flags", SVG_SHA256, ids=lambda flags: " ".join(flags) or "linear")
+def test_sweep_chart_bytes_are_pinned(flags, tmp_path, capsys):
+    svg = tmp_path / "sweep.svg"
+    assert run(["bounds", "sweep", "--steps", "9", "--svg", str(svg), *flags]) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == SVG_SHA256[flags]
+
+
+# ------------------------------------------ one run as flags, as a config file, or split
+_ANGLES = {"theta": st.floats(0.1, PI - 0.1),
+           "phi": st.floats(-3.0, 3.0).filter(lambda p: abs(math.cos(p)) > 1e-3)}
+_COMMON = {"eps": st.floats(-0.5, 0.5), "sigma": st.floats(0.3, 10.0), "panels": st.integers(1, 16),
+           "order": st.integers(2, 12), "format": st.sampled_from(("csv", "json"))}
+_STATE = {"r": st.floats(0.05, 0.95), **_ANGLES, **_COMMON}
+# each leaf command's value flags but --out, --svg and --config, with valid values
+VALUE_FLAGS = {
+    ("metrics",): _STATE,
+    ("povm", "validate"): {**_STATE, "csv": st.just("table.csv")},
+    ("bounds", "sweep"): {"r-min": st.floats(0.05, 0.5), "r-max": st.floats(0.5, 0.95),
+                          "steps": st.integers(1, 4), **_ANGLES, **_COMMON},
+    ("audit",): _STATE,
+    ("simulate",): {**_STATE, "samples": st.integers(0, 300), "seed": st.integers(0, 2 ** 32)},
+}
+
+
+def _captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def three_ways_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("three_ways")
+    ctx = EstimationContext(QubitState(0.5, 1.0, 0.3))
+    family = gaussian_sharp_family(ctx)
+    x = np.linspace(*family.window, 33)
+    rows = zip(x, *(np.asarray(e) for e in family.elements(x)[:3]))
+    (path / "table.csv").write_text(
+        "\n".join(["phi_hat,x11,x12,y12", *(",".join(map(repr, map(float, row))) for row in rows)])
+        + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", VALUE_FLAGS, ids=" ".join)
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flags_config_file_and_their_split_print_the_same(command, three_ways_dir, data):
+    strategies = VALUE_FLAGS[command]
+    names = data.draw(st.lists(st.sampled_from(sorted(strategies)), unique=True), label="flags")
+    if "r" in strategies and "r" not in names:
+        names.append("r")
+    if "csv" in names:  # a table carries its own window
+        names = [n for n in names if n not in ("eps", "sigma")]
+    values = {n: data.draw(strategies[n], label=n) for n in names}
+    values = {n: str(three_ways_dir / v) if n == "csv" else repr(v) if isinstance(v, float) else str(v)
+              for n, v in values.items()}
+    as_flags = data.draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)),
+                         label="as flags")
+    config = three_ways_dir / "run.cfg"
+
+    def run_with(flag_names):
+        # one token per flag: argparse takes a separate "-1e-05" for a flag name
+        flags = [f"--{n}={values[n]}" for n in flag_names]
+        config.write_text("".join(f"{n} = {values[n]}\n" for n in names if n not in flag_names),
+                          encoding="utf-8")
+        return _captured_main([*command, *flags, "--config", str(config)])
+
+    first = run_with(names)
+    assert run_with(names) == first
+    assert run_with([]) == first
+    assert run_with([n for n, f in zip(names, as_flags) if f]) == first

@@ -36,7 +36,8 @@ MODULES = (bounds, metrics, measurement, derivatives)
 # the error of a sweep row that succeeded
 NONE_KEYS = {"measurement_fisher_phiphi", "error"}
 # the functions that check their input and return None, or None where cos(phi) ~ 0
-NONE_RESULTS = {"require_working_r", "require_invertible", "check_method", "gaussian_inputs"}
+NONE_RESULTS = {"require_working_r", "require_invertible", "check_method", "gaussian_inputs",
+                "require_braunstein_caves"}
 
 
 def _family(state, build=measurement.gaussian_sharp_family):
@@ -80,6 +81,8 @@ def edge_calls(tmp_path):
             m.deviation_h_definitional(s, k) for k in ParamIndex],
         "phiphi_entries": lambda s, u: m.phiphi_entries(s.r, math.sin(s.theta)),
         "fisher_integral": lambda s, u: m.fisher_integral(_family(s)[1].grid(), s)(s.r),
+        "require_braunstein_caves": lambda s, u: m.require_braunstein_caves(
+            m.measurement_fisher(s, _family(s)[1]), float(m.sld_metric(s)[2, 2])),
         "sld_metric": lambda s, u: m.sld_metric(s),
         "sld_metric_trace": lambda s, u: m.sld_metric_trace(s),
         "rld_metric": lambda s, u: m.rld_metric(s),
@@ -269,19 +272,31 @@ def test_fisher_entry_on_the_z_axis_stays_zero():
     assert report["measurement_fisher_phiphi"] == 0.0
 
 
+# the Fisher entry outgrows the SLD entry: at sigma = 1e-3 the default rule
+# is too coarse for the profile, and reads 5.4e-3 above it at every r
+OVER_SLD_SIGMA = 1e-3
+BRAUNSTEIN_CAVES = (r"Braunstein-Caves fails: the measured Fisher entry \S+ exceeds "
+                    r"the SLD entry \S+ by 5\.433e-03 relative")
+
+
 @pytest.mark.parametrize("argv", [
     ["metrics", "--r", "0.5"],
     ["bounds", "sweep", "--steps", "2"],
 ], ids=" ".join)
 def test_cli_exits_1_where_the_density_vanishes_at_every_node(argv, capsys):
-    code, captured = _cli(argv + ["--sigma", repr(NARROW_SIGMA)], capsys)
-    assert code == 1
-    lines = captured.err.splitlines()
-    if argv[0] == "bounds":
-        assert [line.split(": ", 1)[1] for line in lines] == [EVERY_NODE] * 2
-    else:
-        assert lines == [f"qbound: {EVERY_NODE}"]
-        assert captured.out == ""
+    # each message pattern must match a whole line
+    for sigma, pattern in ((NARROW_SIGMA, re.escape(EVERY_NODE)), (OVER_SLD_SIGMA, BRAUNSTEIN_CAVES)):
+        code, captured = _cli(argv + ["--sigma", repr(sigma)], capsys)
+        assert code == 1
+        lines = captured.err.splitlines()
+        if argv[0] == "bounds":
+            prefixes = ["row r=0.1 failed: ", "row r=0.9 failed: "]
+        else:
+            prefixes = ["qbound: "]
+            assert captured.out == ""
+        assert len(lines) == len(prefixes), lines
+        for prefix, line in zip(prefixes, lines):
+            assert re.fullmatch(re.escape(prefix) + pattern, line), line
 
 
 # ------------------------------------------- a Gaussian exponent past the float range

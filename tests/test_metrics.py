@@ -19,6 +19,7 @@ from qbound.metrics import (
     monotone_metric,
     new_metric,
     new_metric_trace,
+    require_braunstein_caves,
     rld_metric,
     sld_metric,
     sld_metric_trace,
@@ -213,6 +214,15 @@ def test_proven_orderings_hold_on_the_default_rule(r, theta, phi, eps, sigma):
     sld, kubo_mori, rld = (monotone_metric(MONOTONE_SPECS[k], r)[1]
                            for k in ("SLD", "KuboMori", "RLD"))
     assert at_most(sld, kubo_mori) and at_most(kubo_mori, rld)
+
+
+def test_braunstein_caves_check_passes_rounding_and_names_an_excess():
+    for fisher, sld in ((0.25, 0.25), (0.25 * (1.0 + 1e-10), 0.25), (0.1, 0.25), (0.0, 0.0)):
+        assert require_braunstein_caves(fisher, sld) is None
+    for fisher, sld, excess in ((0.25 * (1.0 + 1e-6), 0.25, "1.000e-06"), (1e-300, 0.0, "inf"),
+                                (math.nan, 0.25, "nan")):
+        with pytest.raises(DomainError, match=rf"^Braunstein-Caves fails: .* by {excess} relative$"):
+            require_braunstein_caves(fisher, sld)
 
 
 def test_kubo_mori_removable_singularity():

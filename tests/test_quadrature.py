@@ -9,7 +9,12 @@ from numpy.polynomial.legendre import leggauss
 
 from qbound import quadrature
 from qbound.derivatives import R_MAX, new_log_derivative
-from qbound.measurement import FamilyGrid
+from qbound.measurement import (
+    EstimationContext,
+    FamilyGrid,
+    gaussian_sharp_family,
+    tapered_sharp_family,
+)
 from qbound.metrics import husimi_classical_metric
 from qbound.phasespace import husimi, husimi_partial, sw_kernel
 from qbound.quadrature import (
@@ -389,3 +394,30 @@ def test_sphere_rule_outputs_are_pinned():
         for value in outputs:
             digest.update(np.asarray(value, dtype=complex).tobytes())
     assert digest.hexdigest() == SPHERE_PIN
+
+
+# sha256 over the six element arrays at chosen abscissae and over every grid
+# array of Gaussian and tapered sharp families at two contexts, one with
+# eps != 0, recorded with numpy 2.4 on x86-64 before each family's profile
+# and its derivative became one function.  The abscissae take in mu and both
+# window edges, where the sharp families jump and the tapered ones vanish.
+FAMILY_PIN = "6a13ad31f26faf29e14f089ff0972265f0b1c74bca53ed2ff3239e473a38554a"
+
+
+def test_family_element_and_grid_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for ctx in (EstimationContext(QubitState(0.5, 1.0, 0.3)),
+                EstimationContext(QubitState(0.8, 2.0, 3 * PI / 4), eps=0.25)):
+        families = [gaussian_sharp_family(ctx, sigma=s) for s in (0.05, 3.0, 100.0)]
+        families += [tapered_sharp_family(ctx, sigma=s, taper_power=k, offdiag_scale=scale)
+                     for k in (1, 3) for scale in (1.0, -0.6) for s in (1.0, math.inf)]
+        for family in families:
+            lo, hi = family.window
+            mu = family.center
+            u = np.concatenate([np.linspace(lo, hi, 97), [mu, mu - 1e-9, mu + 1e-9, lo, hi]])
+            grid = family.grid()
+            for value in (*family.elements(u), grid.x, grid.w,
+                          *(getattr(grid, name) for name in ("x11", "x12", "y12",
+                                                              "d_x11", "d_x12", "d_y12"))):
+                digest.update(np.asarray(value, dtype=float).tobytes())
+    assert digest.hexdigest() == FAMILY_PIN

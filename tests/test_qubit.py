@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,8 +70,12 @@ def test_state_validation():
         QubitState(1.1, 1.0, 0.0)
     with pytest.raises(DomainError):
         QubitState(0.5, -0.2, 0.0)
-    with pytest.raises(DomainError):
-        QubitState(0.5, math.nan, 0.0)
+    # the first non-finite parameter is named, ahead of the range checks
+    for args, message in (((0.5, math.nan, 0.0), "theta must be finite, got nan"),
+                          ((math.nan, math.inf, 0.0), "r must be finite, got nan"),
+                          ((2.0, 1.0, -math.inf), "phi must be finite, got -inf")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            QubitState(*args)
     # azimuth wraps
     assert abs(QubitState(0.5, 1.0, 2 * PI + 0.3).phi - 0.3) <= 1e-12
 
