@@ -300,9 +300,10 @@ def bounds_sweep(
     phase-space metric, the inverse phi-phi components of the SLD, RLD,
     measurement-Fisher and Husimi metrics, the estimator variance, and the
     signed slack v*g - C.  Failed rows are marked and the sweep continues;
-    where sin(theta) == 0.0 the phi-phi entries vanish and every row in the
-    working range fails.  Only that exact zero fails a row: the float nearest
-    pi has sin = 1.2e-16, and its huge bounds are the true ones for that input.
+    a row fails where one of its five phi-phi entries is 0.0, as where
+    sin(theta) == 0.0 or r^2 sin(theta)^2 underflows.  Only that exact zero
+    fails a row: the float nearest pi has sin = 1.2e-16, and its huge bounds
+    are the true ones for that input.
 
     Once per sweep, before any row, the fixed inputs: one context at
     (theta, phi, eps), the family (`spec` becomes its rule), its grid, I1, I2,
@@ -334,12 +335,11 @@ def bounds_sweep(
                 rows.append(SweepRow(r=r, error=fixed_error))
                 continue
             g, g_sld, g_rld, g_husimi = phiphi_entries(r, st)
-            if st == 0.0:
-                raise DomainError(
-                    "sin(theta) = 0: the phi-phi metric entries vanish, so the phi bounds are undefined"
-                )
             a, b, _, variance = integrals(r)
             fisher = fisher_of(r)
+            if 0.0 in (g, g_sld, g_rld, g_husimi, fisher):
+                raise DomainError("the phi-phi entries vanish: r^2 sin(theta)^2 is 0.0 in floating "
+                                  "point, so the phi bounds are undefined")
             require_braunstein_caves(fisher, g_sld)
             h3 = coeff_h3r(r)
             c_max = _squared_bracket(a + b, h3, st, I1 - I2)

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -189,8 +190,16 @@ def _add_common_args(parser):
     parser.add_argument("--config", default=None, help="key=value config file; flags win")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-1e-05" as a value, not a flag; each subparser is built with type(self)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qbound", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="qbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("metrics", help="metric report at one state point")
@@ -215,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r-max", type=float, default=0.9)
     s.add_argument("--steps", type=int, default=9)
     s.add_argument("--theta", type=float, default=math.pi / 2,
-                   help="polar angle, radians; rows fail only where sin(theta) == 0.0")
+                   help="polar angle, radians; rows fail only where r^2 sin(theta)^2 is 0.0")
     s.add_argument("--phi", type=float, default=3 * math.pi / 4)
     _add_common_args(s)
     s.add_argument("--svg", default=None, help="also write an SVG chart here")
@@ -343,11 +352,9 @@ def _cmd_bounds_sweep(args) -> int:
     if args.svg:
         write_output(sweep_svg(rows, log_y=args.log_y), args.svg)
     failed = [row for row in rows if row.error is not None]
-    if failed:
-        for row in failed:
-            print(f"row r={row.r:g} failed: {row.error}", file=sys.stderr)
-        return EXIT_DOMAIN
-    return EXIT_OK
+    for row in failed:
+        print(f"row r={row.r:g} failed: {row.error}", file=sys.stderr)
+    return EXIT_DOMAIN if failed else EXIT_OK
 
 
 def _cmd_audit(args) -> int:

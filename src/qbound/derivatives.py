@@ -21,9 +21,10 @@ Two scalar coefficients recur throughout and get package-internal names:
     coeff_k(r)       = 2r + (1 - r^2) log((1-r)/(1+r))   -> (4/3) r^3,  > 0
     coeff_k_tilde(r) = 2r + log((1-r)/(1+r))             -> -(2/3) r^3, < 0
 
-Both are differences of O(r) terms, so below SERIES_SWITCH_R they are
-evaluated from their series through 7th order to avoid catastrophic
-cancellation.  The working domain for everything log-based is
+Both cancel as differences of O(r) terms, as do h_3/r and c_dir (`deviation_h`),
+so each is r^n times a polynomial in r^2 and U(r) = sum_j r^(2j)/(2j+5), where
+atanh r = r + r^3/3 + r^5 U; U is summed to rounding below SERIES_SWITCH_R = 0.45
+and read from atanh above.  The working domain for everything log-based is
 [R_MIN, 1 - R_MIN]; outside it operations raise DomainError instead of
 extrapolating (the logarithm diverges at r = 1 and the closed forms are
 0/0 at r = 0).
@@ -40,7 +41,7 @@ from .qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix, e
 
 R_MIN = 1e-6
 R_MAX = 1.0 - 1e-6
-SERIES_SWITCH_R = 1e-2
+SERIES_SWITCH_R = 0.45
 
 
 def _working_r_error(r: float, what: str) -> DomainError:
@@ -64,39 +65,36 @@ def check_method(method: str) -> None:
         raise ValueError(f"method must be one of ('closed', 'quadrature'), got {method!r}")
 
 
-def _log_ratio(r: float, what: str) -> float:
-    """log((1-r)/(1+r)), which diverges at r = 1; r >= 1 and NaN raise
-    DomainError naming the working range."""
-    if not r < 1.0:
+def _atanh_tail(r: float, what: str) -> float:
+    """U(r) = sum_{j>=0} r^(2j)/(2j+5), with atanh r = r + r^3/3 + r^5 U; as U
+    diverges at |r| = 1, |r| >= 1 and NaN raise DomainError naming the range."""
+    if not abs(r) < 1.0:
         raise _working_r_error(r, what)
-    return math.log((1.0 - r) / (1.0 + r))
+    if abs(r) >= SERIES_SWITCH_R:
+        return (math.atanh(r) - r - r ** 3 / 3.0) / r ** 5
+    r2 = r * r
+    total, power, n = 0.2, r2, 7.0
+    while (new := total + power / n) != total:
+        total, power, n = new, power * r2, n + 2.0
+    return total
 
 
 def coeff_k(r: float) -> float:
-    """2r + (1 - r^2) log((1-r)/(1+r)); series below the cancellation switch."""
-    if r < SERIES_SWITCH_R:
-        r2 = r * r
-        return r ** 3 * (4.0 / 3.0 + r2 * (4.0 / 15.0 + r2 * (4.0 / 35.0)))
-    return 2.0 * r + (1.0 - r * r) * _log_ratio(r, "coeff_k")
+    """2r + (1 - r^2) log((1-r)/(1+r)) = r^3 (4/3 + r^2 (2/3 - 2 (1 - r^2) U))."""
+    u = _atanh_tail(r, "coeff_k")
+    return r ** 3 * (4.0 / 3.0 + r * r * (2.0 / 3.0 - 2.0 * (1.0 - r) * (1.0 + r) * u))
 
 
 def coeff_k_tilde(r: float) -> float:
-    """2r + log((1-r)/(1+r)); series below the cancellation switch."""
-    if r < SERIES_SWITCH_R:
-        r2 = r * r
-        return -(r ** 3) * (2.0 / 3.0 + r2 * (2.0 / 5.0 + r2 * (2.0 / 7.0)))
-    return 2.0 * r + _log_ratio(r, "coeff_k_tilde")
+    """2r + log((1-r)/(1+r)) = -2 r^3 (1/3 + r^2 U)."""
+    return -2.0 * r ** 3 * (1.0 / 3.0 + r * r * _atanh_tail(r, "coeff_k_tilde"))
 
 
 def coeff_h3r(r: float) -> float:
     """Scalar amplitude of the third deviation operator,
-    (6r - 4r^3 + 3(1 - r^2) log((1-r)/(1+r))) / (8 r^2)."""
-    if r < SERIES_SWITCH_R:
-        r2 = r * r
-        return r ** 3 * (1.0 / 10.0 + r2 * (3.0 / 70.0 + r2 * (1.0 / 42.0)))
-    if not r < 1.0:
-        raise _working_r_error(r, "coeff_h3r")
-    return (3.0 * coeff_k(r) - 4.0 * r ** 3) / (8.0 * r * r)
+    (6r - 4r^3 + 3(1 - r^2) log((1-r)/(1+r))) / (8 r^2) = r^3 (1 - 3 (1 - r^2) U) / 4."""
+    u = _atanh_tail(r, "coeff_h3r")
+    return r ** 3 * (1.0 - 3.0 * (1.0 - r) * (1.0 + r) * u) / 4.0
 
 
 def new_log_derivative(state: QubitState, k: ParamIndex, method: str = "closed") -> np.ndarray:
@@ -147,20 +145,15 @@ def deviation_h(state: QubitState, k: ParamIndex) -> np.ndarray:
     phase-space L_k, in closed form as multiples of d_rho:
 
         h_r = c_iso I + 2 c_dir d_r rho,
-        h_k = -(2 coeff_h3r(r) / r) d_k rho    for k = theta, phi.
+        h_k = -(2 coeff_h3r(r) / r) d_k rho    for k = theta, phi,
+        c_dir = (6r + (3 - r^2) log((1-r)/(1+r))) / (4 r^3) = r^2 (1/3 - (3 - r^2) U) / 2.
     """
     require_working_r(state.r, "deviation_h")
     k = ParamIndex(k)
     r = state.r
     drho = d_rho(state, k)
     if k is ParamIndex.R:
-        # 4r^2 + 2r log(...) = 2r * coeff_k_tilde(r)
         c_iso = coeff_k_tilde(r) / (2.0 * r * r)
-        if r < SERIES_SWITCH_R:
-            r2 = r * r
-            c_dir = -(r2) * (2.0 / 15.0 + r2 * (4.0 / 35.0 + r2 * (2.0 / 21.0)))
-        else:
-            lg = math.log((1.0 - r) / (1.0 + r))
-            c_dir = (6.0 * r + (3.0 - r * r) * lg) / (4.0 * r ** 3)
+        c_dir = r * r * (1.0 / 3.0 - (3.0 - r * r) * _atanh_tail(r, "deviation_h")) / 2.0
         return c_iso * np.eye(2) + 2.0 * c_dir * drho
     return -(2.0 * coeff_h3r(r) / r) * drho

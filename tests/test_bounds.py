@@ -224,7 +224,7 @@ def test_maximized_bound_is_the_bias_decomposition():
         b_max = breakdown["C_max"] / new_metric(state)[2, 2]
         decomposed = (dm + (a + beta) / sqrt_kappa) ** 2 / sld_metric(state)[2, 2]
         assert abs(b_max - decomposed) <= 1e-12 * b_max, (case, b_max, decomposed)
-        assert abs(sqrt_kappa - (1.0 + 2.0 * breakdown["h3r"] / r)) <= 1e-12 * sqrt_kappa, case
+        assert abs(sqrt_kappa - (1.0 + 2.0 * breakdown["h3r"] / r)) <= 1e-14 * sqrt_kappa, case
         assert abs(a) <= 1e-14, (case, a)
 
 
@@ -542,13 +542,14 @@ def test_sweep_rows_outside_the_working_range_name_it():
 
 
 def test_sweep_rows_at_sin_theta_zero_name_it():
-    # theta = 0 zeroes every phi-phi entry; rows outside the working range
-    # keep their own errors
-    for theta in (0.0, -0.0):
+    # theta = 0 zeroes every phi-phi entry, and so does a theta whose
+    # r^2 sin(theta)^2 underflows; rows outside the working range keep their
+    # own errors
+    for theta in (0.0, -0.0, 1e-170, 1e-300, 5e-324):
         rows = bounds_sweep([0.0, 0.5, 0.9, 1.5], theta=theta)
         assert rows[0].error.startswith("new_metric requires r in")
         for row in rows[1:3]:
-            assert row.error.startswith("sin(theta) = 0"), row
+            assert row.error.startswith("the phi-phi entries vanish"), row
             assert math.isnan(row.B_max) and math.isnan(row.B_SLD)
         assert rows[3].error == "r must lie in [0, 1], got 1.5"
     assert all(row.error is None for row in bounds_sweep([0.5, 0.9], theta=PI))

@@ -269,12 +269,25 @@ def test_bounds_sweep_reports_failed_row(capsys):
 
 
 def test_bounds_sweep_at_theta_zero_marks_rows(capsys):
-    code = run(["bounds", "sweep", "--theta", "0", "--steps", "2", "--format", "csv"])
+    # at theta = 0, and where r^2 sin(theta)^2 underflows, one failed line per row
+    for theta in ("0", "1e-170", "1e-300", "5e-324"):
+        code = run(["bounds", "sweep", "--theta", theta, "--steps", "2", "--format", "csv"])
+        assert code == EXIT_DOMAIN, theta
+        captured = capsys.readouterr()
+        failed = re.findall(r"^row r=\S+ failed: the phi-phi entries vanish", captured.err, re.M)
+        assert len(failed) == 2, theta
+        assert "Traceback" not in captured.err
+        assert len(captured.out.splitlines()) == 3
+
+
+def test_negative_values_in_exponent_form_are_values(capsys):
+    assert run(["metrics", "--r", "0.5", "--eps=-1e-05", "--format", "json"]) == EXIT_OK
+    joined = capsys.readouterr()
+    assert run(["metrics", "--r", "0.5", "--eps", "-1e-05", "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr() == joined
+    code = run(["bounds", "sweep", "--steps", "2", "--theta", "-1e-300", "--format", "csv"])
     assert code == EXIT_DOMAIN
-    captured = capsys.readouterr()
-    assert captured.err.count("failed: sin(theta) = 0") == 2
-    assert "Traceback" not in captured.err
-    assert len(captured.out.splitlines()) == 3
+    assert capsys.readouterr().err.count("failed: theta must lie in [0, pi], got -1e-300") == 2
 
 
 def test_zero_quadrature_flags_are_refused(capsys):
@@ -457,19 +470,25 @@ def test_selftest_passes(capsys):
 # selftest's worst change, worst violation and var residual).  The metrics
 # hash was recorded again when rld_metric became a closed form: its six
 # off-diagonal cells went from rounding noise (about 1e-17) to exact zeros.
+# The audit, both sweep and selftest hashes were recorded again when K, K~
+# and h3/r moved from a log form to the summed atanh tail, which took h3/r's
+# 2.5e-11 error at r = 0.1 to rounding: two B_max cells of the 200-row sweep
+# and one of the 8-panel sweep (r = 0.1, 0.108) moved in the 12th digit, and
+# audit's quadratic_form_residual and selftest's worst change and worst
+# disagreement at rounding level.
 PINNED_SHA256 = {
     ("audit", "--r", "0.5", "--format", "csv"):
-        "e768f3da77c886c7f9b4ba667048ad12f550dbd34ae5d92f0377e0392d3724ee",
+        "429e86d6be1bbaeb8e79cc6f38d996ff07bc79e62d4799e23d9d523b10e69044",
     ("bounds", "sweep", "--steps", "200", "--format", "csv"):
-        "6a945aa8bf9f072c6177aa123b3f3c3ad0d0ae8ca1305d7af8e64da535814c62",
+        "47a7b10588f148fc62a49e04f48b55929aa196dcc3aaee4065ac749891f9154f",
     ("bounds", "sweep", "--panels", "8", "--order", "6", "--eps", "0.1", "--format", "csv"):
-        "81d07179388fcf9a957f7ddc6235f56a51b5aec5c5efe9bca04a2962ccf2367c",
+        "86fb489a18585ff48efe85f8d1612920bc70c5f0e3bdd03a2ed16249f9ccf714",
     ("povm", "validate", "--r", "0.5", "--format", "csv"):
         "ecf6e2216510abf047b7f18fc676e1fd57303ebcaf6f8e4faf5f9896c5add8f6",
     ("metrics", "--r", "0.5", "--format", "csv"):
         "e1026ab780d3255525fba624972e10e94e512d6e36449e50322fdff1e91faf62",
     ("selftest",):
-        "4835067383cc68f7b4514d3a4d8df06287211a65d4f0c1980db2f080ae0b2118",
+        "d72eca8f5189d0cc302ed8081cd6cd23ee0667e8d9ebcd9d85f6457ed6811ab0",
     ("simulate", "--r", "0.5", "--samples", "1000", "--format", "csv"):
         "f3c1c0f91b0949e17b4c5a62ff35471b23eb8321d08624a199e45a9af26baa0b",
     ("simulate", "--r", "0.9", "--eps", "0.3", "--samples", "1000", "--format", "json"):
@@ -555,11 +574,14 @@ def test_flags_config_file_and_their_split_print_the_same(command, three_ways_di
               for n, v in values.items()}
     as_flags = data.draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)),
                          label="as flags")
+    # each flag as one token "--name=value" or as two, "--name" "value"
+    joined = dict(zip(names, data.draw(st.lists(st.booleans(), min_size=len(names),
+                                                max_size=len(names)), label="joined")))
     config = three_ways_dir / "run.cfg"
 
     def run_with(flag_names):
-        # one token per flag: argparse takes a separate "-1e-05" for a flag name
-        flags = [f"--{n}={values[n]}" for n in flag_names]
+        flags = [token for n in flag_names
+                 for token in ([f"--{n}={values[n]}"] if joined[n] else [f"--{n}", values[n]])]
         config.write_text("".join(f"{n} = {values[n]}\n" for n in names if n not in flag_names),
                           encoding="utf-8")
         return _captured_main([*command, *flags, "--config", str(config)])

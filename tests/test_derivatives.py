@@ -1,12 +1,15 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from qbound.bounds import bound_Cmax
 from qbound.derivatives import (
     R_MAX,
+    R_MIN,
     SERIES_SWITCH_R,
     coeff_h3r,
     coeff_k,
@@ -58,10 +61,53 @@ def test_h3r_reference_value():
     assert abs(coeff_h3r(0.5) - oracle) <= 1e-12
 
 
-def test_coefficients_are_the_direct_formulas_bit_for_bit_up_to_r_one():
-    for r in (SERIES_SWITCH_R, 0.5, 0.99, R_MAX, 0.9999999, 1.0 - 2.0**-52):
-        assert coeff_k(r) == k_coeff(r), r
-        assert coeff_k_tilde(r) == k_tilde_coeff(r), r
+def _exact_coefficients(r):
+    """K, K~, h3/r and c_dir at the float r, in 60-digit arithmetic.  The log
+    forms lose up to 4 digits per decade of r toward 0: 40 digits leave c_dir
+    1.7e-11 off at r = R_MIN, and 60 digits hold to about 1e-36 from R_MIN up."""
+    with mpmath.workdps(60):
+        r = mpmath.mpf(r)
+        lg = mpmath.log((1 - r) / (1 + r))
+        return [float(c) for c in (2 * r + (1 - r * r) * lg, 2 * r + lg,
+                                   (6 * r - 4 * r ** 3 + 3 * (1 - r * r) * lg) / (8 * r * r),
+                                   (6 * r + (3 - r * r) * lg) / (4 * r ** 3))]
+
+
+def test_coefficients_match_exact_arithmetic_up_to_r_one():
+    # log-spaced toward both edges, dense around the old switch r = 0.01 and
+    # the current one, plus the points the log form used to be pinned at
+    rs = np.concatenate([np.logspace(math.log10(R_MIN), math.log10(0.5), 2000),
+                         1.0 - np.logspace(-15.5, math.log10(0.5), 2000),
+                         np.linspace(0.0095, 0.0105, 200),
+                         SERIES_SWITCH_R * np.linspace(0.97, 1.03, 200),
+                         [0.01, 0.5, 0.99, R_MAX, 0.9999999, 1.0 - 2.0**-52]])
+    for r in map(float, rs):
+        got = [coeff_k(r), coeff_k_tilde(r), coeff_h3r(r)]
+        if R_MIN <= r <= R_MAX:
+            got.append(deviation_h(QubitState(r, PI / 2, 0.0), ParamIndex.R)[0, 1].real)
+        for name, value, exact in zip(("K", "K~", "h3/r", "c_dir"), got, _exact_coefficients(r)):
+            assert abs(value - exact) <= 5e-14 * abs(exact), (name, r)
+
+
+def test_coefficient_tail_forms_are_the_log_definitions():
+    # each coefficient, written with atanh r = r + r^3/3 + r^5 U, is its log
+    # definition, and U's series coefficients are 1/(2j + 5)
+    r, third = sympy.symbols("r", positive=True), sympy.Rational(1, 3)
+    u = (sympy.atanh(r) - r - r ** 3 / 3) / r ** 5
+    lg = sympy.log((1 - r) / (1 + r))
+    pairs = (
+        (2 * r + (1 - r ** 2) * lg,
+         r ** 3 * (4 * third + r ** 2 * (2 * third - 2 * (1 - r) * (1 + r) * u))),
+        (2 * r + lg, -2 * r ** 3 * (third + r ** 2 * u)),
+        ((6 * r - 4 * r ** 3 + 3 * (1 - r ** 2) * lg) / (8 * r ** 2),
+         r ** 3 * (1 - 3 * (1 - r) * (1 + r) * u) / 4),
+        ((6 * r + (3 - r ** 2) * lg) / (4 * r ** 3), r ** 2 * (third - (3 - r ** 2) * u) / 2),
+    )
+    for definition, tail_form in pairs:
+        difference = sympy.expand_log((definition - tail_form).rewrite(sympy.log), force=True)
+        assert sympy.simplify(difference) == 0
+    series = sympy.series(u, r, 0, 24).removeO()
+    assert all(series.coeff(r, 2 * j) == sympy.Rational(1, 2 * j + 5) for j in range(12))
 
 
 def test_coefficients_name_the_working_range_from_r_one():

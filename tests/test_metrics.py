@@ -278,7 +278,7 @@ def test_closed_forms_match_quadrature_across_working_domain(r):
                      for k in ParamIndex]
             pairs.append((husimi_classical_metric(s), husimi_classical_metric(s, "quadrature")))
             for closed, quad in pairs:
-                assert np.max(np.abs(quad - closed)) <= 1e-9 * np.max(np.abs(closed)), (th, ph)
+                assert np.max(np.abs(quad - closed)) <= 5e-11 * np.max(np.abs(closed)), (th, ph)
 
 
 def test_husimi_metric_small_r_limits():
