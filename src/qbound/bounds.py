@@ -45,7 +45,13 @@ signed slack per row.  Measured, not asserted: on the default Gaussian
 sweep C = C_max and v g - C < 0 (-0.66 to -1.69), the gap being the dropped
 boundary term 2 pi x11(mu +- pi) = 0.685; the tapered family removes that
 term, and v g - C >= 0 (7.6e-3 to 0.63, r in {0.2, 0.5, 0.8, 0.95}, k in
-{1, 3}); B_Fisher = B_SLD for both, which is what "saturating" means.
+{1, 3}); B_Fisher = B_SLD for both, which is what "saturating" means.  For
+a sharp family at the state's azimuth (a = 0), dm = r sin(theta) (I2 - I1),
+beta = b - dm and sqrt(kappa) = 1 + 2 h3 / r, C_max = (dm sqrt(kappa) +
+beta)^2, so B_max = (dm + beta / sqrt(kappa))^2 / g_SLD (tested as an
+identity).  dm is d E[phi_hat] / d phi, family held fixed, at offdiag_scale
+= 1 only; beta is the dropped boundary term.  Where it is 0 (tapered), B_max
+is the SLD Cramer-Rao bound dm^2 / g_SLD of an estimator with that bias.
 
 `metric_report` gathers every metric at one state point, with the
 measurement-Fisher entry of the Gaussian family the sweep uses.
@@ -54,6 +60,7 @@ measurement-Fisher entry of the Gaussian family the sweep uses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -300,10 +307,11 @@ def bounds_sweep(
     phase-space metric, the inverse phi-phi components of the SLD, RLD,
     measurement-Fisher and Husimi metrics, the estimator variance, and the
     signed slack v*g - C.  Failed rows are marked and the sweep continues;
-    a row fails where one of its five phi-phi entries is 0.0, as where
-    sin(theta) == 0.0 or r^2 sin(theta)^2 underflows.  Only that exact zero
-    fails a row: the float nearest pi has sin = 1.2e-16, and its huge bounds
-    are the true ones for that input.
+    a row fails where one of its five phi-phi entries is zero or subnormal,
+    as where sin(theta) == 0.0 or r^2 sin(theta)^2 underflows, since its
+    bound 1/g would overflow to inf or lose digits.  A normal entry, however
+    small, does not fail a row: the float nearest pi has sin = 1.2e-16, and
+    its huge bounds are the true ones for that input.
 
     Once per sweep, before any row, the fixed inputs: one context at
     (theta, phi, eps), the family (`spec` becomes its rule), its grid, I1, I2,
@@ -337,9 +345,11 @@ def bounds_sweep(
             g, g_sld, g_rld, g_husimi = phiphi_entries(r, st)
             a, b, _, variance = integrals(r)
             fisher = fisher_of(r)
-            if 0.0 in (g, g_sld, g_rld, g_husimi, fisher):
-                raise DomainError("the phi-phi entries vanish: r^2 sin(theta)^2 is 0.0 in floating "
-                                  "point, so the phi bounds are undefined")
+            least = min(g, g_sld, g_rld, g_husimi, fisher)
+            if not least >= sys.float_info.min:
+                raise DomainError(f"the phi-phi entries vanish: r^2 sin(theta)^2 is {g_sld!r}, and the "
+                                  f"entry {least!r} is zero or underflows below the smallest normal "
+                                  "float, so the phi bounds are undefined")
             require_braunstein_caves(fisher, g_sld)
             h3 = coeff_h3r(r)
             c_max = _squared_bracket(a + b, h3, st, I1 - I2)

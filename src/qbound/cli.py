@@ -191,11 +191,12 @@ def _add_common_args(parser):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads "-1e-05" as a value, not a flag; each subparser is built with type(self)."""
+    """Reads "-1e-05", "-inf" and "-nan" as values, not flags; subparsers are built with type(self)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"(?i)^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r-max", type=float, default=0.9)
     s.add_argument("--steps", type=int, default=9)
     s.add_argument("--theta", type=float, default=math.pi / 2,
-                   help="polar angle, radians; rows fail only where r^2 sin(theta)^2 is 0.0")
+                   help="polar angle, radians; rows fail where a phi-phi entry underflows")
     s.add_argument("--phi", type=float, default=3 * math.pi / 4)
     _add_common_args(s)
     s.add_argument("--svg", default=None, help="also write an SVG chart here")

@@ -66,13 +66,13 @@ def _inv_one_minus_r2(r: float) -> float:
     return 1.0 / ((1.0 - r) * (1.0 + r))
 
 
-# the angular coefficients of the new and Husimi closed forms
-def _new_angular(r: float) -> float:
-    return 9.0 * coeff_k(r) ** 2 / (16.0 * r ** 6)
+# the angular coefficients of the new and Husimi closed forms, from K = coeff_k(r)
+def _new_angular(k: float, r: float) -> float:
+    return 9.0 * k ** 2 / (16.0 * r ** 6)
 
 
-def _husimi_angular(r: float) -> float:
-    return coeff_k(r) / (4.0 * r ** 3)
+def _husimi_angular(k: float, r: float) -> float:
+    return k / (4.0 * r ** 3)
 
 
 def _gram(rho: np.ndarray, ls) -> np.ndarray:
@@ -92,7 +92,7 @@ def new_metric(state: QubitState) -> np.ndarray:
     r, th = state.r, state.theta
     kt2 = coeff_k_tilde(r) ** 2
     radial = (9.0 - 5.0 * r * r) * kt2 / (4.0 * r ** 6)
-    return _angular_block(r, th, radial, _new_angular(r))
+    return _angular_block(r, th, radial, _new_angular(coeff_k(r), r))
 
 
 def sld_metric(state: QubitState) -> np.ndarray:
@@ -126,7 +126,8 @@ def phiphi_entries(r: float, st: float) -> tuple[float, float, float, float]:
     st = sin(theta), bit for bit those of the 3x3 closed forms.  r must lie in
     the new metric's working range, which holds the other three's."""
     require_working_r(r, "new_metric")
-    new, rld, husimi = _new_angular(r), _inv_one_minus_r2(r), _husimi_angular(r)
+    k = coeff_k(r)
+    new, rld, husimi = _new_angular(k, r), _inv_one_minus_r2(r), _husimi_angular(k, r)
     return _phiphi(new, r, st), _phiphi(1.0, r, st), _phiphi(rld, r, st), _phiphi(husimi, r, st)
 
 
@@ -181,7 +182,7 @@ def husimi_classical_metric(state: QubitState, method: str = "closed") -> np.nda
             return d[..., :, None] * d[..., None, :] / q(t1, p1)[..., None, None]
 
         return sphere_integrate(integrand, state.bloch)
-    return _angular_block(r, th, -coeff_k_tilde(r) / (2.0 * r ** 3), _husimi_angular(r))
+    return _angular_block(r, th, -coeff_k_tilde(r) / (2.0 * r ** 3), _husimi_angular(coeff_k(r), r))
 
 
 def measurement_fisher(state: QubitState, povm) -> float:

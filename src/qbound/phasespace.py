@@ -97,8 +97,9 @@ def inverse_weyl(f, s: float, pole=None) -> np.ndarray:
 
     def integrand(theta1, phi1):
         vals = np.asarray(f(theta1, phi1), dtype=float)
-        vals = np.broadcast_to(vals, np.shape(theta1))[..., None]
-        return np.concatenate([vals, vals * omega], axis=-1)
+        if vals.shape != theta1.shape:
+            vals = np.broadcast_to(vals, theta1.shape)
+        return np.concatenate([vals[:, None], vals[:, None] * omega], axis=-1)
 
     a0, *a = sphere_integrate(integrand, pole).tolist()
     c = 0.5 * _c(-s)

@@ -39,7 +39,10 @@ are written once, in the lab frame, and the rule never looks inside them.
 A rule is built once per (pole, refined) and passed on read-only: the
 lab angles, the weights, and the unit vectors Omega(theta1, phi1), shape
 (nodes, 3), which integrands linear in Omega (`phasespace.inverse_weyl`)
-read from the rule instead of recomputing.
+read from the rule instead of recomputing.  It rotates a template cached
+on (grading levels, refined): u, s cos psi, s sin psi and the weights.  A
+new pole costs its length check, its frame (n, e1, e2), the rotation, per
+axis, two arctan2 and Omega.
 
 Every integral, on an interval, the sphere or a POVM window, is one
 `_weighted_sum`: it sums first, and scans for the first non-finite node only
@@ -161,42 +164,52 @@ def _sphere_nodes(pole, refined: bool = False):
     """Read-only lab angles, weights and unit vectors Omega of the (refined) rule, u-major."""
     if pole is not None:
         pole = np.asarray(pole, dtype=float)
-        if pole.shape != (3,) or not 0.0 < float(np.linalg.norm(pole)) < 1.0:
+        if pole.shape != (3,):
             raise ValueError(f"pole must be a 3-vector of length in (0, 1), got {pole!r}")
     return _sphere_rule(None if pole is None else pole.tobytes(), refined)
+
+
+# unbounded, yet at most 2 x 25 templates: levels <= 25 as 1 - r >= 2^-53
+@lru_cache(maxsize=None)
+def _frame_template(levels: int | None, refined: bool):
+    """Read-only u (a column), s cos psi, s sin psi and weights, graded over `levels` (None: no pole)."""
+    panels = 2 if refined else 1
+    splits = [-1.0 + 2.0 * GRADING ** k for k in range(1, levels + refined + 1)] if levels else []
+    m = 8 * panels if levels else 2 * panels * SPHERE_ORDER
+    u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, SPHERE_ORDER, splits))
+    psi = np.arange(m) * (2.0 * np.pi / m)
+    s = np.sqrt((1.0 - u) * (1.0 + u))
+    template = u[:, None], s[:, None] * np.cos(psi), s[:, None] * np.sin(psi), np.repeat(wu / m, m)
+    for a in template:
+        a.flags.writeable = False
+    return template
 
 
 # keyed by the pole's float64 bytes, so a zero's sign counts; 4 rules hold a
 # state's rule, its refinement and the pole-free rule
 @lru_cache(maxsize=4)
 def _sphere_rule(pole: bytes | None, refined: bool):
-    panels = 2 if refined else 1
     if pole is None:
-        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, SPHERE_ORDER))
-        m = 2 * panels * SPHERE_ORDER
-        e1, e2, n = np.eye(3)
+        levels, (e1, e2, n) = None, np.eye(3)
     else:
         pole = np.frombuffer(pole)
         r = float(np.linalg.norm(pole))
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"pole must be a 3-vector of length in (0, 1), got {pole!r}")
         levels = 1
         while 2.0 * GRADING ** levels >= GRADING * (1.0 - r):
             levels += 1
-        splits = [-1.0 + 2.0 * GRADING ** k for k in range(1, levels + refined + 1)]
-        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, SPHERE_ORDER, splits))
-        m = 8 * panels
         # spherical frame of n: e1 toward increasing polar angle, e2 azimuthal
         n = pole / r
         rho = math.hypot(n[0], n[1])
         cp, sp = (n[0] / rho, n[1] / rho) if rho > 0.0 else (1.0, 0.0)
         e1 = np.array([n[2] * cp, n[2] * sp, -rho])
         e2 = np.array([-sp, cp, 0.0])
-    psi = np.arange(m) * (2.0 * np.pi / m)
-    s = np.sqrt((1.0 - u) * (1.0 + u))
-    a, b = s[:, None] * np.cos(psi), s[:, None] * np.sin(psi)
-    x, y, z = (a * e1[i] + b * e2[i] + u[:, None] * n[i] for i in range(3))
+    u, a, b, w = _frame_template(levels, refined)
+    x, y, z = (a * e1[i] + b * e2[i] + u * n[i] for i in range(3))
     theta1 = np.arctan2(np.hypot(x, y), z).ravel()
     phi1 = np.arctan2(y, x).ravel()
-    rule = theta1, phi1, np.repeat(wu / m, m), _omega(theta1, phi1)
+    rule = theta1, phi1, w, _omega(theta1, phi1)
     for a in rule:
         a.flags.writeable = False
     return rule

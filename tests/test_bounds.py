@@ -543,16 +543,20 @@ def test_sweep_rows_outside_the_working_range_name_it():
 
 def test_sweep_rows_at_sin_theta_zero_name_it():
     # theta = 0 zeroes every phi-phi entry, and so does a theta whose
-    # r^2 sin(theta)^2 underflows; rows outside the working range keep their
-    # own errors
-    for theta in (0.0, -0.0, 1e-170, 1e-300, 5e-324):
+    # r^2 sin(theta)^2 underflows; a subnormal entry (1e-160, 1e-154) fails
+    # too, as 1/g overflows or loses digits; rows outside the working range
+    # keep their own errors
+    for theta in (0.0, -0.0, 1e-154, 1e-160, 1e-170, 1e-300, 5e-324):
         rows = bounds_sweep([0.0, 0.5, 0.9, 1.5], theta=theta)
         assert rows[0].error.startswith("new_metric requires r in")
         for row in rows[1:3]:
             assert row.error.startswith("the phi-phi entries vanish"), row
+            assert "underflows below the smallest normal float" in row.error, row
             assert math.isnan(row.B_max) and math.isnan(row.B_SLD)
         assert rows[3].error == "r must lie in [0, 1], got 1.5"
-    assert all(row.error is None for row in bounds_sweep([0.5, 0.9], theta=PI))
+    # a normal entry, however small, gives the true bound
+    for theta in (PI, 1e-150):
+        assert all(row.error is None for row in bounds_sweep([0.5, 0.9], theta=theta))
 
 
 def test_sweep_family_error_reaches_every_valid_row():

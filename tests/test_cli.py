@@ -270,7 +270,7 @@ def test_bounds_sweep_reports_failed_row(capsys):
 
 def test_bounds_sweep_at_theta_zero_marks_rows(capsys):
     # at theta = 0, and where r^2 sin(theta)^2 underflows, one failed line per row
-    for theta in ("0", "1e-170", "1e-300", "5e-324"):
+    for theta in ("0", "1e-160", "1e-170", "1e-300", "5e-324"):
         code = run(["bounds", "sweep", "--theta", theta, "--steps", "2", "--format", "csv"])
         assert code == EXIT_DOMAIN, theta
         captured = capsys.readouterr()
@@ -288,6 +288,16 @@ def test_negative_values_in_exponent_form_are_values(capsys):
     code = run(["bounds", "sweep", "--steps", "2", "--theta", "-1e-300", "--format", "csv"])
     assert code == EXIT_DOMAIN
     assert capsys.readouterr().err.count("failed: theta must lie in [0, pi], got -1e-300") == 2
+
+
+@pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+def test_negative_non_finite_values_are_values(value, capsys):
+    # two tokens and the = form reach the same finiteness check
+    assert run(["metrics", "--r", "0.5", f"--eps={value}", "--format", "csv"]) == EXIT_DOMAIN
+    joined = capsys.readouterr()
+    assert run(["metrics", "--r", "0.5", "--eps", value, "--format", "csv"]) == EXIT_DOMAIN
+    assert capsys.readouterr() == joined
+    assert joined.err == "qbound: eps must be finite\n"
 
 
 def test_zero_quadrature_flags_are_refused(capsys):

@@ -139,6 +139,20 @@ def test_sweep_sld_and_rld_bounds_match_a_50_digit_oracle_up_to_both_edges():
             _assert_close(row.B_RLD, 1 / want["rld"][2], ("B_RLD", row.r, theta))
 
 
+def test_phiphi_entries_read_k_once_and_match_the_3x3_forms(monkeypatch):
+    calls = []
+    coeff_k = metrics.coeff_k
+    monkeypatch.setattr(metrics, "coeff_k", lambda r: calls.append(r) or coeff_k(r))
+    for r in (R_MIN, 0.3, 0.45, 0.9, R_MAX):
+        s = QubitState(r, 1.1, 0.4)
+        entries = metrics.phiphi_entries(r, math.sin(s.theta))
+        assert calls == [r]
+        calls.clear()
+        forms = (new_metric(s), sld_metric(s), rld_metric(s), husimi_classical_metric(s))
+        assert [e.hex() for e in entries] == [float(g[2, 2]).hex() for g in forms]
+        calls.clear()
+
+
 def test_rld_phiphi_reference_point():
     g = rld_metric(QubitState(0.5, PI / 2, 0.3))
     assert abs(g[2, 2] - 1.0 / 3.0) <= 1e-12

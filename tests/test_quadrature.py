@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from qbound import quadrature
-from qbound.derivatives import R_MAX, new_log_derivative
+from qbound.derivatives import R_MAX, R_MIN, new_log_derivative
 from qbound.measurement import (
     EstimationContext,
     FamilyGrid,
@@ -231,6 +231,70 @@ def test_sphere_rejects_an_invalid_pole_on_every_call():
     for bad in (pole.reshape(3, 1), (0.0, 0.0, 1.0), pole.reshape(3, 1)):
         with pytest.raises(ValueError, match="pole"):
             sphere_integrate(lambda t, p: 1.0, pole=bad)
+
+
+def test_an_invalid_pole_raises_again_and_caches_nothing():
+    quadrature._sphere_rule.cache_clear()
+    quadrature._sphere_nodes(QubitState(0.4, 1.0, 2.0).bloch)
+    templates = quadrature._frame_template.cache_info().currsize
+    for bad in ((np.nan, 0.0, 0.5), (0.0, 0.0, 1.0), (0.6, 0.8, 0.1), (0.0, 0.0, 0.0)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="pole must be a 3-vector of length in"):
+                quadrature._sphere_nodes(bad)
+    assert quadrature._sphere_rule.cache_info().currsize == 1
+    assert quadrature._frame_template.cache_info().currsize == templates
+
+
+def _reference_levels(r):
+    levels = 1
+    while 2.0 * quadrature.GRADING ** levels >= quadrature.GRADING * (1.0 - r):
+        levels += 1
+    return levels
+
+
+def _reference_sphere_rule(pole, refined):
+    """The sphere rule built in one pass, with no cached template."""
+    panels = 2 if refined else 1
+    if pole is None:
+        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, quadrature.SPHERE_ORDER))
+        m = 2 * panels * quadrature.SPHERE_ORDER
+        e1, e2, n = np.eye(3)
+    else:
+        r = float(np.linalg.norm(pole))
+        levels = _reference_levels(r)
+        splits = [-1.0 + 2.0 * quadrature.GRADING ** k for k in range(1, levels + refined + 1)]
+        u, wu = nodes_1d(-1.0, 1.0, QuadSpec(panels, quadrature.SPHERE_ORDER, splits))
+        m = 8 * panels
+        n = pole / r
+        rho = math.hypot(n[0], n[1])
+        cp, sp = (n[0] / rho, n[1] / rho) if rho > 0.0 else (1.0, 0.0)
+        e1 = np.array([n[2] * cp, n[2] * sp, -rho])
+        e2 = np.array([-sp, cp, 0.0])
+    psi = np.arange(m) * (2.0 * np.pi / m)
+    s = np.sqrt((1.0 - u) * (1.0 + u))
+    a, b = s[:, None] * np.cos(psi), s[:, None] * np.sin(psi)
+    x, y, z = (a * e1[i] + b * e2[i] + u[:, None] * n[i] for i in range(3))
+    theta1 = np.arctan2(np.hypot(x, y), z).ravel()
+    phi1 = np.arctan2(y, x).ravel()
+    return theta1, phi1, np.repeat(wu / m, m), quadrature._omega(theta1, phi1)
+
+
+def test_the_cached_template_changes_no_bit_of_the_rule():
+    rng = np.random.default_rng(2910)
+    t = 10.0 ** np.linspace(math.log10(R_MIN), math.log10(0.5), 25)
+    radii = np.concatenate([t, 1.0 - t, [R_MIN, R_MAX]])
+    poles = [r * np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
+             for r, th, ph in zip(radii, rng.uniform(0.0, PI, radii.size), rng.uniform(0.0, 2.0 * PI, radii.size))]
+    poles += [np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.0, -0.5]),
+              np.array([-0.3, 0.0, -0.2]), np.array([-0.3, -0.0, -0.2])]
+    # the poles reach every grading depth of the working range
+    assert {_reference_levels(float(np.linalg.norm(p))) for p in poles} == set(
+        range(_reference_levels(R_MIN), _reference_levels(R_MAX) + 1))
+    for pole in (None, *poles):
+        for refined in (False, True):
+            rule = quadrature._sphere_nodes(pole, refined)
+            reference = _reference_sphere_rule(pole, refined)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(rule, reference)), (pole, refined)
 
 
 def test_doubling_residual_builds_its_refined_rule():
