@@ -14,7 +14,6 @@ exits 0 whatever its checks report, all_ok false included.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -92,6 +91,7 @@ def _json_value(obj):
 
 def dict_to_json(data: dict) -> str:
     """RFC 8259 JSON: a non-finite float is written as null."""
+    import json  # here, so that a CSV command does not load it
     return json.dumps(_json_value(data), indent=2, allow_nan=False) + "\n"
 
 
@@ -382,14 +382,17 @@ def _cmd_simulate(args) -> int:
     family = replace(gaussian_sharp_family(ctx, sigma=args.sigma), spec=_quad_spec(args))
     mean_q, var_q = estimator_moments(ctx, family)
     dist = outcome_distribution(ctx, family)
-    draws = sample_outcomes(dist, args.samples, seed=seed)
-    n = draws.size
-    dev = draws - state.phi
-    mean_emp = float(np.mean(draws)) if n else math.nan
-    sq = dev * dev
-    var_emp = float(np.mean(sq)) if n else math.nan
-    mean_se = float(np.std(draws, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    var_se = float(np.std(sq, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    n = args.samples
+    try:
+        draws = sample_outcomes(dist, n, seed=seed)
+        mean_emp = float(np.mean(draws)) if n else math.nan
+        mean_se = float(np.std(draws, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+        draws -= state.phi
+        sq = np.multiply(draws, draws, out=draws)
+        var_emp = float(np.mean(sq)) if n else math.nan
+        var_se = float(np.std(sq, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    except MemoryError as exc:
+        raise ValueError(f"--samples: {exc}") from None
     data = {
         "samples": n,
         "seed": seed,

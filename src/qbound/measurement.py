@@ -544,13 +544,21 @@ class OutcomeDistribution:
     """Outcome density q(phi_hat) = tr[rho Pi(phi_hat)] on the family window,
     tabulated once: `grid` is SAMPLING_NODES equispaced window nodes plus the
     family's discontinuities, `cdf` the normalized trapezoid accumulation of
-    the density, clipped at 0, on it, and `inverse_cdf` its inverse, which
-    holds the guide table built with it.  Both arrays are read-only."""
+    the density, clipped at 0, on it, and `inverse_cdf` its inverse, through
+    the guide table built with it.  Both arrays are read-only."""
 
     pdf: Callable
     grid: np.ndarray
     cdf: np.ndarray
-    inverse_cdf: Callable[[np.ndarray], np.ndarray]
+    _invert: Callable = field(repr=False)
+
+    def inverse_cdf(self, u) -> np.ndarray:
+        """np.interp(u, cdf, grid), bit for bit, as a new array; u must lie in [0, 1)."""
+        u = np.asarray(u, dtype=float)
+        inside = (u >= 0.0) & (u < 1.0)
+        if not inside.all():
+            raise ValueError(f"inverse_cdf needs u in [0, 1), got {float(u[~inside][0])!r}")
+        return self._invert(u.ravel()).reshape(u.shape)
 
 
 def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistribution:
@@ -564,7 +572,10 @@ def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistri
     def pdf(phi_hat):
         return trace_with_elements(rho, *p.elements(phi_hat)[:3])
 
-    grid = np.unique(np.concatenate([np.linspace(*p.window, SAMPLING_NODES), p.discontinuities]))
+    # np.unique's own two steps, without the numpy.ma import it pays for
+    grid = np.concatenate([np.linspace(*p.window, SAMPLING_NODES), p.discontinuities])
+    grid.sort()
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
     vals = np.asarray(pdf(grid), dtype=float)
     worst = int(np.argmin(vals))
     if vals[worst] < -DENSITY_NEG_TOL:
@@ -612,21 +623,23 @@ def moment_integrals(g: FamilyGrid, state: QubitState):
 
 
 def sample_outcomes(dist: OutcomeDistribution, n: int, seed: int) -> np.ndarray:
-    """Draw n outcomes by `dist.inverse_cdf`: the draws are identical, bit
-    for bit, to np.interp(u, cdf, grid) on the same uniforms.  Identical
-    (seed, n) give identical output."""
+    """Draw n outcomes, written over their n uniforms u: identical, bit for
+    bit, to np.interp(u, cdf, grid) on `dist`.  Identical (seed, n) give
+    identical output."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return dist.inverse_cdf(np.random.default_rng(seed).random(n))
+    u = np.random.default_rng(seed).random(n)
+    return dist._invert(u, out=u)
 
 
 # draws per pass of the guide-table search; keeps its temporaries in cache
 _CHUNK = 1 << 15
 
 
-def _inverse_cdf(cdf: np.ndarray, grid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """u -> np.interp(u, cdf, grid), bit for bit, for u in [0, 1) and a
-    nondecreasing cdf from cdf[0] = 0 to cdf[-1] = 1, through a table built here.
+def _inverse_cdf(cdf: np.ndarray, grid: np.ndarray) -> Callable[..., np.ndarray]:
+    """(u, out=None) -> np.interp(u, cdf, grid) into out (u itself or a new
+    array), bit for bit, for u in [0, 1) and a nondecreasing cdf from cdf[0]
+    = 0 to cdf[-1] = 1, through a table built here.
 
     A guide table (Chen & Asau 1974) of G = 2 len(cdf) equal u-buckets gives
     each draw a start node at or below the last node j with cdf[j] <= u,
@@ -654,8 +667,8 @@ def _inverse_cdf(cdf: np.ndarray, grid: np.ndarray) -> Callable[[np.ndarray], np
         slope = (grid[1:] - grid[:-1]) / (cdf[1:] - cdf[:-1])
 
     @np.errstate(all="ignore")
-    def invert(u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
+    def invert(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty_like(u) if out is None else out
         for s in range(0, u.size, _CHUNK):
             uc = u[s : s + _CHUNK]
             j = start[(uc * n_buckets).astype(np.intp)]

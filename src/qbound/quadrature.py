@@ -44,6 +44,11 @@ on (grading levels, refined): u, s cos psi, s sin psi and the weights.  A
 new pole costs its length check, its frame (n, e1, e2), the rotation, per
 axis, two arctan2 and Omega.
 
+Gauss-Legendre nodes are the eigenvalues of the symmetric Jacobi matrix
+(Golub & Welsch, Math. Comp. 23, 1969) after one Newton step; the weights
+are 1 / (P_n' P_(n-1)), symmetrized and scaled: numpy's `leggauss`, op for
+op and so bit for bit, without importing `numpy.polynomial`.
+
 Every integral, on an interval, the sphere or a POVM window, is one
 `_weighted_sum`: it sums first, and scans for the first non-finite node only
 when the sum is not finite.
@@ -57,7 +62,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 class QuadratureError(ValueError):
@@ -92,9 +96,29 @@ SPHERE_ORDER = 16
 GRADING = 0.2
 
 
+def _legval(x, c):
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, as numpy's `legval`."""
+    c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0)
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _gauss(order: int):
-    x, w = leggauss(order)
+    """Read-only Gauss-Legendre nodes and weights: numpy's `leggauss(order)`, op for op."""
+    k = np.arange(order)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.append(np.zeros(order), 1.0)
+    # P_n' = sum of (2j + 1) P_j over j = n - 1, n - 3, ...: `legder`'s exact integers
+    df = _legval(x, np.where(k % 2 == (order - 1) % 2, 2.0 * k + 1, 0.0))
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

@@ -4,8 +4,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +405,66 @@ def test_simulate_input_errors_name_their_source(env, flags, err, monkeypatch, c
     assert run(["simulate", "--r", "0.5", *flags]) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", err)
+
+
+def test_simulate_out_of_memory_names_samples(monkeypatch, capsys):
+    def sample_outcomes(dist, n, seed):
+        raise MemoryError(f"Unable to allocate 745. GiB for an array with shape ({n},)")
+
+    monkeypatch.setattr(cli, "sample_outcomes", sample_outcomes)
+    assert run(["simulate", "--r", "0.5", "--samples", "100000000000"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "qbound: --samples: Unable to allocate 745. GiB for an array with shape (100000000000,)\n")
+
+
+def test_simulate_holds_one_array_of_draws(capsys):
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        assert run(["simulate", "--r", "0.5", "--samples", str(n)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the draws, and np.std's one temporary
+    assert 8 * n <= peak < 8 * n * 2.5
+    assert json.loads(capsys.readouterr().out)["samples"] == n
+
+
+IMPORT_FLOOR = """
+import contextlib, io, sys
+import qbound.cli
+
+def unused():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "polynomial"]))
+
+print("import", unused(), "json" in sys.modules)
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qbound.cli.main(argv)
+    print(argv[0], code, unused())
+"""
+
+
+def test_commands_load_no_numpy_module_they_do_not_use(tmp_path):
+    table = tmp_path / "fam.csv"
+    grid = np.linspace(0.0, 2 * PI, 9)
+    table.write_text("phi_hat,x11,x12,y12\n" + "".join(
+        f"{float(g)!r},{1.0 / (2 * PI)!r},0.0,0.0\n" for g in grid), encoding="utf-8")
+    commands = [
+        ["bounds", "sweep", "--steps", "2", "--format", "csv"],
+        ["simulate", "--r", "0.5", "--samples", "1000"],
+        ["selftest"],
+        ["povm", "validate", "--csv", str(table), "--r", "0.5", "--format", "csv"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FLOOR.format(commands=commands)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import [] False", "bounds 0 []", "simulate 0 []", "selftest 0 []", "povm 0 []"]
 
 
 def test_config_file_with_flag_override(tmp_path):

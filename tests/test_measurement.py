@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -525,6 +526,59 @@ def test_sampling_empty_and_validation():
     assert sample_outcomes(dist, 0, seed=1).size == 0
     with pytest.raises(ValueError):
         sample_outcomes(dist, -1, seed=1)
+
+
+@pytest.mark.parametrize("discontinuities", [
+    (1.0, 1.0, 1.0),
+    (0.0, -0.0, 0.0, -0.0),
+    (-0.0, 0.0),
+    "nodes",
+], ids=["repeated", "signed-zeros", "zeros-negative-first", "on-linspace-nodes"])
+def test_sampling_grid_equals_np_unique(discontinuities):
+    ctx = EstimationContext(QubitState(0.5, 1.1, 0.0))
+    family = gaussian_sharp_family(ctx)
+    nodes = np.linspace(*family.window, measurement.SAMPLING_NODES)
+    if discontinuities == "nodes":
+        discontinuities = (*nodes[[0, 7, 4095, 4095, 8191]].tolist(), -0.0, 0.0)
+    family = dataclasses.replace(family, discontinuities=discontinuities)
+    grid = outcome_distribution(ctx, family).grid
+    assert grid.tobytes() == np.unique(np.concatenate([nodes, discontinuities])).tobytes()
+
+
+SKEW = EstimationContext(QubitState(0.5, 1.1, 2.5))
+
+
+@pytest.mark.parametrize("u, shown", [
+    (1.0, "1.0"), (np.nan, "nan"), (-0.1, "-0.1"), (-1e-300, "-1e-300"), (np.inf, "inf"),
+])
+def test_inverse_cdf_rejects_u_outside_the_unit_interval(u, shown):
+    dist = outcome_distribution(SKEW, gaussian_sharp_family(SKEW))
+    with pytest.raises(ValueError, match=re.escape(f"got {shown}")):
+        dist.inverse_cdf(np.array([0.5, u, 2.0]))
+
+
+def test_inverse_cdf_returns_a_new_array_and_keeps_u():
+    dist = outcome_distribution(SKEW, gaussian_sharp_family(SKEW))
+    u = np.random.default_rng(5).random(1000)
+    u[:2] = 0.0, np.nextafter(1.0, 0.0)
+    kept = u.copy()
+    out = dist.inverse_cdf(u)
+    assert out is not u and same_bits(u, kept)
+    assert same_bits(out, np.interp(u, dist.cdf, dist.grid))
+    for shaped in (u[7], u[:12].reshape(3, 4)):
+        assert same_bits(dist.inverse_cdf(shaped), np.asarray(np.interp(shaped, dist.cdf, dist.grid)))
+
+
+def test_sampling_holds_one_array_of_draws():
+    dist = outcome_distribution(SKEW, gaussian_sharp_family(SKEW))
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        sample_outcomes(dist, n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n <= peak < 8 * n * 1.5
 
 
 def interp_sampler(dist, n, seed):

@@ -204,6 +204,13 @@ def test_sphere_rejects_pole_off_the_open_ball():
             sphere_integrate(lambda t, p: 1.0, pole=pole)
 
 
+def test_gauss_rule_is_leggauss_bit_for_bit():
+    for n in range(1, 301):
+        x, w = quadrature._gauss.__wrapped__(n)
+        x_ref, w_ref = leggauss(n)
+        assert (x.tobytes(), w.tobytes()) == (x_ref.tobytes(), w_ref.tobytes()), n
+
+
 def test_sphere_rule_is_built_once_per_pole_and_read_only():
     pole = QubitState(0.6, 1.1, 2.3).bloch
     rule = quadrature._sphere_nodes(pole)
