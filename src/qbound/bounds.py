@@ -45,7 +45,7 @@ signed slack per row.  Measured, not asserted: on the default Gaussian
 sweep C = C_max and v g - C < 0 (-0.66 to -1.69), the gap being the dropped
 boundary term 2 pi x11(mu +- pi) = 0.685; the tapered family removes that
 term, and v g - C >= 0 (7.6e-3 to 0.63, r in {0.2, 0.5, 0.8, 0.95}, k in
-{1, 3}); B_Fisher = B_SLD for both, which is what "saturating" means.  For
+{1, 3}); B_Fisher = B_SLD / (q^2 m0), q = offdiag_scale, m0 = sum of x11.  For
 a sharp family at the state's azimuth (a = 0), dm = r sin(theta) (I2 - I1),
 beta = b - dm and sqrt(kappa) = 1 + 2 h3 / r, C_max = (dm sqrt(kappa) +
 beta)^2, so B_max = (dm + beta / sqrt(kappa))^2 / g_SLD (tested as an
@@ -65,7 +65,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .derivatives import coeff_h3r, deviation_h, new_log_derivative
+from .derivatives import atanh_tail, coeff_h3r, deviation_h, new_log_derivative
 from .measurement import (
     EstimationContext,
     FamilyGrid,
@@ -74,13 +74,13 @@ from .measurement import (
     gaussian_sharp_family,
     interior_scan,
     moment_integrals,
+    require_unit_mass,
     trace_with_elements,
 )
 from .metrics import (
     MONOTONE_SPECS,
     fisher_integral,
     husimi_classical_metric,
-    measurement_fisher,
     monotone_metric,
     new_metric,
     phiphi_entries,
@@ -313,24 +313,28 @@ def bounds_sweep(
     small, does not fail a row: the float nearest pi has sin = 1.2e-16, and
     its huge bounds are the true ones for that input.
 
-    Once per sweep, before any row, the fixed inputs: one context at
-    (theta, phi, eps), the family (`spec` becomes its rule), its grid, I1, I2,
-    C's off-diagonal integral and the r-free parts of a, b, v and Fisher.  A
-    failed build is captured once, and every row whose own state (r, theta,
-    phi) is valid reports it.  Per row, with no matrix built: the state's
-    checks, the four phi-phi entries of `metrics.phiphi_entries` (whose range
-    check names r = 1), a, b and v as scalar arithmetic, and one node pass
-    for Fisher, which must pass `require_braunstein_caves`; each cell is bit
-    for bit what the single-state functions give.
+    Once per sweep, before any row: one context at (theta, phi, eps), the
+    family (`spec` becomes its rule), its grid, which needs a density > 0, I1,
+    I2, C's off-diagonal integral, the r-free parts of a, b and v, and m0, the
+    sum of x11.  A failed build is captured once, and every row whose own state
+    (r, theta, phi) is valid reports it.  Per row, scalar arithmetic: the
+    state's checks, one atanh tail (its range check names r = 1) for
+    `metrics.phiphi_entries` and h3, a, b, v, and Fisher = r^2 sin^2(theta) m0
+    (the sharp-family identity in `measurement`), then `require_braunstein_caves`
+    and `require_unit_mass`.  B_Fisher is `measurement_fisher`'s to rounding;
+    every other cell is bit for bit the single-state functions'.
     """
     try:
         # every fixed-input integral reads the state's angles, never its r
         ctx = EstimationContext(QubitState(0.0, theta, phi), eps=eps)
-        grid = replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec).grid()
+        family = replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec)
+        grid = family.grid()
+        if not np.any(grid.x11 > 0):
+            raise DomainError("outcome density vanishes at every quadrature node")
         I1, I2, offdiag = _r_free_integrals(ctx, grid)
         integrals = moment_integrals(grid, ctx.state)
-        fisher_of = fisher_integral(grid, ctx.state)
-        st = math.sin(ctx.state.theta)
+        st, m0 = math.sin(ctx.state.theta), grid.moment("x11", 0)
+        fisher_unit = st * st * m0
         fixed_error = None
     except (DomainError, ValueError) as exc:
         fixed_error = str(exc)
@@ -342,16 +346,18 @@ def bounds_sweep(
             if fixed_error is not None:
                 rows.append(SweepRow(r=r, error=fixed_error))
                 continue
-            g, g_sld, g_rld, g_husimi = phiphi_entries(r, st)
+            u = atanh_tail(r, "new_metric")
+            g, g_sld, g_rld, g_husimi = phiphi_entries(r, st, u)
             a, b, _, variance = integrals(r)
-            fisher = fisher_of(r)
+            fisher = r * r * fisher_unit
             least = min(g, g_sld, g_rld, g_husimi, fisher)
             if not least >= sys.float_info.min:
                 raise DomainError(f"the phi-phi entries vanish: r^2 sin(theta)^2 is {g_sld!r}, and the "
                                   f"entry {least!r} is zero or underflows below the smallest normal "
                                   "float, so the phi bounds are undefined")
             require_braunstein_caves(fisher, g_sld)
-            h3 = coeff_h3r(r)
+            require_unit_mass(family, sigma, m0)
+            h3 = coeff_h3r(r, u)
             c_max = _squared_bracket(a + b, h3, st, I1 - I2)
             c = _squared_bracket(a + b, h3, st, offdiag)
             rows.append(SweepRow(
@@ -377,12 +383,13 @@ def metric_report(
     state's azimuth, with `spec` as the family's rule; it is omitted (None)
     when cos(phi) ~ 0, where that construction is undefined.  A bad sigma or
     eps raises at every phi, and so does any other error of the family, the
-    integral or `require_braunstein_caves` on the entry.
+    integral, `require_braunstein_caves` and then `require_unit_mass`.
     """
     fisher = None
     if gaussian_inputs(state.phi, eps, sigma) is not None:
-        ctx = EstimationContext(state, eps=eps)
-        fisher = measurement_fisher(state, replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec))
+        family = replace(gaussian_sharp_family(EstimationContext(state, eps=eps), sigma=sigma), spec=spec)
+        grid = family.grid()
+        fisher = fisher_integral(grid, state)(state.r)
     out = {
         "r": state.r,
         "theta": state.theta,
@@ -397,4 +404,5 @@ def metric_report(
     out["measurement_fisher_phiphi"] = fisher
     if fisher is not None:
         require_braunstein_caves(fisher, out["sld_metric"][2][2])
+        require_unit_mass(family, sigma, grid.moment("x11", 0))
     return out

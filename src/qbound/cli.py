@@ -25,10 +25,11 @@ import numpy as np
 from .bounds import SweepRow, audit_derivation, bounds_sweep, metric_report
 from .measurement import (
     EstimationContext,
-    estimator_moments,
     gaussian_sharp_family,
     load_tabulated_csv,
+    moment_integrals,
     outcome_distribution,
+    require_unit_mass,
     sample_outcomes,
     validate_povm,
 )
@@ -380,7 +381,9 @@ def _cmd_simulate(args) -> int:
     state = _state(args)
     ctx = EstimationContext(state, eps=args.eps)
     family = replace(gaussian_sharp_family(ctx, sigma=args.sigma), spec=_quad_spec(args))
-    mean_q, var_q = estimator_moments(ctx, family)
+    grid = family.grid()
+    mean_q, var_q = moment_integrals(grid, state)(state.r)[2:]
+    require_unit_mass(family, args.sigma, grid.moment("x11", 0))
     dist = outcome_distribution(ctx, family)
     n = args.samples
     try:

@@ -65,7 +65,7 @@ def check_method(method: str) -> None:
         raise ValueError(f"method must be one of ('closed', 'quadrature'), got {method!r}")
 
 
-def _atanh_tail(r: float, what: str) -> float:
+def atanh_tail(r: float, what: str) -> float:
     """U(r) = sum_{j>=0} r^(2j)/(2j+5), with atanh r = r + r^3/3 + r^5 U; as U
     diverges at |r| = 1, |r| >= 1 and NaN raise DomainError naming the range."""
     if not abs(r) < 1.0:
@@ -79,21 +79,21 @@ def _atanh_tail(r: float, what: str) -> float:
     return total
 
 
-def coeff_k(r: float) -> float:
+def coeff_k(r: float, u: float | None = None) -> float:
     """2r + (1 - r^2) log((1-r)/(1+r)) = r^3 (4/3 + r^2 (2/3 - 2 (1 - r^2) U))."""
-    u = _atanh_tail(r, "coeff_k")
+    u = atanh_tail(r, "coeff_k") if u is None else u
     return r ** 3 * (4.0 / 3.0 + r * r * (2.0 / 3.0 - 2.0 * (1.0 - r) * (1.0 + r) * u))
 
 
 def coeff_k_tilde(r: float) -> float:
     """2r + log((1-r)/(1+r)) = -2 r^3 (1/3 + r^2 U)."""
-    return -2.0 * r ** 3 * (1.0 / 3.0 + r * r * _atanh_tail(r, "coeff_k_tilde"))
+    return -2.0 * r ** 3 * (1.0 / 3.0 + r * r * atanh_tail(r, "coeff_k_tilde"))
 
 
-def coeff_h3r(r: float) -> float:
+def coeff_h3r(r: float, u: float | None = None) -> float:
     """Scalar amplitude of the third deviation operator,
     (6r - 4r^3 + 3(1 - r^2) log((1-r)/(1+r))) / (8 r^2) = r^3 (1 - 3 (1 - r^2) U) / 4."""
-    u = _atanh_tail(r, "coeff_h3r")
+    u = atanh_tail(r, "coeff_h3r") if u is None else u
     return r ** 3 * (1.0 - 3.0 * (1.0 - r) * (1.0 + r) * u) / 4.0
 
 
@@ -154,6 +154,6 @@ def deviation_h(state: QubitState, k: ParamIndex) -> np.ndarray:
     drho = d_rho(state, k)
     if k is ParamIndex.R:
         c_iso = coeff_k_tilde(r) / (2.0 * r * r)
-        c_dir = r * r * (1.0 / 3.0 - (3.0 - r * r) * _atanh_tail(r, "deviation_h")) / 2.0
+        c_dir = r * r * (1.0 / 3.0 - (3.0 - r * r) * atanh_tail(r, "deviation_h")) / 2.0
         return c_iso * np.eye(2) + 2.0 * c_dir * drho
     return -(2.0 * coeff_h3r(r) / r) * drho

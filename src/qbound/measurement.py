@@ -30,9 +30,10 @@ The saturating Gaussian family takes
 
 with sgn(0) = 0.  Its small eigenvalue vanishes identically away from the
 center ("sharp" measurement) and the off-diagonal sign pattern makes the
-maximized bound an equality.  Measured, not asserted: its B_Fisher = B_SLD
-(8.6e-16 relative over 608 random sweep rows; 5.1e-16 for tapered families
-at |offdiag_scale| = 1), which is what "saturating" means.
+maximized bound an equality.  At the state's azimuth tr(d_r rho Pi) = 0 and
+tr(d_phi rho Pi)^2 = q^2 r^2 sin^2(theta) x11^2 at every node, q the
+off-diagonal scale, so the Fisher entry is q^2 r^2 sin^2(theta) m0, m0 the
+integral of x11: B_Fisher = B_SLD, "saturating", where q^2 = m0 = 1.
 
 Every window integral of a family is a contraction over a `FamilyGrid`,
 which `PovmFamily.grid()` builds anew on each call with the family's one
@@ -46,7 +47,6 @@ and an integral over nodes is `quadrature._weighted_sum`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -369,23 +369,25 @@ def load_tabulated_csv(path) -> PovmFamily:
     `tabulated_family` on the parsed columns is raised again with the path
     in front.
     """
+    import csv  # here, so that a command without a table does not load it
+
+    def rows(fh):
+        """fh's CSV rows; a csv.Error becomes a ValueError naming path:line."""
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
     with open(path, newline="", encoding="utf-8") as fh:
-        data = _parse_body(fh, path)
+        data = _parse_body(fh, rows(fh), path, csv.field_size_limit())
         if data is None:
             fh.seek(0)
-            data = _parse_rows(fh, path)
+            data = _parse_rows(rows(fh), path)
     try:
         return tabulated_family(data[:, 0], data[:, 1], data[:, 2], data[:, 3], label=str(path))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _rows(reader, path):
-    """The reader's rows; a csv.Error becomes a ValueError naming path:line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _check_header(reader, path) -> None:
@@ -397,12 +399,13 @@ def _check_header(reader, path) -> None:
         raise ValueError(f"{path}: header must be {','.join(expected)}")
 
 
-def _parse_body(fh, path) -> np.ndarray | None:
-    """The table as an (n, 4) array from one np.loadtxt call over its lines,
-    or None where the row loop must decide: a body that is blank,
-    undecodable, holds one of _LOOP_ONLY or a line longer than csv's field
-    limit, or that loadtxt rejects or reads as another shape."""
-    _check_header(_rows(csv.reader(fh), path), path)
+def _parse_body(fh, rows, path, limit: int) -> np.ndarray | None:
+    """The table as an (n, 4) array: `rows`, fh's CSV rows, checks the
+    header, and one np.loadtxt call reads the lines after it.  None where
+    the row loop must decide: a body that is blank, undecodable, holds one
+    of _LOOP_ONLY or a line longer than csv's field limit, or that loadtxt
+    rejects or reads as another shape."""
+    _check_header(rows, path)
     try:
         body = fh.read()
     except ValueError:
@@ -412,7 +415,7 @@ def _parse_body(fh, path) -> np.ndarray | None:
         return None
     lines = body.splitlines()
     # csv.reader raises csv.Error on a cell longer than its limit
-    if max(map(len, lines)) > csv.field_size_limit():
+    if max(map(len, lines)) > limit:
         return None
     try:
         data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
@@ -421,11 +424,10 @@ def _parse_body(fh, path) -> np.ndarray | None:
     return data if data.shape[1] == 4 and data.shape[0] >= 2 else None
 
 
-def _parse_rows(fh, path) -> np.ndarray:
-    """The table cell by cell through csv.reader and float(); every error
+def _parse_rows(reader, path) -> np.ndarray:
+    """The table cell by cell from its CSV rows and float(); every error
     names its path and, past the header, its line."""
     rows = []
-    reader = _rows(csv.reader(fh), path)
     _check_header(reader, path)
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -600,6 +602,14 @@ def estimator_moments(ctx: EstimationContext, p: PovmFamily) -> tuple[float, flo
     deviation from the true value, not from the mean; equal when eps = 0.
     """
     return moment_integrals(p.grid(), ctx.state)(ctx.state.r)[2:]
+
+
+def require_unit_mass(p: PovmFamily, sigma: float, m0: float) -> None:
+    """m0, a sharp family's x11 summed on its grid, is 1 where the rule resolves
+    the width sigma; a miss beyond COMPLETENESS_TOL raises DomainError."""
+    if not abs(m0 - 1.0) <= COMPLETENESS_TOL:
+        raise DomainError(f"{p.label}: x11 sums to m0 = {m0!r} on the family's grid, not 1 within "
+                          f"{COMPLETENESS_TOL:g}: its rule does not resolve sigma = {sigma!r}")
 
 
 def moment_integrals(g: FamilyGrid, state: QubitState):

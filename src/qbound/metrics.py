@@ -121,12 +121,12 @@ def deviation_h_definitional(state: QubitState, k: ParamIndex) -> np.ndarray:
     return d_rho(state, k) - 0.5 * (rho @ L + L @ rho)
 
 
-def phiphi_entries(r: float, st: float) -> tuple[float, float, float, float]:
+def phiphi_entries(r: float, st: float, u: float | None = None) -> tuple[float, float, float, float]:
     """The phi-phi entries of the new, SLD, RLD and Husimi metrics at r, with
-    st = sin(theta), bit for bit those of the 3x3 closed forms.  r must lie in
-    the new metric's working range, which holds the other three's."""
+    st = sin(theta) and u = atanh_tail(r) if given, bit for bit those of the 3x3
+    closed forms.  r must lie in the new metric's working range, as theirs do."""
     require_working_r(r, "new_metric")
-    k = coeff_k(r)
+    k = coeff_k(r, u)
     new, rld, husimi = _new_angular(k, r), _inv_one_minus_r2(r), _husimi_angular(k, r)
     return _phiphi(new, r, st), _phiphi(1.0, r, st), _phiphi(rld, r, st), _phiphi(husimi, r, st)
 

@@ -56,19 +56,31 @@ def test_metrics_json(tmp_path, capsys):
     assert abs(data["measurement_fisher_phiphi"] - 0.25) <= 1e-10
 
 
-def test_metrics_quadrature_flags_reach_fisher(tmp_path):
+def _mass_error(family, sigma):
+    """The stderr line of a family whose rule misses x11's mass."""
+    m0 = family.grid().moment("x11", 0)
+    return (f"qbound: {family.label}: x11 sums to m0 = {m0!r} on the family's grid, not 1 "
+            f"within 1e-09: its rule does not resolve sigma = {sigma!r}")
+
+
+def test_metrics_quadrature_flags_reach_fisher(tmp_path, capsys):
     state = QubitState(0.5, PI / 2, 3 * PI / 4)
     family = gaussian_sharp_family(EstimationContext(state))
     values = []
-    for flags in ([], ["--panels", "2", "--order", "2"], ["--panels", "8"], ["--order", "6"]):
+    for flags in ([], ["--panels", "4", "--order", "4"], ["--panels", "8"], ["--order", "6"]):
         out = tmp_path / "metrics.json"
         assert run(["metrics", "--r", "0.5", *flags, "--out", str(out)]) == EXIT_OK
         values.append(json.loads(out.read_text())["measurement_fisher_phiphi"])
-    assert values[1] == measurement_fisher(state, replace(family, spec=QuadSpec(2, 2)))
+    assert values[1] == measurement_fisher(state, replace(family, spec=QuadSpec(4, 4)))
     assert values[1] != values[0]
     # one flag alone keeps the default of the other
     assert values[2] == measurement_fisher(state, replace(family, spec=QuadSpec(8, 16)))
     assert values[3] == measurement_fisher(state, replace(family, spec=QuadSpec(64, 6)))
+    # a 2 x 2 rule misses x11's mass by 2.3e-5, and the Fisher entry with it
+    capsys.readouterr()
+    assert run(["metrics", "--r", "0.5", "--panels", "2", "--order", "2"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", _mass_error(replace(family, spec=QuadSpec(2, 2)), 3.0) + "\n")
 
 
 def _json_of(tmp_path, argv):
@@ -78,7 +90,7 @@ def _json_of(tmp_path, argv):
 
 
 @pytest.mark.parametrize("given", [{"panels": 2, "order": 3}, {"panels": 8}, {"order": 6}], ids=str)
-def test_family_commands_integrate_on_the_flagged_rule(given, tmp_path):
+def test_family_commands_integrate_on_the_flagged_rule(given, tmp_path, capsys):
     # one flag alone keeps the default of the other
     ctx = EstimationContext(QubitState(0.5, PI / 2, 3 * PI / 4), eps=0.1)
     family = replace(gaussian_sharp_family(ctx, sigma=2.0), spec=QuadSpec(**given))
@@ -88,6 +100,12 @@ def test_family_commands_integrate_on_the_flagged_rule(given, tmp_path):
         "family": family.label, **validate_povm(family, ctx).as_dict()}
     assert _json_of(tmp_path, ["audit", *common]) == {
         "family": family.label, **audit_derivation(ctx, family)}
+    if given == {"panels": 2, "order": 3}:
+        # this rule misses x11's mass by 2.2e-7, so simulate refuses it
+        capsys.readouterr()
+        assert run(["simulate", *common, "--samples", "10"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == _mass_error(family, 2.0) + "\n"
+        return
     sim = _json_of(tmp_path, ["simulate", *common, "--samples", "10"])
     assert (sim["mean_quadrature"], sim["variance_quadrature"]) == estimator_moments(ctx, family)
 

@@ -37,7 +37,7 @@ MODULES = (bounds, metrics, measurement, derivatives)
 NONE_KEYS = {"measurement_fisher_phiphi", "error"}
 # the functions that check their input and return None, or None where cos(phi) ~ 0
 NONE_RESULTS = {"require_working_r", "require_invertible", "check_method", "gaussian_inputs",
-                "require_braunstein_caves"}
+                "require_braunstein_caves", "require_unit_mass"}
 
 
 def _family(state, build=measurement.gaussian_sharp_family):
@@ -104,11 +104,14 @@ def edge_calls(tmp_path):
         "moment_integrals": lambda s, u: me.moment_integrals(_family(s)[1].grid(), s)(s.r),
         "interior_scan": lambda s, u: me.interior_scan(_family(s)[1], EstimationContext(s)),
         "gaussian_inputs": lambda s, u: me.gaussian_inputs(s.phi, 0.0, 3.0),
+        "require_unit_mass": lambda s, u: me.require_unit_mass(
+            _family(s)[1], 3.0, _family(s)[1].grid().moment("x11", 0)),
         "sample_outcomes": lambda s, u: me.sample_outcomes(
             me.outcome_distribution(*_family(s)), 64, seed=0),
         "require_working_r": lambda s, u: d.require_working_r(s.r),
         "require_invertible": lambda s, u: d.require_invertible(s.r, "rho"),
         "check_method": lambda s, u: d.check_method("quadrature"),
+        "atanh_tail": lambda s, u: d.atanh_tail(s.r, "atanh_tail"),
         "coeff_k": lambda s, u: d.coeff_k(s.r),
         "coeff_k_tilde": lambda s, u: d.coeff_k_tilde(s.r),
         "coeff_h3r": lambda s, u: d.coeff_h3r(s.r),
@@ -299,6 +302,46 @@ def test_cli_exits_1_where_the_density_vanishes_at_every_node(argv, capsys):
             assert re.fullmatch(re.escape(prefix) + pattern, line), line
 
 
+# the default rule misses the Gaussian's mass: 0.18 where it is 1, so the
+# Fisher entry reads below the SLD entry and Braunstein-Caves passes
+UNRESOLVED_SIGMA = 1e-4
+MISSED_MASS = ("gaussian-sharp(sigma=0.0001): x11 sums to m0 = 0.180380815272539 on the family's "
+               "grid, not 1 within 1e-09: its rule does not resolve sigma = 0.0001")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "sweep", "--steps", "3"],
+    ["metrics", "--r", "0.5"],
+    ["simulate", "--r", "0.5", "--samples", "1000"],
+], ids=" ".join)
+def test_cli_exits_1_where_the_rule_misses_the_family_mass(argv, capsys):
+    code, captured = _cli(argv + ["--sigma", repr(UNRESOLVED_SIGMA)], capsys)
+    rows = argv[0] == "bounds"
+    prefixes = [f"row r={r} failed: " for r in (0.1, 0.5, 0.9)] if rows else ["qbound: "]
+    assert (code, captured.err.splitlines()) == (1, [prefix + MISSED_MASS for prefix in prefixes])
+    assert rows or captured.out == ""
+
+
+def test_mass_check_follows_the_earlier_checks():
+    # the vanishing density and Braunstein-Caves keep their messages; past
+    # them, the sweep's rows and the report name the missed mass
+    state = QubitState(0.5, PI / 2, 3 * PI / 4)
+    rows = bounds.bounds_sweep([0.0, 0.5], theta=state.theta, phi=state.phi, sigma=UNRESOLVED_SIGMA)
+    assert [row.error for row in rows] == [
+        "new_metric requires r in [1e-06, 0.999999], got r = 0.0", MISSED_MASS]
+    with pytest.raises(DomainError, match=f"^{re.escape(MISSED_MASS)}$"):
+        bounds.metric_report(state, sigma=UNRESOLVED_SIGMA)
+    ctx = EstimationContext(state)
+    for sigma, pattern in ((NARROW_SIGMA, EVERY_NODE), (OVER_SLD_SIGMA, BRAUNSTEIN_CAVES)):
+        family = measurement.gaussian_sharp_family(ctx, sigma=sigma)
+        with pytest.raises(DomainError, match=r"^gaussian-sharp\(sigma=[^)]*\): x11 sums to m0 = "):
+            measurement.require_unit_mass(family, sigma, family.grid().moment("x11", 0))
+        with pytest.raises(DomainError, match=f"^{pattern}"):
+            bounds.metric_report(state, sigma=sigma)
+    family = measurement.gaussian_sharp_family(ctx, sigma=0.3)
+    assert measurement.require_unit_mass(family, 0.3, family.grid().moment("x11", 0)) is None
+
+
 # ------------------------------------------- a Gaussian exponent past the float range
 SMALLEST_SIGMA = 1e-154  # 1/sigma^2 is finite, (pi/sigma)^2 is not
 
@@ -331,5 +374,10 @@ def test_cli_at_the_smallest_sigma_writes_no_warning(argv, capsys):
         assert [line.split(": ", 1)[1] for line in lines] == [EVERY_NODE] * 2
     elif argv[0] == "metrics":
         assert (code, lines) == (1, [f"qbound: {EVERY_NODE}"])
+    elif argv[0] == "simulate":
+        # no node holds mass, so the quadrature moments would read 0.0
+        assert (code, lines) == (1, ["qbound: gaussian-sharp(sigma=1e-154): x11 sums to m0 = 0.0 on "
+                                     "the family's grid, not 1 within 1e-09: its rule does not "
+                                     "resolve sigma = 1e-154"])
     else:
         assert (code, lines) == (0, [])

@@ -5,6 +5,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from qbound.bounds import bounds_sweep, metric_report
@@ -142,7 +143,7 @@ def test_sweep_sld_and_rld_bounds_match_a_50_digit_oracle_up_to_both_edges():
 def test_phiphi_entries_read_k_once_and_match_the_3x3_forms(monkeypatch):
     calls = []
     coeff_k = metrics.coeff_k
-    monkeypatch.setattr(metrics, "coeff_k", lambda r: calls.append(r) or coeff_k(r))
+    monkeypatch.setattr(metrics, "coeff_k", lambda r, u=None: calls.append(r) or coeff_k(r, u))
     for r in (R_MIN, 0.3, 0.45, 0.9, R_MAX):
         s = QubitState(r, 1.1, 0.4)
         entries = metrics.phiphi_entries(r, math.sin(s.theta))
@@ -393,6 +394,48 @@ def test_fisher_integral_names_where_the_density_vanishes():
     assert bad.x11[40] + state.r * b[40] == 0.0 and e[40] != 0.0
     with pytest.raises(DomainError, match=f"^outcome density vanishes at phi_hat = {re.escape(repr(float(g.x[40])))}$"):
         fisher_integral(bad, state)(state.r)
+
+
+def test_sharp_family_fisher_is_r2_sin2_theta_m0():
+    # a sharp family built at the state's phi has x12, y12 = q s (sin phi,
+    # cos phi) x11, so at every node tr(d_r rho Pi) = 0, p = x11 and
+    # tr(d_phi rho Pi)^2 = q^2 r^2 sin^2(theta) x11^2: the Fisher integral
+    # is q^2 r^2 sin^2(theta) m0, m0 the grid sum of x11
+    rng = np.random.default_rng(20261020)
+    for _ in range(200):
+        theta, phi = float(rng.uniform(0.05, PI - 0.05)), float(rng.uniform(-7.0, 7.0))
+        eps, sigma = float(rng.uniform(-0.5, 0.5)), float(np.exp(rng.uniform(math.log(0.3), math.log(20.0))))
+        state = QubitState(0.5, theta, phi)
+        ctx = EstimationContext(state, eps=eps)
+        families = [(gaussian_sharp_family(ctx, sigma=sigma), 1.0)]
+        families += [(tapered_sharp_family(ctx, sigma=sigma, taper_power=2, offdiag_scale=q), q)
+                     for q in (1.0, -0.6, 0.3)]
+        for family, q in families:
+            g = family.grid()
+            assert np.max(np.abs(g.trace(d_rho(state, ParamIndex.R)))) <= 1e-15 * np.max(g.x11)
+            m0 = g.moment("x11", 0)
+            for r in (1e-3, 0.3, 0.9, 0.999):
+                want = fisher_integral(g, state)(r)
+                got = q * q * r * r * math.sin(theta) ** 2 * m0
+                assert abs(got - want) <= 4e-15 * want, (family.label, theta, phi, eps, r)
+
+
+def test_sharp_family_fisher_identity_in_exact_arithmetic():
+    # rho = (I + r n.sigma)/2 and the sharp element at the state's phi with
+    # sign s = +-1 (no grid node has s = 0: every grid is split at mu):
+    # tr(d_r rho Pi) = 0, tr(rho Pi) = x11, tr(d_phi rho Pi) = -s q r sin(theta) x11
+    r, theta, phi, x, q = sympy.symbols("r theta phi x q", real=True)
+    n = (sympy.sin(theta) * sympy.cos(phi), sympy.sin(theta) * sympy.sin(phi), sympy.cos(theta))
+    paulis = (sympy.Matrix([[0, 1], [1, 0]]), sympy.Matrix([[0, -sympy.I], [sympy.I, 0]]),
+              sympy.Matrix([[1, 0], [0, -1]]))
+    rho = (sympy.eye(2) + r * sum((c * m for c, m in zip(n, paulis)), sympy.zeros(2))) / 2
+    for s in (1, -1):
+        x12, y12 = q * s * sympy.sin(phi) * x, q * s * sympy.cos(phi) * x
+        povm = sympy.Matrix([[x, x12 + sympy.I * y12], [x12 - sympy.I * y12, x]])
+        p, dr, dphi = ((m * povm).trace() for m in (rho, rho.diff(r), rho.diff(phi)))
+        assert sympy.expand(dr) == 0
+        assert sympy.trigsimp(sympy.expand(p - x)) == 0
+        assert sympy.trigsimp(sympy.expand(dphi + s * q * r * sympy.sin(theta) * x)) == 0
 
 
 # ---------------------------------------------------------------- metric report
