@@ -54,7 +54,7 @@ identity).  dm is d E[phi_hat] / d phi, family held fixed, at offdiag_scale
 is the SLD Cramer-Rao bound dm^2 / g_SLD of an estimator with that bias.
 
 `metric_report` gathers every metric at one state point, with the
-measurement-Fisher entry of the Gaussian family the sweep uses.
+measurement-Fisher entry of the sweep's Gaussian family, read as a row reads it.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from .measurement import (
 )
 from .metrics import (
     MONOTONE_SPECS,
-    fisher_integral,
     husimi_classical_metric,
     monotone_metric,
     new_metric,
@@ -321,19 +320,16 @@ def bounds_sweep(
     state's checks, one atanh tail (its range check names r = 1) for
     `metrics.phiphi_entries` and h3, a, b, v, and Fisher = r^2 sin^2(theta) m0
     (the sharp-family identity in `measurement`), then `require_braunstein_caves`
-    and `require_unit_mass`.  B_Fisher is `measurement_fisher`'s to rounding;
-    every other cell is bit for bit the single-state functions'.
+    and `require_unit_mass`.  Every cell is the single-state functions' bit for
+    bit (B_Fisher: `metric_report`'s; `measurement_fisher`'s to rounding).
     """
     try:
         # every fixed-input integral reads the state's angles, never its r
         ctx = EstimationContext(QubitState(0.0, theta, phi), eps=eps)
-        family = replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec)
-        grid = family.grid()
-        if not np.any(grid.x11 > 0):
-            raise DomainError("outcome density vanishes at every quadrature node")
+        family, grid, m0 = _gaussian_family(ctx, sigma, spec)
         I1, I2, offdiag = _r_free_integrals(ctx, grid)
         integrals = moment_integrals(grid, ctx.state)
-        st, m0 = math.sin(ctx.state.theta), grid.moment("x11", 0)
+        st = math.sin(ctx.state.theta)
         fisher_unit = st * st * m0
         fixed_error = None
     except (DomainError, ValueError) as exc:
@@ -368,6 +364,16 @@ def bounds_sweep(
     return rows
 
 
+def _gaussian_family(ctx: EstimationContext, sigma: float, spec: QuadSpec):
+    """The Gaussian sharp family at ctx on rule `spec`, its grid and m0, the sum
+    of x11 (Fisher = r^2 sin^2(theta) m0); raises where x11 > 0 at no node."""
+    family = replace(gaussian_sharp_family(ctx, sigma=sigma), spec=spec)
+    grid = family.grid()
+    if not np.any(grid.x11 > 0):
+        raise DomainError("outcome density vanishes at every quadrature node")
+    return family, grid, grid.moment("x11", 0)
+
+
 def metric_report(
     state: QubitState,
     eps: float = 0.0,
@@ -379,17 +385,18 @@ def metric_report(
     [radial, angular] pair of each of MONOTONE_SPECS, and
     measurement_fisher_phiphi.
 
-    The measurement-Fisher entry uses the Gaussian sharp family at the
-    state's azimuth, with `spec` as the family's rule; it is omitted (None)
-    when cos(phi) ~ 0, where that construction is undefined.  A bad sigma or
-    eps raises at every phi, and so does any other error of the family, the
-    integral, `require_braunstein_caves` and then `require_unit_mass`.
+    The measurement-Fisher entry is the Gaussian sharp family's at the state's
+    azimuth on rule `spec`: r^2 sin^2(theta) m0, m0 the sum of x11 on the
+    family's own grid, as a sweep row reads it, after the density check.  It is
+    None when cos(phi) ~ 0, where that construction is undefined.  A bad sigma
+    or eps raises at every phi, and so do the density check,
+    `require_braunstein_caves` and then `require_unit_mass`.
     """
     fisher = None
     if gaussian_inputs(state.phi, eps, sigma) is not None:
-        family = replace(gaussian_sharp_family(EstimationContext(state, eps=eps), sigma=sigma), spec=spec)
-        grid = family.grid()
-        fisher = fisher_integral(grid, state)(state.r)
+        family, _, m0 = _gaussian_family(EstimationContext(state, eps=eps), sigma, spec)
+        st = math.sin(state.theta)
+        fisher = state.r * state.r * (st * st * m0)
     out = {
         "r": state.r,
         "theta": state.theta,
@@ -404,5 +411,5 @@ def metric_report(
     out["measurement_fisher_phiphi"] = fisher
     if fisher is not None:
         require_braunstein_caves(fisher, out["sld_metric"][2][2])
-        require_unit_mass(family, sigma, grid.moment("x11", 0))
+        require_unit_mass(family, sigma, m0)
     return out

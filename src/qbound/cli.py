@@ -351,11 +351,11 @@ def _cmd_bounds_sweep(args) -> int:
     else:
         columns = [f.name for f in fields(SweepRow) if f.name != "error"]
         _emit(args, csv_text=rows_to_csv(columns, table))
-    if args.svg:
-        write_output(sweep_svg(rows, log_y=args.log_y), args.svg)
     failed = [row for row in rows if row.error is not None]
     for row in failed:
         print(f"row r={row.r:g} failed: {row.error}", file=sys.stderr)
+    if args.svg:
+        write_output(sweep_svg(rows, log_y=args.log_y), args.svg)
     return EXIT_DOMAIN if failed else EXIT_OK
 
 
@@ -363,6 +363,7 @@ def _cmd_audit(args) -> int:
     ctx = EstimationContext(_state(args), eps=args.eps)
     family = replace(gaussian_sharp_family(ctx, sigma=args.sigma), spec=_quad_spec(args))
     report = audit_derivation(ctx, family)
+    require_unit_mass(family, args.sigma, family.grid().moment("x11", 0))
     _emit(args, {"family": family.label, **report})
     return EXIT_OK
 

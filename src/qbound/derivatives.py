@@ -48,7 +48,7 @@ def _working_r_error(r: float, what: str) -> DomainError:
     return DomainError(f"{what} requires r in [{R_MIN:g}, {R_MAX:g}], got r = {float(r)!r}")
 
 
-def require_working_r(r: float, what: str = "operation") -> None:
+def require_working_r(r: float, what: str) -> None:
     if not R_MIN <= r <= R_MAX:
         raise _working_r_error(r, what)
 

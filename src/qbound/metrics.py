@@ -193,7 +193,7 @@ def measurement_fisher(state: QubitState, povm) -> float:
     state only.  The integral runs over the family's grid: its own `spec`,
     split at its discontinuities.
     """
-    return fisher_integral(povm.grid(), state)(state.r)
+    return fisher_integral(povm.grid(), state)
 
 
 def require_braunstein_caves(fisher: float, sld: float) -> None:
@@ -204,29 +204,24 @@ def require_braunstein_caves(fisher: float, sld: float) -> None:
                           f"SLD entry {sld!r} by {(fisher - sld) / sld if sld else math.inf:.3e} relative")
 
 
-def fisher_integral(g, state: QubitState):
-    """The Fisher integral over grid g's nodes as a function of r at the
-    state's angles.  As rho = I/2 + r d_r rho, the outcome density is
-    p = x11 + r B, B = tr(d_r rho Pi), and its phi-derivative r E, with
-    E = tr(d_phi rho Pi) at r = 1; the integral is r^2 times that of E^2 / p.
-    A node with p <= 0 adds 0, or raises naming its abscissa where r E != 0;
-    with p > 0 throughout nothing is masked, and with p > 0 nowhere the
-    integral raises."""
+def fisher_integral(g, state: QubitState) -> float:
+    """The Fisher integral over grid g's nodes at the state.  As rho = I/2 +
+    r d_r rho, the outcome density is p = x11 + r B, B = tr(d_r rho Pi), and
+    its phi-derivative r E, with E = tr(d_phi rho Pi) at r = 1; the integral
+    is r^2 times that of E^2 / p.  A node with p <= 0 adds 0, or raises naming
+    its abscissa where r E != 0; with p > 0 throughout nothing is masked, and
+    with p > 0 nowhere the integral raises."""
+    r = state.r
     b = g.trace(d_rho(state, ParamIndex.R))
     e = g.trace(d_rho(QubitState(1.0, state.theta, state.phi), ParamIndex.PHI))
-    e2 = e * e
-
-    def at(r: float) -> float:
-        p, num = g.x11 + r * b, e2
-        if not p.min() > 0:
-            if not np.any(p > 0):
-                raise DomainError("outcome density vanishes at every quadrature node")
-            bad = p <= 0
-            vanishing = bad & (np.abs(r * e) > 0)
-            if np.any(vanishing):
-                where = float(g.x[np.argmax(vanishing)])
-                raise DomainError(f"outcome density vanishes at phi_hat = {where!r}")
-            p, num = np.where(bad, 1.0, p), np.where(bad, 0.0, num)
-        return float(r * r * g.integrate(num / p))
-
-    return at
+    p, num = g.x11 + r * b, e * e
+    if not p.min() > 0:
+        if not np.any(p > 0):
+            raise DomainError("outcome density vanishes at every quadrature node")
+        bad = p <= 0
+        vanishing = bad & (np.abs(r * e) > 0)
+        if np.any(vanishing):
+            where = float(g.x[np.argmax(vanishing)])
+            raise DomainError(f"outcome density vanishes at phi_hat = {where!r}")
+        p, num = np.where(bad, 1.0, p), np.where(bad, 0.0, num)
+    return float(r * r * g.integrate(num / p))

@@ -463,7 +463,7 @@ def test_sweep_rows_make_no_node_pass(monkeypatch):
     # belongs to the fixed inputs, however many rows there are
     calls = [_counted(monkeypatch, [measurement.FamilyGrid], "integrate"),
              _counted(monkeypatch, [measurement.FamilyGrid], "trace"),
-             _counted(monkeypatch, [metrics, bounds], "fisher_integral")]
+             _counted(monkeypatch, [metrics], "fisher_integral")]
     counts = []
     for steps in (2, 200):
         rows = bounds_sweep(np.linspace(0.02, 0.98, steps))

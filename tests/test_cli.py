@@ -26,7 +26,6 @@ from qbound.measurement import (
     load_tabulated_csv,
     validate_povm,
 )
-from qbound.metrics import measurement_fisher
 from qbound.quadrature import QuadSpec
 from qbound.qubit import QubitState
 
@@ -66,16 +65,22 @@ def _mass_error(family, sigma):
 def test_metrics_quadrature_flags_reach_fisher(tmp_path, capsys):
     state = QubitState(0.5, PI / 2, 3 * PI / 4)
     family = gaussian_sharp_family(EstimationContext(state))
+
+    def fisher_on(spec):
+        # the sharp family's entry r^2 sin^2(theta) m0, m0 on the flagged rule's grid
+        st = math.sin(state.theta)
+        return state.r * state.r * (st * st * replace(family, spec=spec).grid().moment("x11", 0))
+
     values = []
     for flags in ([], ["--panels", "4", "--order", "4"], ["--panels", "8"], ["--order", "6"]):
         out = tmp_path / "metrics.json"
         assert run(["metrics", "--r", "0.5", *flags, "--out", str(out)]) == EXIT_OK
         values.append(json.loads(out.read_text())["measurement_fisher_phiphi"])
-    assert values[1] == measurement_fisher(state, replace(family, spec=QuadSpec(4, 4)))
+    assert values[1] == fisher_on(QuadSpec(4, 4))
     assert values[1] != values[0]
     # one flag alone keeps the default of the other
-    assert values[2] == measurement_fisher(state, replace(family, spec=QuadSpec(8, 16)))
-    assert values[3] == measurement_fisher(state, replace(family, spec=QuadSpec(64, 6)))
+    assert values[2] == fisher_on(QuadSpec(8, 16))
+    assert values[3] == fisher_on(QuadSpec(64, 6))
     # a 2 x 2 rule misses x11's mass by 2.3e-5, and the Fisher entry with it
     capsys.readouterr()
     assert run(["metrics", "--r", "0.5", "--panels", "2", "--order", "2"]) == EXIT_DOMAIN
@@ -98,14 +103,15 @@ def test_family_commands_integrate_on_the_flagged_rule(given, tmp_path, capsys):
     common = ["--r", "0.5", "--eps", "0.1", "--sigma", "2", *flags]
     assert _json_of(tmp_path, ["povm", "validate", *common]) == {
         "family": family.label, **validate_povm(family, ctx).as_dict()}
+    if given == {"panels": 2, "order": 3}:
+        # this rule misses x11's mass by 2.2e-7, so audit and simulate refuse it
+        capsys.readouterr()
+        for argv in (["audit", *common], ["simulate", *common, "--samples", "10"]):
+            assert run(argv) == EXIT_DOMAIN
+            assert capsys.readouterr() == ("", _mass_error(family, 2.0) + "\n")
+        return
     assert _json_of(tmp_path, ["audit", *common]) == {
         "family": family.label, **audit_derivation(ctx, family)}
-    if given == {"panels": 2, "order": 3}:
-        # this rule misses x11's mass by 2.2e-7, so simulate refuses it
-        capsys.readouterr()
-        assert run(["simulate", *common, "--samples", "10"]) == EXIT_DOMAIN
-        assert capsys.readouterr().err == _mass_error(family, 2.0) + "\n"
-        return
     sim = _json_of(tmp_path, ["simulate", *common, "--samples", "10"])
     assert (sim["mean_quadrature"], sim["variance_quadrature"]) == estimator_moments(ctx, family)
 
@@ -374,6 +380,18 @@ def test_bounds_sweep_svg(tmp_path):
     run(["bounds", "sweep", "--steps", "5", "--out", str(out), "--svg", str(svg2),
          "--format", "csv", "--log-y"])
     assert svg.read_bytes() == svg2.read_bytes()
+
+
+def test_bounds_sweep_svg_names_the_failed_rows_before_the_chart_fails(tmp_path, capsys):
+    # at theta = 0 every row fails, so there is no chart; stderr still says why
+    svg = tmp_path / "fig.svg"
+    assert run(["bounds", "sweep", "--theta", "0", "--steps", "2", "--svg", str(svg)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines[:2]] == ["row r=0.1 failed", "row r=0.9 failed"]
+    assert lines[2:] == ["qbound: no successful sweep rows to plot"]
+    assert [row["error"] is not None for row in json.loads(captured.out)["rows"]] == [True, True]
+    assert not svg.exists()
 
 
 def test_audit_json(tmp_path):

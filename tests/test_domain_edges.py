@@ -80,7 +80,7 @@ def edge_calls(tmp_path):
         "deviation_h_definitional": lambda s, u: [
             m.deviation_h_definitional(s, k) for k in ParamIndex],
         "phiphi_entries": lambda s, u: m.phiphi_entries(s.r, math.sin(s.theta)),
-        "fisher_integral": lambda s, u: m.fisher_integral(_family(s)[1].grid(), s)(s.r),
+        "fisher_integral": lambda s, u: m.fisher_integral(_family(s)[1].grid(), s),
         "require_braunstein_caves": lambda s, u: m.require_braunstein_caves(
             m.measurement_fisher(s, _family(s)[1]), float(m.sld_metric(s)[2, 2])),
         "sld_metric": lambda s, u: m.sld_metric(s),
@@ -108,7 +108,7 @@ def edge_calls(tmp_path):
             _family(s)[1], 3.0, _family(s)[1].grid().moment("x11", 0)),
         "sample_outcomes": lambda s, u: me.sample_outcomes(
             me.outcome_distribution(*_family(s)), 64, seed=0),
-        "require_working_r": lambda s, u: d.require_working_r(s.r),
+        "require_working_r": lambda s, u: d.require_working_r(s.r, "require_working_r"),
         "require_invertible": lambda s, u: d.require_invertible(s.r, "rho"),
         "check_method": lambda s, u: d.check_method("quadrature"),
         "atanh_tail": lambda s, u: d.atanh_tail(s.r, "atanh_tail"),
@@ -313,6 +313,7 @@ MISSED_MASS = ("gaussian-sharp(sigma=0.0001): x11 sums to m0 = 0.180380815272539
     ["bounds", "sweep", "--steps", "3"],
     ["metrics", "--r", "0.5"],
     ["simulate", "--r", "0.5", "--samples", "1000"],
+    ["audit", "--r", "0.5", "--format", "csv"],
 ], ids=" ".join)
 def test_cli_exits_1_where_the_rule_misses_the_family_mass(argv, capsys):
     code, captured = _cli(argv + ["--sigma", repr(UNRESOLVED_SIGMA)], capsys)
@@ -374,10 +375,8 @@ def test_cli_at_the_smallest_sigma_writes_no_warning(argv, capsys):
         assert [line.split(": ", 1)[1] for line in lines] == [EVERY_NODE] * 2
     elif argv[0] == "metrics":
         assert (code, lines) == (1, [f"qbound: {EVERY_NODE}"])
-    elif argv[0] == "simulate":
+    else:
         # no node holds mass, so the quadrature moments would read 0.0
         assert (code, lines) == (1, ["qbound: gaussian-sharp(sigma=1e-154): x11 sums to m0 = 0.0 on "
                                      "the family's grid, not 1 within 1e-09: its rule does not "
                                      "resolve sigma = 1e-154"])
-    else:
-        assert (code, lines) == (0, [])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qbound.bounds import bounds_sweep, metric_report
 from qbound import metrics
 from qbound.derivatives import R_MAX, R_MIN, new_log_derivative
-from qbound.measurement import EstimationContext, gaussian_sharp_family, tapered_sharp_family
+from qbound.measurement import EstimationContext, FamilyGrid, gaussian_sharp_family, tapered_sharp_family
 from qbound.metrics import (
     MONOTONE_SPECS,
     fisher_integral,
@@ -25,7 +25,7 @@ from qbound.metrics import (
     sld_metric,
     sld_metric_trace,
 )
-from qbound.quadrature import sphere_integrate
+from qbound.quadrature import QuadSpec, sphere_integrate
 from qbound.qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 from conftest import PI, grid_36, k_coeff, k_tilde_coeff, new_metric_phiphi_oracle
@@ -358,7 +358,7 @@ def test_fisher_integral_equals_the_masked_integral_bit_for_bit():
         r = state.r
         for g in (fam.grid(), _with_vanishing_elements(fam.grid())):
             b, e = _affine_parts(g, state)
-            assert fisher_integral(g, state)(r) == r * r * _masked_fisher(g, g.x11 + r * b, e)
+            assert fisher_integral(g, state) == r * r * _masked_fisher(g, g.x11 + r * b, e)
 
 
 def _with_vanishing_elements(g):
@@ -379,7 +379,7 @@ def test_fisher_integral_matches_the_trace_of_rho_and_its_derivative():
         g = tapered_sharp_family(EstimationContext(state, eps=0.2), **kwargs).grid()
         p, dp = g.trace(density_matrix(state)), g.trace(d_rho(state, ParamIndex.PHI))
         want = _masked_fisher(g, p, dp)
-        assert abs(fisher_integral(g, state)(state.r) - want) <= 1e-14 * want
+        assert abs(fisher_integral(g, state) - want) <= 1e-14 * want
 
 
 def test_fisher_integral_names_where_the_density_vanishes():
@@ -393,7 +393,7 @@ def test_fisher_integral_names_where_the_density_vanishes():
     bad = dataclasses.replace(g, x11=x11)
     assert bad.x11[40] + state.r * b[40] == 0.0 and e[40] != 0.0
     with pytest.raises(DomainError, match=f"^outcome density vanishes at phi_hat = {re.escape(repr(float(g.x[40])))}$"):
-        fisher_integral(bad, state)(state.r)
+        fisher_integral(bad, state)
 
 
 def test_sharp_family_fisher_is_r2_sin2_theta_m0():
@@ -415,7 +415,7 @@ def test_sharp_family_fisher_is_r2_sin2_theta_m0():
             assert np.max(np.abs(g.trace(d_rho(state, ParamIndex.R)))) <= 1e-15 * np.max(g.x11)
             m0 = g.moment("x11", 0)
             for r in (1e-3, 0.3, 0.9, 0.999):
-                want = fisher_integral(g, state)(r)
+                want = fisher_integral(g, QubitState(r, theta, phi))
                 got = q * q * r * r * math.sin(theta) ** 2 * m0
                 assert abs(got - want) <= 4e-15 * want, (family.label, theta, phi, eps, r)
 
@@ -449,6 +449,33 @@ def test_metric_report_contents():
     import json
 
     json.dumps(data)  # must be serializable as-is
+
+
+def test_metric_report_reads_the_sweep_rows_fisher_entry():
+    # both read r^2 sin^2(theta) m0 on the same family's grid, so B_Fisher is
+    # the report's entry inverted, on the default rule and on a coarse one
+    rng = np.random.default_rng(20261021)
+    for case in range(200):
+        r, theta = float(rng.uniform(0.02, 0.98)), float(rng.uniform(0.05, PI - 0.05))
+        phi, eps = float(rng.uniform(-7.0, 7.0)), float(rng.uniform(-0.5, 0.5))
+        sigma = float(np.exp(rng.uniform(math.log(0.3), math.log(20.0))))
+        if abs(math.cos(phi)) < 1e-3:
+            continue
+        for spec in (QuadSpec(), QuadSpec(8, 6)):
+            kwargs = {"eps": eps, "sigma": sigma, "spec": spec}
+            report = metric_report(QubitState(r, theta, phi), **kwargs)
+            [row] = bounds_sweep([r], theta=theta, phi=phi, **kwargs)
+            assert row.B_Fisher == 1.0 / report["measurement_fisher_phiphi"], (case, spec)
+
+
+def test_metric_report_makes_no_node_pass_for_its_fisher_entry(monkeypatch):
+    calls = []
+    for owner, name in ((metrics, "fisher_integral"), (FamilyGrid, "trace")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _f=original: calls.append(args) or _f(*args))
+    report = metric_report(QubitState(0.5, 1.1, 0.4), eps=0.2, sigma=2.0)
+    assert report["measurement_fisher_phiphi"] > 0.0
+    assert calls == []
 
 
 def test_metric_report_skips_fisher_at_cos_zero():
