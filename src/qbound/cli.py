@@ -368,6 +368,25 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
+_LEAF = 8192
+
+
+def _sample_std(x: np.ndarray) -> np.float64:
+    """np.std(x, ddof=1) bit for bit, holding x and one _LEAF-element temporary:
+    add.reduce sums a contiguous float64 array pairwise, splitting n > 128 at
+    n // 2 - (n // 2) % 8, and each leaf is a node of that tree, added in order."""
+    mean = np.add.reduce(x) / x.size
+
+    def tree(lo: int, m: int) -> np.float64:
+        if m <= _LEAF:
+            d = x[lo : lo + m] - mean
+            return np.add.reduce(np.multiply(d, d, out=d))
+        m2 = m // 2 - (m // 2) % 8
+        return tree(lo, m2) + tree(lo + m2, m - m2)
+
+    return np.sqrt(tree(0, x.size) / (x.size - 1))
+
+
 def _cmd_simulate(args) -> int:
     seed, source = args.seed, "--seed"
     if seed is None:
@@ -390,11 +409,11 @@ def _cmd_simulate(args) -> int:
     try:
         draws = sample_outcomes(dist, n, seed=seed)
         mean_emp = float(np.mean(draws)) if n else math.nan
-        mean_se = float(np.std(draws, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+        mean_se = float(_sample_std(draws) / math.sqrt(n)) if n > 1 else math.nan
         draws -= state.phi
         sq = np.multiply(draws, draws, out=draws)
         var_emp = float(np.mean(sq)) if n else math.nan
-        var_se = float(np.std(sq, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+        var_se = float(_sample_std(sq) / math.sqrt(n)) if n > 1 else math.nan
     except MemoryError as exc:
         raise ValueError(f"--samples: {exc}") from None
     data = {

@@ -85,9 +85,10 @@ def coeff_k(r: float, u: float | None = None) -> float:
     return r ** 3 * (4.0 / 3.0 + r * r * (2.0 / 3.0 - 2.0 * (1.0 - r) * (1.0 + r) * u))
 
 
-def coeff_k_tilde(r: float) -> float:
+def coeff_k_tilde(r: float, u: float | None = None) -> float:
     """2r + log((1-r)/(1+r)) = -2 r^3 (1/3 + r^2 U)."""
-    return -2.0 * r ** 3 * (1.0 / 3.0 + r * r * atanh_tail(r, "coeff_k_tilde"))
+    u = atanh_tail(r, "coeff_k_tilde") if u is None else u
+    return -2.0 * r ** 3 * (1.0 / 3.0 + r * r * u)
 
 
 def coeff_h3r(r: float, u: float | None = None) -> float:
@@ -153,7 +154,8 @@ def deviation_h(state: QubitState, k: ParamIndex) -> np.ndarray:
     r = state.r
     drho = d_rho(state, k)
     if k is ParamIndex.R:
-        c_iso = coeff_k_tilde(r) / (2.0 * r * r)
-        c_dir = r * r * (1.0 / 3.0 - (3.0 - r * r) * atanh_tail(r, "deviation_h")) / 2.0
+        u = atanh_tail(r, "deviation_h")
+        c_iso = coeff_k_tilde(r, u) / (2.0 * r * r)
+        c_dir = r * r * (1.0 / 3.0 - (3.0 - r * r) * u) / 2.0
         return c_iso * np.eye(2) + 2.0 * c_dir * drho
     return -(2.0 * coeff_h3r(r) / r) * drho

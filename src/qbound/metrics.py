@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .derivatives import (
+    atanh_tail,
     check_method,
     coeff_k,
     coeff_k_tilde,
@@ -90,9 +91,10 @@ def new_metric(state: QubitState) -> np.ndarray:
     form: diagonal in (r, theta, phi)."""
     require_working_r(state.r, "new_metric")
     r, th = state.r, state.theta
-    kt2 = coeff_k_tilde(r) ** 2
+    u = atanh_tail(r, "new_metric")
+    kt2 = coeff_k_tilde(r, u) ** 2
     radial = (9.0 - 5.0 * r * r) * kt2 / (4.0 * r ** 6)
-    return _angular_block(r, th, radial, _new_angular(coeff_k(r), r))
+    return _angular_block(r, th, radial, _new_angular(coeff_k(r, u), r))
 
 
 def sld_metric(state: QubitState) -> np.ndarray:
@@ -182,7 +184,8 @@ def husimi_classical_metric(state: QubitState, method: str = "closed") -> np.nda
             return d[..., :, None] * d[..., None, :] / q(t1, p1)[..., None, None]
 
         return sphere_integrate(integrand, state.bloch)
-    return _angular_block(r, th, -coeff_k_tilde(r) / (2.0 * r ** 3), _husimi_angular(coeff_k(r), r))
+    u = atanh_tail(r, "husimi_classical_metric")
+    return _angular_block(r, th, -coeff_k_tilde(r, u) / (2.0 * r ** 3), _husimi_angular(coeff_k(r, u), r))
 
 
 def measurement_fisher(state: QubitState, povm) -> float:

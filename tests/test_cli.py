@@ -345,14 +345,18 @@ def _no_constant(token):
 
 def test_json_writes_non_finite_as_null(capsys):
     for argv in (["bounds", "sweep", "--r-min", "0", "--r-max", "0.5", "--steps", "3"],
-                 ["simulate", "--r", "0.5", "--samples", "1", "--seed", "1"]):
+                 ["simulate", "--r", "0.5", "--samples", "1", "--seed", "1"],
+                 ["simulate", "--r", "0.5", "--samples", "2", "--seed", "1"]):
         run(argv + ["--format", "json"])
         data = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
         if "rows" in data:
             assert data["rows"][0]["B_max"] is None
-        else:
+        elif data["samples"] == 1:
             assert data["mean_standard_error"] is None
             assert data["variance_standard_error"] is None
+        else:  # two draws have finite, positive standard errors
+            assert data["mean_standard_error"] > 0
+            assert data["variance_standard_error"] > 0
 
 
 def test_log_y_without_svg_is_refused(tmp_path, capsys):
@@ -462,9 +466,24 @@ def test_simulate_holds_one_array_of_draws(capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the draws, and np.std's one temporary
-    assert 8 * n <= peak < 8 * n * 2.5
+    # the draws, and one leaf of the standard errors' pairwise sum
+    assert 8 * n <= peak < 8 * n * 1.5
     assert json.loads(capsys.readouterr().out)["samples"] == n
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 127, 128, 129, 8191, 8192, 8193, 16385, 100_007,
+                               1_000_000, 1_000_003])
+def test_sample_std_matches_np_std_bit_for_bit(n):
+    # the leaves are nodes of numpy's own pairwise-summation tree; a numpy
+    # that splits its sum elsewhere fails here, by name
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n)
+    for scale, offset in ((1.0, 0.0), (1e-6, 3.0), (2.5e4, -7e5)):
+        x = z * scale + offset
+        want, got = np.float64(np.std(x, ddof=1)), np.float64(cli._sample_std(x))
+        assert want.view(np.uint64) == got.view(np.uint64), (
+            f"numpy {np.__version__}: n={n} scale={scale} offset={offset}: "
+            f"np.std {want!r}, _sample_std {got!r}")
 
 
 IMPORT_FLOOR = """
@@ -604,6 +623,8 @@ PINNED_SHA256 = {
         "f3c1c0f91b0949e17b4c5a62ff35471b23eb8321d08624a199e45a9af26baa0b",
     ("simulate", "--r", "0.9", "--eps", "0.3", "--samples", "1000", "--format", "json"):
         "1f5f727d6d42a274b7d82042ec59df82537c7b4ff4b00bc2bdd16a63732f0bd9",
+    ("simulate", "--r", "0.5", "--samples", "200000", "--seed", "3", "--format", "json"):
+        "f4ca9b79d47e7b4c9268e6b2af9d45dd8ed86ff5e178e0c0a787f4a354414dcd",
 }
 
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from qbound.bounds import bounds_sweep, metric_report
 from qbound import metrics
-from qbound.derivatives import R_MAX, R_MIN, new_log_derivative
+from qbound import derivatives
+from qbound.derivatives import R_MAX, R_MIN, coeff_k, coeff_k_tilde, deviation_h, new_log_derivative
 from qbound.measurement import EstimationContext, FamilyGrid, gaussian_sharp_family, tapered_sharp_family
 from qbound.metrics import (
     MONOTONE_SPECS,
@@ -29,6 +30,54 @@ from qbound.quadrature import QuadSpec, sphere_integrate
 from qbound.qubit import DomainError, ParamIndex, QubitState, d_rho, density_matrix
 
 from conftest import PI, grid_36, k_coeff, k_tilde_coeff, new_metric_phiphi_oracle
+
+
+# ------------------------------------------------------------ one atanh tail
+def _two_tail_deviation_h_r(state):
+    # c_iso and c_dir each summing their own U(r)
+    r = state.r
+    c_iso = coeff_k_tilde(r) / (2.0 * r * r)
+    c_dir = r * r * (1.0 / 3.0 - (3.0 - r * r) * derivatives.atanh_tail(r, "deviation_h")) / 2.0
+    return c_iso * np.eye(2) + 2.0 * c_dir * d_rho(state, ParamIndex.R)
+
+
+def _two_tail_new_metric(state):
+    r = state.r
+    radial = (9.0 - 5.0 * r * r) * coeff_k_tilde(r) ** 2 / (4.0 * r ** 6)
+    return metrics._angular_block(r, state.theta, radial, metrics._new_angular(coeff_k(r), r))
+
+
+def _two_tail_husimi_metric(state):
+    r = state.r
+    return metrics._angular_block(r, state.theta, -coeff_k_tilde(r) / (2.0 * r ** 3),
+                                  metrics._husimi_angular(coeff_k(r), r))
+
+
+@pytest.mark.parametrize("closed, two_tail", [
+    (lambda s: deviation_h(s, ParamIndex.R), _two_tail_deviation_h_r),
+    (new_metric, _two_tail_new_metric),
+    (husimi_classical_metric, _two_tail_husimi_metric),
+], ids=["deviation_h_r", "new_metric", "husimi_classical_metric"])
+def test_closed_forms_sum_one_atanh_tail(closed, two_tail, monkeypatch):
+    rng = np.random.default_rng(5)
+    rs = np.concatenate([[R_MIN, R_MAX], rng.uniform(R_MIN, R_MAX, 48)])
+    states = [QubitState(float(r), float(t), float(p))
+              for r, t, p in zip(rs, rng.uniform(0.0, PI, 50), rng.uniform(0.0, 2 * PI, 50))]
+    expected = [two_tail(s) for s in states]
+    calls = []
+    original = derivatives.atanh_tail
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (derivatives, metrics):
+        monkeypatch.setattr(module, "atanh_tail", counted)
+    for state, want in zip(states, expected):
+        calls.clear()
+        got = closed(state)
+        assert len(calls) == 1, (state, calls)
+        assert np.array_equal(got, want), state
 
 
 # ------------------------------------------------------------------ new metric
