@@ -74,7 +74,6 @@ from .measurement import (
     gaussian_sharp_family,
     interior_scan,
     moment_integrals,
-    require_unit_mass,
     trace_with_elements,
 )
 from .metrics import (
@@ -100,9 +99,12 @@ def ab_coefficients(ctx: EstimationContext, p: PovmFamily) -> tuple[float, float
 
     The derivative is the total parameter derivative of the matrix elements;
     the window limits are held fixed, so for edge-supported families b picks
-    up the edge value of x11 through integration by parts.
+    up the edge value of x11 through integration by parts.  Then the mass check.
     """
-    return moment_integrals(p.grid(), ctx.state)(ctx.state.r)[:2]
+    g = p.grid()
+    a, b = moment_integrals(g, ctx.state)(ctx.state.r)[:2]
+    p.require_unit_mass(g.moment("x11", 0))
+    return a, b
 
 
 def _r_free_integrals(ctx: EstimationContext, g: FamilyGrid):
@@ -140,7 +142,7 @@ def bound_Cmax(ctx: EstimationContext, p: PovmFamily) -> dict:
     Returns the dict a, b, c = a + b, I1, I2, h3r, C, C_max,
     sign_conditions_ok and c_nonneg.  c >= 0 and the off-diagonal sign
     pattern are preconditions of the maximization step; violations are
-    flagged, in which case C_max is not an upper bound for C.
+    flagged, in which case C_max is not an upper bound for C.  Then the mass check.
     """
     g = p.grid()
     a, b = moment_integrals(g, ctx.state)(ctx.state.r)[:2]
@@ -148,6 +150,7 @@ def bound_Cmax(ctx: EstimationContext, p: PovmFamily) -> dict:
     I1, I2, offdiag = _r_free_integrals(ctx, g)
     h3 = coeff_h3r(ctx.state.r)
     st = math.sin(ctx.state.theta)
+    p.require_unit_mass(g.moment("x11", 0))
     return {
         "a": a,
         "b": b,
@@ -171,7 +174,8 @@ def theorem_general(ctx: EstimationContext, p: PovmFamily, Y=None, Z=None) -> di
     be zero.  The outcome space carries an estimator only for phi; the other
     two parameters are treated as known (their trivial estimators contribute
     zero deviation), which reduces Y (but not Z) to its third component.
-    Returns the dict lhs, rhs and bracket.
+    The family's mass check runs before its unbiasedness precheck, since an
+    unresolved rule moves E[phi_hat] too.  Returns the dict lhs, rhs and bracket.
     """
     weights = []
     for name, vec in (("Y", Y), ("Z", Z)):
@@ -186,6 +190,7 @@ def theorem_general(ctx: EstimationContext, p: PovmFamily, Y=None, Z=None) -> di
 
     grid = p.grid()
     a, b, mean, variance = moment_integrals(grid, state)(state.r)
+    p.require_unit_mass(grid.moment("x11", 0))
     if abs(mean - ctx.center) > UNBIASEDNESS_PRECHECK_TOL:
         raise DomainError(
             f"family is not unbiased at this context: E[phi_hat] = {float(mean)!r}, "
@@ -203,7 +208,7 @@ def theorem_general(ctx: EstimationContext, p: PovmFamily, Y=None, Z=None) -> di
 
 def audit_derivation(ctx: EstimationContext, p: PovmFamily) -> dict:
     """Evaluate every identity of the 1-D derivation chain numerically, for
-    Y = Z = e3.
+    Y = Z = e3, then the family's mass check.
 
     Returns a dict, in this order:
     - fixed_window_lhs, fixed_window_rhs = a + b, and their difference
@@ -253,6 +258,7 @@ def audit_derivation(ctx: EstimationContext, p: PovmFamily) -> dict:
     schwarz_mid = float(abs(cross) ** 2)
     schwarz_rhs = float(abs(bracket_c) ** 2)
 
+    p.require_unit_mass(g.moment("x11", 0))
     return {
         "fixed_window_lhs": float(lhs_fw),
         "fixed_window_rhs": c,
@@ -320,7 +326,7 @@ def bounds_sweep(
     state's checks, one atanh tail (its range check names r = 1) for
     `metrics.phiphi_entries` and h3, a, b, v, and Fisher = r^2 sin^2(theta) m0
     (the sharp-family identity in `measurement`), then `require_braunstein_caves`
-    and `require_unit_mass`.  Every cell is the single-state functions' bit for
+    and `family.require_unit_mass`.  Every cell is the single-state functions' bit for
     bit (B_Fisher: `metric_report`'s; `measurement_fisher`'s to rounding).
     """
     try:
@@ -352,7 +358,7 @@ def bounds_sweep(
                                   f"entry {least!r} is zero or underflows below the smallest normal "
                                   "float, so the phi bounds are undefined")
             require_braunstein_caves(fisher, g_sld)
-            require_unit_mass(family, sigma, m0)
+            family.require_unit_mass(m0)
             h3 = coeff_h3r(r, u)
             c_max = _squared_bracket(a + b, h3, st, I1 - I2)
             c = _squared_bracket(a + b, h3, st, offdiag)
@@ -390,7 +396,7 @@ def metric_report(
     family's own grid, as a sweep row reads it, after the density check.  It is
     None when cos(phi) ~ 0, where that construction is undefined.  A bad sigma
     or eps raises at every phi, and so do the density check,
-    `require_braunstein_caves` and then `require_unit_mass`.
+    `require_braunstein_caves` and then the family's `require_unit_mass`.
     """
     fisher = None
     if gaussian_inputs(state.phi, eps, sigma) is not None:
@@ -411,5 +417,5 @@ def metric_report(
     out["measurement_fisher_phiphi"] = fisher
     if fisher is not None:
         require_braunstein_caves(fisher, out["sld_metric"][2][2])
-        require_unit_mass(family, sigma, m0)
+        family.require_unit_mass(m0)
     return out

@@ -25,11 +25,10 @@ import numpy as np
 from .bounds import SweepRow, audit_derivation, bounds_sweep, metric_report
 from .measurement import (
     EstimationContext,
+    estimator_moments,
     gaussian_sharp_family,
     load_tabulated_csv,
-    moment_integrals,
     outcome_distribution,
-    require_unit_mass,
     sample_outcomes,
     validate_povm,
 )
@@ -363,7 +362,6 @@ def _cmd_audit(args) -> int:
     ctx = EstimationContext(_state(args), eps=args.eps)
     family = replace(gaussian_sharp_family(ctx, sigma=args.sigma), spec=_quad_spec(args))
     report = audit_derivation(ctx, family)
-    require_unit_mass(family, args.sigma, family.grid().moment("x11", 0))
     _emit(args, {"family": family.label, **report})
     return EXIT_OK
 
@@ -401,9 +399,7 @@ def _cmd_simulate(args) -> int:
     state = _state(args)
     ctx = EstimationContext(state, eps=args.eps)
     family = replace(gaussian_sharp_family(ctx, sigma=args.sigma), spec=_quad_spec(args))
-    grid = family.grid()
-    mean_q, var_q = moment_integrals(grid, state)(state.r)[2:]
-    require_unit_mass(family, args.sigma, grid.moment("x11", 0))
+    mean_q, var_q = estimator_moments(ctx, family)
     dist = outcome_distribution(ctx, family)
     n = args.samples
     try:

@@ -42,7 +42,8 @@ discontinuities and always at its center; a caller resizes a family with
 `dataclasses.replace(family, spec=...)`.  Integrals of (phi_hat - mu)^j
 tr(M Pi), j <= 2, are scalar arithmetic on the grid's element moments
 (`FamilyGrid.moment`).  Traces tr(M Pi) are real arrays for Hermitian M,
-and an integral over nodes is `quadrature._weighted_sum`.
+and an integral over nodes is `quadrature._weighted_sum`.  Every grid reader
+but the diagnostic `validate_povm` calls `PovmFamily.require_unit_mass`.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ class EstimationContext:
     """State plus the window offset eps of the measurement construction.
 
     Families are constructed at the state's azimuth phi, with their window
-    centred at mu = phi + eps.  cos(phi) must be nonzero because the
-    construction divides by it.
+    centred at mu = phi + eps.  cos(phi) must be nonzero: the construction
+    only multiplies by it, but I1 in `bounds._r_free_integrals` divides eps y12
+    by it, and so does `interior_scan`'s off-diagonal sign pattern.
     """
 
     state: QubitState
@@ -182,7 +184,8 @@ class PovmFamily:
     half_width]; constructed families use the full half_width = pi,
     tabulated ones infer it from their abscissa extremes.  `spec` is the
     rule of every window integral of the family: the 64 x 16 default, or
-    1 x 4 for a tabulated family.
+    1 x 4 for a tabulated family.  `sigma` is the width a sharp family's rule
+    must resolve; a tabulated or hand-built family has None, and no check.
     """
 
     center: float
@@ -191,6 +194,7 @@ class PovmFamily:
     label: str = ""
     half_width: float = math.pi
     spec: QuadSpec = DEFAULT_SPEC
+    sigma: float | None = None
 
     @property
     def window(self) -> tuple[float, float]:
@@ -217,6 +221,13 @@ class PovmFamily:
             a.flags.writeable = False
         return FamilyGrid(x, w, *stacked, center=self.center)
 
+    def require_unit_mass(self, m0: float) -> None:
+        """m0, a sharp family's x11 summed on its grid, is 1 where the rule resolves
+        the width sigma; a miss beyond COMPLETENESS_TOL raises DomainError."""
+        if self.sigma is not None and not abs(m0 - 1.0) <= COMPLETENESS_TOL:
+            raise DomainError(f"{self.label}: x11 sums to m0 = {m0!r} on the family's grid, not 1 within "
+                              f"{COMPLETENESS_TOL:g}: its rule does not resolve sigma = {self.sigma!r}")
+
     def eigenvalues(self, phi_hat) -> tuple[np.ndarray, np.ndarray]:
         """(lam1, lam2) with lam1 <= lam2, elementwise over phi_hat."""
         return _eigenvalues(*self.elements(phi_hat)[:3])
@@ -229,10 +240,10 @@ def _eigenvalues(x11, x12, y12) -> tuple[np.ndarray, np.ndarray]:
     return a - root, a + root
 
 
-def _sharp_family(ctx: EstimationContext, profile, scale: float, label: str) -> PovmFamily:
-    """Sharp construction on a diagonal profile: profile(v), v = phi_hat - mu,
-    returns x11 and its total parameter derivative; the off-diagonals are
-    scale * (sin, cos)(phi) * x11 * sgn(mu - phi_hat)."""
+def _sharp_family(ctx: EstimationContext, profile, scale: float, label: str, sigma: float) -> PovmFamily:
+    """Sharp construction of width sigma on a diagonal profile: profile(v), v =
+    phi_hat - mu, returns x11 and its total parameter derivative; the
+    off-diagonals are scale * (sin, cos)(phi) * x11 * sgn(mu - phi_hat)."""
     mu = ctx.center
     sin_c, cos_c = math.sin(ctx.state.phi), math.cos(ctx.state.phi)
 
@@ -242,7 +253,7 @@ def _sharp_family(ctx: EstimationContext, profile, scale: float, label: str) -> 
         return (p, scale * sin_c * p * s, scale * cos_c * p * s, dp,
                 scale * (cos_c * p + sin_c * dp) * s, scale * (-sin_c * p + cos_c * dp) * s)
 
-    return PovmFamily(mu, elements, discontinuities=(mu,), label=label)
+    return PovmFamily(mu, elements, discontinuities=(mu,), label=label, sigma=sigma)
 
 
 def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFamily:
@@ -254,7 +265,7 @@ def gaussian_sharp_family(ctx: EstimationContext, sigma: float = 3.0) -> PovmFam
         p = norm * np.exp(-0.5 * v ** 2 * inv_s2)
         return p, p * v * inv_s2
 
-    return _sharp_family(ctx, profile, 1.0, f"gaussian-sharp(sigma={sigma:g})")
+    return _sharp_family(ctx, profile, 1.0, f"gaussian-sharp(sigma={sigma:g})", sigma)
 
 
 def tapered_sharp_family(
@@ -296,7 +307,7 @@ def tapered_sharp_family(
     norm = 1.0 / total
     return _sharp_family(
         ctx, profile, offdiag_scale,
-        f"tapered-sharp(sigma={sigma:g},k={k},scale={offdiag_scale:g})",
+        f"tapered-sharp(sigma={sigma:g},k={k},scale={offdiag_scale:g})", sigma,
     )
 
 
@@ -596,20 +607,15 @@ def outcome_distribution(ctx: EstimationContext, p: PovmFamily) -> OutcomeDistri
 
 def estimator_moments(ctx: EstimationContext, p: PovmFamily) -> tuple[float, float]:
     """Mean of phi_hat and the second moment about the true parameter, by
-    scalar arithmetic on the grid's element moments (`moment_integrals`).
+    scalar arithmetic on the grid's moments (`moment_integrals`), then the mass check.
 
     The variance is E[(phi_hat - phi)^2], phi the state's azimuth: the
     deviation from the true value, not from the mean; equal when eps = 0.
     """
-    return moment_integrals(p.grid(), ctx.state)(ctx.state.r)[2:]
-
-
-def require_unit_mass(p: PovmFamily, sigma: float, m0: float) -> None:
-    """m0, a sharp family's x11 summed on its grid, is 1 where the rule resolves
-    the width sigma; a miss beyond COMPLETENESS_TOL raises DomainError."""
-    if not abs(m0 - 1.0) <= COMPLETENESS_TOL:
-        raise DomainError(f"{p.label}: x11 sums to m0 = {m0!r} on the family's grid, not 1 within "
-                          f"{COMPLETENESS_TOL:g}: its rule does not resolve sigma = {sigma!r}")
+    g = p.grid()
+    mean, variance = moment_integrals(g, ctx.state)(ctx.state.r)[2:]
+    p.require_unit_mass(g.moment("x11", 0))
+    return mean, variance
 
 
 def moment_integrals(g: FamilyGrid, state: QubitState):

@@ -194,9 +194,12 @@ def measurement_fisher(state: QubitState, povm) -> float:
     `povm` is a `measurement.PovmFamily`.  Its elements are held at
     the family's construction point; the phi-derivative acts through the
     state only.  The integral runs over the family's grid: its own `spec`,
-    split at its discontinuities.
+    split at its discontinuities.  The family's mass check on the grid runs last.
     """
-    return fisher_integral(povm.grid(), state)
+    g = povm.grid()
+    fisher = fisher_integral(g, state)
+    povm.require_unit_mass(g.moment("x11", 0))
+    return fisher
 
 
 def require_braunstein_caves(fisher: float, sld: float) -> None:

@@ -18,9 +18,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbound import cli
 from qbound.bounds import audit_derivation
-from qbound.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, fmt, main
+from qbound.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_SELFTEST, fmt, main
 from qbound.measurement import (
     EstimationContext,
+    PovmFamily,
     estimator_moments,
     gaussian_sharp_family,
     load_tabulated_csv,
@@ -154,6 +155,11 @@ def test_metrics_csv_cells_are_formatted(tmp_path):
                 assert TWELVE_DIGIT.match(cell), line
 
 
+def test_metrics_csv_writes_the_omitted_fisher_entry_as_an_empty_cell(capsys):
+    assert run(["metrics", "--r", "0.5", "--phi", "1.5707963267948966", "--format", "csv"]) == EXIT_OK
+    assert "measurement_fisher_phiphi," in capsys.readouterr().out.splitlines()
+
+
 def test_metrics_domain_error_exit_code(capsys):
     code = run(["metrics", "--r", "0", "--theta", "1", "--phi", "1"])
     assert code == EXIT_DOMAIN
@@ -245,6 +251,13 @@ def test_povm_validate_csv_rejects_a_table_whose_slope_overflows(tmp_path, capsy
     assert captured.err == f"qbound: {table}: column x12 has a non-finite slope between rows 1 and 2\n"
 
 
+def test_povm_validate_csv_names_a_non_finite_column(tmp_path, capsys):
+    table = tmp_path / "nan.csv"
+    table.write_text("phi_hat,x11,x12,y12\n0.0,nan,0,0\n1.0,0.5,0,0\n", encoding="utf-8")
+    assert run(["povm", "validate", "--r", "0.5", "--csv", str(table)]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"qbound: {table}: column x11 contains non-finite values\n")
+
+
 def test_povm_validate_csv_refuses_family_options(tmp_path, capsys):
     # a table carries its own window, so --eps and --sigma would be ignored
     table = tmp_path / "fam.csv"
@@ -282,6 +295,11 @@ def test_bounds_sweep_csv_and_determinism(tmp_path):
     for line in lines[1:]:
         for cell in line.split(","):
             assert TWELVE_DIGIT.match(cell), line
+
+
+def test_bounds_sweep_refuses_zero_steps(capsys):
+    assert run(["bounds", "sweep", "--steps", "0"]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "qbound: steps must be >= 1\n")
 
 
 def test_bounds_sweep_reports_failed_row(capsys):
@@ -406,6 +424,18 @@ def test_audit_json(tmp_path):
     assert abs(data["fixed_window_residual"] + data["boundary_term"]) <= 1e-10
     assert data["slack_outer"] >= -1e-10
     assert data["imag_residual"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--r", "0.5"],
+    ["simulate", "--r", "0.5", "--samples", "100"],
+], ids=" ".join)
+def test_family_commands_build_one_grid(argv, monkeypatch, capsys):
+    # the API reads the moments and checks the mass on the same grid
+    built, grid = [], PovmFamily.grid
+    monkeypatch.setattr(PovmFamily, "grid", lambda self: built.append(self.label) or grid(self))
+    assert run(argv) == EXIT_OK
+    assert built == ["gaussian-sharp(sigma=3)"]
 
 
 def test_simulate_deterministic(tmp_path):
@@ -552,6 +582,18 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert f"{cfg}:2: unknown config key" in capsys.readouterr().err
 
 
+def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\nr = 0.4\n", encoding="utf-8")
+    out = tmp_path / "m.json"
+    assert run(["metrics", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["r"] == 0.4
+    # a line that is neither is named by its number
+    cfg.write_text("# a comment\n\nr = 0.4\nsigma\n", encoding="utf-8")
+    assert run(["metrics", "--config", str(cfg)]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"qbound: {cfg}:4: expected key=value\n")
+
+
 def test_config_file_loses_to_abbreviated_flag(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps = 3\n", encoding="utf-8")
@@ -589,6 +631,21 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+def test_selftest_exits_3_on_a_failed_or_raising_check(monkeypatch, capsys):
+    from qbound import selftest
+
+    def _check_sampling():
+        return 1 / 0
+
+    for check, line in ((lambda: selftest.CheckResult("forced", False, "forced to fail"),
+                         "FAIL  forced  [forced to fail]"),
+                        (_check_sampling,
+                         "FAIL  _check_sampling  [raised ZeroDivisionError('division by zero')]")):
+        monkeypatch.setattr(selftest, "_check_sampling", check)
+        assert run(["selftest"]) == EXIT_SELFTEST
+        assert capsys.readouterr().out.splitlines()[-1] == line
 
 
 # sha256 of the stdout of each command, recorded with numpy 2.4 on x86-64

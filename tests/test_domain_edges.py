@@ -12,6 +12,7 @@ import itertools
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qbound import bounds, derivatives, measurement, metrics
 from qbound.bounds import SweepRow
 from qbound.derivatives import R_MAX, R_MIN
 from qbound.measurement import EstimationContext, ValidationReport
+from qbound.quadrature import DEFAULT_SPEC, QuadSpec
 from qbound.qubit import DomainError, ParamIndex, QubitState, density_matrix
 
 PI = math.pi
@@ -35,7 +37,8 @@ MODULES = (bounds, metrics, measurement, derivatives)
 # the keys a None is documented for: the Fisher entry where cos(phi) ~ 0, and
 # the error of a sweep row that succeeded
 NONE_KEYS = {"measurement_fisher_phiphi", "error"}
-# the functions that check their input and return None, or None where cos(phi) ~ 0
+# the functions, and PovmFamily's mass check, that check their input and
+# return None, or None where cos(phi) ~ 0
 NONE_RESULTS = {"require_working_r", "require_invertible", "check_method", "gaussian_inputs",
                 "require_braunstein_caves", "require_unit_mass"}
 
@@ -104,8 +107,8 @@ def edge_calls(tmp_path):
         "moment_integrals": lambda s, u: me.moment_integrals(_family(s)[1].grid(), s)(s.r),
         "interior_scan": lambda s, u: me.interior_scan(_family(s)[1], EstimationContext(s)),
         "gaussian_inputs": lambda s, u: me.gaussian_inputs(s.phi, 0.0, 3.0),
-        "require_unit_mass": lambda s, u: me.require_unit_mass(
-            _family(s)[1], 3.0, _family(s)[1].grid().moment("x11", 0)),
+        "require_unit_mass": lambda s, u: _family(s)[1].require_unit_mass(
+            _family(s)[1].grid().moment("x11", 0)),
         "sample_outcomes": lambda s, u: me.sample_outcomes(
             me.outcome_distribution(*_family(s)), 64, seed=0),
         "require_working_r": lambda s, u: d.require_working_r(s.r, "require_working_r"),
@@ -156,7 +159,8 @@ def test_edge_calls_cover_every_public_function(tmp_path):
         if inspect.isfunction(obj) and obj.__module__ == module.__name__
         and not name.startswith("_")
     }
-    assert sorted(edge_calls(tmp_path)) == sorted(public)
+    # the mass check is a method of the family whose sigma it names
+    assert sorted(edge_calls(tmp_path)) == sorted(public | {"require_unit_mass"})
 
 
 @pytest.mark.parametrize("name", sorted(edge_calls(None)))
@@ -336,11 +340,55 @@ def test_mass_check_follows_the_earlier_checks():
     for sigma, pattern in ((NARROW_SIGMA, EVERY_NODE), (OVER_SLD_SIGMA, BRAUNSTEIN_CAVES)):
         family = measurement.gaussian_sharp_family(ctx, sigma=sigma)
         with pytest.raises(DomainError, match=r"^gaussian-sharp\(sigma=[^)]*\): x11 sums to m0 = "):
-            measurement.require_unit_mass(family, sigma, family.grid().moment("x11", 0))
+            family.require_unit_mass(family.grid().moment("x11", 0))
         with pytest.raises(DomainError, match=f"^{pattern}"):
             bounds.metric_report(state, sigma=sigma)
     family = measurement.gaussian_sharp_family(ctx, sigma=0.3)
-    assert measurement.require_unit_mass(family, 0.3, family.grid().moment("x11", 0)) is None
+    assert family.require_unit_mass(family.grid().moment("x11", 0)) is None
+
+
+# every public function that reads numbers from a family's grid
+GRID_READERS = {
+    "estimator_moments": measurement.estimator_moments,
+    "ab_coefficients": bounds.ab_coefficients,
+    "bound_Cmax": bounds.bound_Cmax,
+    "theorem_general": bounds.theorem_general,
+    "audit_derivation": bounds.audit_derivation,
+    "measurement_fisher": lambda ctx, p: metrics.measurement_fisher(ctx.state, p),
+}
+# the 2 x 3 rule misses sigma = 3's mass by 3.75e-8, past COMPLETENESS_TOL
+COARSE_MASS = ("gaussian-sharp(sigma=3): x11 sums to m0 = 1.0000000375404914 on the family's grid, "
+               "not 1 within 1e-09: its rule does not resolve sigma = 3.0")
+
+
+@pytest.mark.parametrize("sigma, spec, message", [
+    (UNRESOLVED_SIGMA, DEFAULT_SPEC, MISSED_MASS),
+    (3.0, QuadSpec(2, 3), COARSE_MASS),
+], ids=["sigma=1e-4", "2x3 rule"])
+@pytest.mark.parametrize("reader", sorted(GRID_READERS))
+def test_grid_readers_refuse_a_rule_that_misses_the_mass(reader, sigma, spec, message):
+    # unchecked, sigma = 1e-4 reads E[phi_hat] = 0.425 for 2.356 and a Fisher
+    # entry of 0.0451 for 0.25; theorem_general blamed the family's bias
+    ctx = EstimationContext(QubitState(0.5, PI / 2, 3 * PI / 4))
+    family = replace(measurement.gaussian_sharp_family(ctx, sigma=sigma), spec=spec)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        GRID_READERS[reader](ctx, family)
+
+
+def test_a_table_has_no_width_and_is_never_refused(capsys):
+    # a tabulated family's completeness is validate_povm's to report, as is a
+    # sharp family's missed mass
+    phi_hat = np.linspace(-PI, PI, 9)
+    x11 = np.full(9, (1.0 + 1e-6) / (2 * PI))
+    table = measurement.tabulated_family(phi_hat, x11, 0.0 * x11, 0.0 * x11)
+    ctx = EstimationContext(QubitState(0.5, PI / 2, 0.0))
+    assert table.sigma is None
+    assert not measurement.validate_povm(table, ctx).completeness_ok
+    for name, read in GRID_READERS.items():
+        assert _bad_parts(read(ctx, table)) == [], name
+    code, captured = _cli(["povm", "validate", "--r", "0.5", "--sigma", repr(UNRESOLVED_SIGMA)], capsys)
+    assert (code, captured.err) == (0, "")
+    assert '"completeness_ok": false' in captured.out
 
 
 # ------------------------------------------- a Gaussian exponent past the float range

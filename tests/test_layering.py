@@ -77,6 +77,23 @@ def element_calls(path):
     ]
 
 
+def grid_reads(path):
+    """Lines where a module calls `.grid()`, `.moment(`, `moment_integrals` or
+    `require_unit_mass`, by attribute or by name."""
+    names = ("grid", "moment", "moment_integrals", "require_unit_mass")
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
+    ]
+
+
+def test_cli_reads_no_grid():
+    # a command reads a family through the API, whose grid readers check its mass
+    assert grid_reads(Path(qbound.__file__).parent / "cli.py") == []
+
+
 def test_families_are_evaluated_through_elements_only():
     # one evaluation path: a family's six arrays come from one elements(u) call
     package = Path(qbound.__file__).parent

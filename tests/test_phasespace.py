@@ -92,6 +92,14 @@ def test_inverse_weyl_of_constant_one():
         assert np.max(np.abs(op - IDENTITY2)) <= 1e-10
 
 
+def test_inverse_weyl_broadcasts_a_constant_symbol():
+    # a symbol may return a scalar; it reads as that value at every node
+    for s in (-1.0, 1.0):
+        op = inverse_weyl(lambda t, p: 1.0, s)
+        assert np.array_equal(op, inverse_weyl(lambda t, p: np.ones_like(t), s))
+        assert np.max(np.abs(op - IDENTITY2)) <= 1e-10
+
+
 def test_roundtrip_on_pauli_basis():
     for s in (-1.0, 1.0):
         for op in (IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z):

@@ -224,3 +224,8 @@ def test_pauli_operator_equals_the_tensordot_form_bit_for_bit():
             want = 0.5 * (a0 * IDENTITY2 + c * np.tensordot(a, PAULIS, axes=1))
             got = pauli_operator(0.5 * a0, [0.5 * c * v for v in a])
             assert got.tobytes() == want.tobytes(), (a0, a, c)
+
+
+def test_pauli_decomposition_names_a_matrix_that_is_not_2x2():
+    with pytest.raises(ValueError, match=r"^pauli_decomposition input must be 2x2, got shape \(3, 3\)$"):
+        pauli_decomposition(np.eye(3))
